@@ -1,9 +1,10 @@
 """Renyi cross-entropy rates for stationary zero-mean Gaussian processes.
 
 A process is described by a truncated autocovariance sequence r_0..r_m
-(zero beyond the truncation) and optionally a closed-form power spectral
-density.  With f the spectral density of the source X and g that of the
-reference Y, the order-alpha cross-entropy rate is
+(zero beyond the truncation), optionally a closed form for every lag and
+optionally a closed-form power spectral density.  With f the spectral
+density of the source X and g that of the reference Y, the order-alpha
+cross-entropy rate is
 
     (1/2) ln 2 pi + (1/(4 pi (1 - alpha)))
         * integral_0^{2 pi} [ (2 - alpha) ln g(w) - ln h(w) ] dw,
@@ -12,7 +13,9 @@ where h = g + (alpha - 1) f must stay positive (it always does for
 alpha > 1; for alpha < 1 a nonpositive h certifies divergence, +inf).
 The finite-n counterpart replaces the integrals with log-determinants of
 the n x n Toeplitz covariance matrices and converges to the spectral value
-as n grows.
+as n grows.  Each log-determinant is the sum of the logs of the one-step
+prediction errors of the Levinson-Durbin recursion, so no n x n matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .errors import (
     InvalidParameterError,
     NonConvergenceError,
     NonpositivePsdError,
+    NotPositiveDefiniteError,
 )
 from .expfam import LOG_2PI
-from .linalg import cholesky_lower
+from .linalg import cholesky_lower, toeplitz_logdet
 
 _PSD_FLOOR = 1e-12
 _VALIDATION_GRID = 4096
@@ -46,15 +50,18 @@ _SPECTRAL_TOLERANCE = 1e-9
 class StationaryGaussianSpec:
     """Stationary zero-mean Gaussian process.
 
-    ``autocov`` holds r_0..r_m; lags beyond m are treated as zero.  When a
-    closed-form spectral density is known (``psd_fn``), it is preferred to
-    the truncated cosine series.  Construction verifies r_0 > 0, strict
+    ``autocov`` holds r_0..r_m; lags beyond m are treated as zero unless
+    ``autocov_fn`` gives r_k for any array of lags k, in which case the
+    Toeplitz covariances use it at every order.  When a closed-form
+    spectral density is known (``psd_fn``), it is preferred to the
+    truncated cosine series.  Construction verifies r_0 > 0, strict
     positivity of the spectral density on a 4096-point grid, and positive
     definiteness of the order-64 Toeplitz matrix.
     """
 
     autocov: np.ndarray
     psd_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    autocov_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         r = np.asarray(self.autocov, dtype=float)
@@ -86,19 +93,25 @@ class StationaryGaussianSpec:
 
     @classmethod
     def ar1(cls, rho: float, variance: float = 1.0, truncation: int = 200) -> "StationaryGaussianSpec":
-        """First-order autoregression: r_k = variance * rho^k."""
+        """First-order autoregression: r_k = variance * rho^k.
+
+        ``autocov`` keeps lags 0..truncation; finite-n covariances take
+        every lag from the closed form.
+        """
         rho, variance = float(rho), float(variance)
         if not -1.0 < rho < 1.0:
             raise InvalidParameterError(f"ar1 needs |rho| < 1, got {rho}")
         if variance <= 0:
             raise InvalidParameterError(f"ar1 needs variance > 0, got {variance}")
-        lags = np.arange(int(truncation) + 1)
-        auto = variance * rho ** lags
+
+        def closed_autocov(lags):
+            return variance * rho ** lags
 
         def closed_psd(w):
             return variance * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(w) + rho * rho)
 
-        return cls(auto, psd_fn=closed_psd)
+        return cls(closed_autocov(np.arange(int(truncation) + 1)), psd_fn=closed_psd,
+                   autocov_fn=closed_autocov)
 
     @classmethod
     def from_autocovariance(cls, seq) -> "StationaryGaussianSpec":
@@ -116,15 +129,23 @@ def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
     return r[0] + 2.0 * (r[1:, None] * np.cos(np.outer(lags, w))).sum(axis=0)
 
 
-def toeplitz_cov(spec: StationaryGaussianSpec, n: int, _validate: bool = True) -> np.ndarray:
-    """The n x n Toeplitz covariance from the truncated autocovariance."""
-    n = int(n)
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
+    """r_0..r_{n-1}: the closed form when known, else the truncated sequence
+    padded with zeros."""
+    if spec.autocov_fn is not None:
+        return np.asarray(spec.autocov_fn(np.arange(n)), dtype=float)
     first = np.zeros(n)
     take = min(n, spec.autocov.size)
     first[:take] = spec.autocov[:take]
-    cov = scipy.linalg.toeplitz(first)
+    return first
+
+
+def toeplitz_cov(spec: StationaryGaussianSpec, n: int, _validate: bool = True) -> np.ndarray:
+    """The n x n Toeplitz covariance of the first n lags."""
+    n = int(n)
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1, got {n}")
+    cov = scipy.linalg.toeplitz(autocov_lags(spec, n))
     if _validate:
         cholesky_lower(cov, name="Toeplitz covariance")
     return cov
@@ -178,23 +199,21 @@ def rate_finite_n(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha, n
 
         (1/2) ln 2 pi + [ (2 - alpha) ln det Cov_Y - ln det B ] / (2 n (1 - alpha)),
 
-    with B = Cov_Y + (alpha - 1) Cov_X.  Log-determinants accumulate the
-    logs of Cholesky pivots.  Returns +inf when B is not positive definite
-    (alpha < 1 divergence).
+    with B = Cov_Y + (alpha - 1) Cov_X.  Both are Toeplitz, so each
+    log-determinant accumulates the logs of the Levinson-Durbin prediction
+    errors of its first column.  Returns +inf when B is not positive
+    definite (alpha < 1 divergence).
     """
     a = _finite_alpha(alpha)
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    cov_y = toeplitz_cov(y, n, _validate=False)
-    chol_y = cholesky_lower(cov_y, name="reference Toeplitz covariance")
-    logdet_y = 2.0 * float(np.sum(np.log(np.diag(chol_y))))
-    b = cov_y + (a - 1.0) * toeplitz_cov(x, n, _validate=False)
+    r_y = autocov_lags(y, n)
+    logdet_y = toeplitz_logdet(r_y, name="reference Toeplitz covariance")
     try:
-        chol_b = cholesky_lower(b)
-    except Exception:
+        logdet_b = toeplitz_logdet(r_y + (a - 1.0) * autocov_lags(x, n))
+    except NotPositiveDefiniteError:
         if a < 1.0:
             return math.inf
         raise
-    logdet_b = 2.0 * float(np.sum(np.log(np.diag(chol_b))))
     return 0.5 * LOG_2PI + ((2.0 - a) * logdet_y - logdet_b) / (2.0 * n * (1.0 - a))

@@ -1,6 +1,8 @@
-"""Small dense linear-algebra helpers shared by the Gaussian modules."""
+"""Small linear-algebra helpers shared by the Gaussian modules."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +32,33 @@ def spd_logdet(a: np.ndarray, name: str = "matrix") -> float:
     """log det of a symmetric positive definite matrix via Cholesky pivots."""
     chol = cholesky_lower(a, name=name)
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def toeplitz_logdet(first_column, name: str = "matrix") -> float:
+    """log det of the symmetric Toeplitz matrix with the given first column.
+
+    Levinson-Durbin recursion: det T_n is the product of the one-step
+    prediction errors E_0 = r_0, E_k = E_{k-1} (1 - kappa_k^2), so the
+    log-determinant accumulates ln E_k in O(n^2) time and O(n) memory.
+    Raises NotPositiveDefiniteError on a nonpositive prediction error.
+    """
+    r = np.asarray(first_column, dtype=float)
+    n = r.size
+    error = float(r[0])
+    if not error > 0.0:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite")
+    logdet = math.log(error)
+    # coef[1..k-1] predicts x_t from x_{t-1}, ..., x_{t-k+1}
+    coef = np.zeros(n)
+    for k in range(1, n):
+        kappa = (r[k] - coef[1:k] @ r[k - 1:0:-1]) / error
+        coef[1:k] -= kappa * coef[k - 1:0:-1]
+        coef[k] = kappa
+        error *= (1.0 - kappa) * (1.0 + kappa)
+        if not error > 0.0:
+            raise NotPositiveDefiniteError(f"{name} is not positive definite")
+        logdet += math.log(error)
+    return logdet
 
 
 def spd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:

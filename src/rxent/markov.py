@@ -15,6 +15,9 @@ strictly positive start weights, the spectral radius of R).
 At the alpha -> 1 marker the rate is the Shannon cross-entropy slope
 n H_n - (n-1) H_{n-1} evaluated at n = 4096, which converges geometrically
 for irreducible aperiodic chains.
+
+Matrix powers (the finite-n blocks and the slope's state occupation) are
+taken by binary powering with scaling, O(K^3 log n) work.
 """
 
 from __future__ import annotations
@@ -268,13 +271,53 @@ def cross_entropy_rate(p_src: MarkovSource, q_src: MarkovSource, alpha) -> float
     return math.log(lam) / (1.0 - alpha.value)
 
 
+def scaled_power(matrix: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """The power matrix^k of a nonnegative matrix as (M, ln c), matrix^k = c M.
+
+    Binary powering; every product is divided by its largest row sum, whose
+    log accumulates in ln c, so the entries of M stay at most 1 for any k.
+    A power that vanishes comes back as (zeros, 0.0).
+    """
+    m = np.asarray(matrix, dtype=float)
+    result, log_scale = np.eye(m.shape[0]), 0.0
+    base, log_base = m, 0.0
+    while k:
+        norm = float(base.sum(axis=1).max())
+        if norm <= 0.0:
+            return np.zeros_like(m), 0.0
+        base, log_base = base / norm, log_base + math.log(norm)
+        if k & 1:
+            result, log_scale = result @ base, log_scale + log_base
+            norm = float(result.sum(axis=1).max())
+            if norm <= 0.0:
+                return np.zeros_like(m), 0.0
+            result, log_scale = result / norm, log_scale + math.log(norm)
+        k >>= 1
+        if k:
+            base, log_base = base @ base, 2.0 * log_base
+    return result, log_scale
+
+
+def _reachable(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """States reachable from the support of ``start`` (itself included)."""
+    pattern = matrix > 0
+    seen = start > 0
+    while True:
+        nxt = seen | pattern[seen].any(axis=0)
+        if np.array_equal(nxt, seen):
+            return seen
+        seen = nxt
+
+
 def finite_n_cross_entropy(p_src: MarkovSource, q_src: MarkovSource, alpha, n: int) -> float:
     """Exact length-n block cross-entropy per symbol.
 
-    Evaluates (1/(n (1-alpha))) ln(s R^(n-1) 1) with the partial products
-    renormalized each step, so n in the thousands stays in range.  Returns
-    +inf when the product vanishes exactly (alpha > 1 and the source moves
-    only through reference-impossible transitions).
+    Evaluates (1/(n (1-alpha))) ln(s R^(n-1) 1) with R^(n-1) from scaled
+    binary powering, so n in the thousands stays in range.  Only the states
+    reachable from the start support enter the power, so a stronger class
+    the start cannot reach does not scale the reachable entries away.
+    Returns +inf when the product vanishes exactly (alpha > 1 and the
+    source moves only through reference-impossible transitions).
     """
     alpha = AlphaOrder.coerce(alpha)
     if not alpha.is_finite_order:
@@ -283,21 +326,14 @@ def finite_n_cross_entropy(p_src: MarkovSource, q_src: MarkovSource, alpha, n: i
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     weighted = build_weighted(p_src, q_src, alpha)
-    a = alpha.value
-    v = weighted.start.copy()
-    total = v.sum()
-    if total <= 0.0:
+    if weighted.start.sum() <= 0.0:
         return math.inf  # all start mass on reference-impossible states
-    log_total = math.log(total)
-    v /= total
-    for _ in range(n - 1):
-        v = v @ weighted.entries
-        step = v.sum()
-        if step <= 0.0:
-            return math.inf
-        log_total += math.log(step)
-        v /= step
-    return log_total / (n * (1.0 - a))
+    keep = _reachable(weighted.entries, weighted.start)
+    power, log_scale = scaled_power(weighted.entries[np.ix_(keep, keep)], n - 1)
+    total = float(weighted.start[keep] @ power.sum(axis=1))
+    if total <= 0.0:
+        return math.inf
+    return (math.log(total) + log_scale) / (n * (1.0 - alpha.value))
 
 
 def shannon_rate_slope(p_src: MarkovSource, q_src: MarkovSource,
@@ -305,9 +341,11 @@ def shannon_rate_slope(p_src: MarkovSource, q_src: MarkovSource,
     """Shannon cross-entropy rate as the block-entropy slope n H_n - (n-1) H_{n-1}.
 
     The slope equals the expected per-step cost -sum_j P(j|i) ln Q(j|i)
-    averaged over the step-(n-1) state occupation, which converges
-    geometrically for irreducible aperiodic sources.  +inf when the source
-    uses a transition of reference probability zero.
+    averaged over the step-(n-1) state occupation mu P^(n-2), which
+    converges geometrically for irreducible aperiodic sources.  P^(n-2)
+    comes from scaled binary powering; a stochastic P keeps its powers in
+    range, so the scale is 1 up to rounding.  +inf when the source uses a
+    transition of reference probability zero.
     """
     if p_src.num_states != q_src.num_states:
         raise DimensionMismatchError(
@@ -322,7 +360,6 @@ def shannon_rate_slope(p_src: MarkovSource, q_src: MarkovSource,
     with np.errstate(divide="ignore"):
         logq = np.where(q > 0, np.log(np.maximum(q, 1e-320)), 0.0)
     row_cost = -(p * logq).sum(axis=1)
-    mu = p_src.initial.probs.copy()
-    for _ in range(n - 2):
-        mu = mu @ p
+    power, log_scale = scaled_power(p, n - 2)
+    mu = math.exp(log_scale) * (p_src.initial.probs @ power)
     return float(mu @ row_cost)

@@ -10,12 +10,13 @@ from rxent import (
     InvalidAlphaError,
     InvalidParameterError,
     NonpositivePsdError,
+    NotPositiveDefiniteError,
     StationaryGaussianSpec,
     cross_entropy_closed,
     rate_finite_n,
     rate_spectral,
 )
-from rxent.gaussproc import psd, toeplitz_cov
+from rxent.gaussproc import autocov_lags, psd, toeplitz_cov
 
 S = StationaryGaussianSpec
 
@@ -156,3 +157,48 @@ class TestCorrelatedRates:
         matched = rate_spectral(self.X, self.X, 2.0)
         mismatched = rate_spectral(self.X, self.Y, 2.0)
         assert mismatched > matched
+
+
+def lagged_spike(lag, size):
+    """A spec that passes the construction checks (flat closed-form density,
+    white up to order 64) but whose lag ``lag`` autocovariance is ``size``,
+    so its order lag + 1 Toeplitz matrix is not positive definite."""
+    return S(np.array([1.0]), psd_fn=lambda w: np.ones_like(w),
+             autocov_fn=lambda k: np.where(k == 0, 1.0, np.where(k == lag, size, 0.0)))
+
+
+class TestFiniteNDivergence:
+    def test_below_one_nonpositive_b_is_infinite(self):
+        # B = Cov_Y - 0.5 Cov_X has lag-100 entry -1 against a diagonal of 0.5
+        assert rate_finite_n(lagged_spike(100, 2.0), S.white_noise(1.0), 0.5, 128) == math.inf
+
+    def test_above_one_nonpositive_b_raises(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            rate_finite_n(lagged_spike(100, 2.0), S.white_noise(1.0), 2.0, 128)
+
+    def test_nonpositive_reference_raises_below_one(self):
+        with pytest.raises(NotPositiveDefiniteError, match="reference"):
+            rate_finite_n(S.white_noise(1.0), lagged_spike(100, 2.0), 0.5, 128)
+
+
+class TestAr1AllLags:
+    X = S.ar1(0.99, 1.0)
+    Y = S.white_noise(1.0)
+
+    def test_lags_beyond_truncation_are_exact(self):
+        r = autocov_lags(self.X, 2048)
+        assert_allclose(r, 0.99 ** np.arange(2048), rtol=1e-12)
+        assert self.X.autocov.size == 201
+
+    def test_finite_n_error_halves_with_n(self):
+        limit = rate_spectral(self.X, self.Y, 2.0)
+        errors = [rate_finite_n(self.X, self.Y, 2.0, n) - limit
+                  for n in (256, 512, 1024, 2048)]
+        assert 2.6e-3 < errors[0] < 2.8e-3
+        assert 3.3e-4 < errors[-1] < 3.5e-4
+        for bigger, smaller in zip(errors, errors[1:]):
+            assert 0.45 < smaller / bigger < 0.55
+
+    def test_order_three_factors(self):
+        limit = rate_spectral(self.X, self.Y, 3.0)
+        assert abs(rate_finite_n(self.X, self.Y, 3.0, 1024) - limit) < 1e-3

@@ -18,7 +18,7 @@ from rxent import (
     perron_eigenvalue,
     shannon_rate_slope,
 )
-from rxent.markov import build_weighted, classify, perron_eigenpair
+from rxent.markov import build_weighted, classify, perron_eigenpair, scaled_power
 
 P_CHAIN = np.array([[0.9, 0.1], [0.2, 0.8]])
 Q_CHAIN = np.array([[0.7, 0.3], [0.4, 0.6]])
@@ -232,8 +232,8 @@ class TestFiniteBlocks:
         assert abs(finite_n_cross_entropy(p, q, a, 4000) - limit) < 5e-3
 
     def test_long_blocks_stay_finite(self):
-        # per-step renormalization keeps n = 10^4 in floating range even
-        # though the raw product underflows
+        # scaled powering keeps n = 10^4 in floating range even though the
+        # raw product underflows
         p = MarkovSource.of(P_CHAIN)
         q = MarkovSource.of(Q_CHAIN)
         v = finite_n_cross_entropy(p, q, 5.0, 10_000)
@@ -243,3 +243,73 @@ class TestFiniteBlocks:
         p = MarkovSource.of(P_CHAIN)
         with pytest.raises(InvalidParameterError):
             finite_n_cross_entropy(p, p, 2.0, 0)
+
+
+def stepped_power(m, k):
+    """m^k as (M, ln c) by k renormalized single steps."""
+    result, log_scale = np.eye(m.shape[0]), 0.0
+    for _ in range(k):
+        result = result @ m
+        norm = result.sum(axis=1).max()
+        result, log_scale = result / norm, log_scale + math.log(norm)
+    return result, log_scale
+
+
+def stepped_slope(p_src, q_src, n=4096):
+    row_cost = -(p_src.transition * np.log(q_src.transition)).sum(axis=1)
+    mu = p_src.initial.probs.copy()
+    for _ in range(n - 2):
+        mu = mu @ p_src.transition
+    return float(mu @ row_cost)
+
+
+def random_source(rng, k):
+    raw = rng.uniform(0.05, 1.0, size=(k, k))
+    return MarkovSource.of(raw / raw.sum(axis=1, keepdims=True))
+
+
+class TestScaledPower:
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000])
+    def test_matches_stepped_power(self, k):
+        rng = np.random.default_rng(k)
+        for size in (2, 5, 16):
+            m = rng.uniform(0.0, 3.0, size=(size, size))
+            m[rng.uniform(size=m.shape) < 0.3] = 0.0
+            m[np.arange(size), (np.arange(size) + 1) % size] += 0.5  # irreducible
+            power, log_scale = scaled_power(m, k)
+            expected, expected_log = stepped_power(m, k)
+            assert_allclose(log_scale, expected_log, rtol=1e-12)
+            assert_allclose(power, expected, rtol=1e-11, atol=1e-300)
+
+    def test_zeroth_power_is_identity(self):
+        power, log_scale = scaled_power(np.zeros((3, 3)), 0)
+        assert_allclose(power, np.eye(3))
+        assert log_scale == 0.0
+
+    def test_vanishing_power(self):
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        power, log_scale = scaled_power(nilpotent, 2)
+        assert not power.any() and log_scale == 0.0
+
+    def test_entries_stay_in_range(self):
+        power, log_scale = scaled_power(np.full((2, 2), 1e-3), 10_000)
+        assert power.max() == pytest.approx(0.5)
+        assert_allclose(log_scale, 10_000 * math.log(2e-3), rtol=1e-12)
+
+
+class TestStructuredKernelsMatchSteps:
+    def test_slope_matches_stepped_occupation(self):
+        rng = np.random.default_rng(5)
+        for k in (2, 3, 8, 32):
+            p, q = random_source(rng, k), random_source(rng, k)
+            for n in (2, 3, 4096):
+                assert_allclose(shannon_rate_slope(p, q, n), stepped_slope(p, q, n),
+                                rtol=1e-12)
+
+    def test_unreachable_stronger_class_does_not_scale_start_away(self):
+        # the start sits in the weak block {0}; the block {1} is 1000 times
+        # heavier but unreachable, and 1e-3^4000 underflows any shared scale
+        p = MarkovSource.of(np.eye(2), [1.0, 0.0])
+        q = MarkovSource.of(np.array([[0.5, 0.5], [1e-3, 1.0 - 1e-3]]))
+        expected = -math.log(0.5)
+        assert_allclose(finite_n_cross_entropy(p, q, 2.0, 4000), expected, rtol=1e-12)
