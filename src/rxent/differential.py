@@ -12,6 +12,12 @@ family:
 * ``cross_entropy_closed`` evaluates the per-family formulas obtained by
   carrying out that algebra analytically.
 
+At the alpha -> 1 marker both routes give the Shannon cross-entropy
+-E_1[ln f2] in closed form: the engine as
+-E_1[ln b] - eta2 . E_1[T] - A(eta2) with E_1[T] = -grad A(eta1), the
+closed route by per-family formulas (digamma means for the ln x
+statistics).
+
 The two agree to ~1e-12 wherever the defining integral converges, and both
 flag the same divergences; keeping both routes makes each an internal check
 of the other, with direct quadrature of the defining integral as the final
@@ -31,7 +37,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln, gammaln, hyp1f1
+from scipy.special import betaln, digamma, gammaln, hyp1f1
 
 from . import oracle
 from .alpha import AlphaOrder
@@ -41,6 +47,7 @@ from .errors import (
     InvalidAlphaError,
     InvalidParameterError,
     MgfDomainError,
+    NotPositiveDefiniteError,
     OutOfDomainError,
 )
 from .expfam import (
@@ -50,6 +57,8 @@ from .expfam import (
     combine_natural,
     log_base_expectation,
     log_partition,
+    mean_log_base,
+    mean_statistic,
     to_natural,
 )
 from .linalg import (
@@ -67,7 +76,6 @@ class Method(Enum):
     NATURAL_PARAMS = "natural_params"
     CLOSED_FORM = "closed_form"
     SPECIAL_CASE = "special_case"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -110,62 +118,38 @@ def _check_pair(f1: ExpFamilyDistribution, f2: ExpFamilyDistribution):
         )
 
 
-def _beta_integral_exists(f1, f2, a: float) -> bool:
-    a1, b1 = f1.params
-    a2, b2 = f2.params
-    return a1 + (a - 1) * (a2 - 1) > 0 and b1 + (a - 1) * (b2 - 1) > 0
-
-
-def _shannon_quadrature(f1, f2) -> CrossEntropyResult:
-    value = oracle.cross_entropy_numeric(
-        f1.pdf, f2.pdf, f1.support, AlphaOrder.one(),
-        p_logpdf=f1.logpdf, q_logpdf=f2.logpdf,
-    )
-    return _finite(value, Method.QUADRATURE)
-
-
 def cross_entropy_natural(
     f1: ExpFamilyDistribution, f2: ExpFamilyDistribution, alpha
 ) -> CrossEntropyResult:
     """Cross-entropy through the combined natural parameter.
 
     Uses only the family's (b, T, eta, A) representation plus the base
-    expectation E_h; no per-family cross-entropy formula.  At the
-    alpha -> 1 marker it evaluates the Shannon integral by quadrature
-    (analytically for the multivariate Gaussian).
-
-    For the Beta family at alpha < 1 the combined parameter can leave the
-    natural domain even though the defining integral converges (the base
-    measure absorbs part of the exponent); that case falls back to direct
-    quadrature and is tagged Method.QUADRATURE.
+    expectation E_h; no per-family cross-entropy formula.  The combined
+    parameter leaves the natural domain exactly when the defining integral
+    diverges.  At the alpha -> 1 marker it returns
+    -E_1[ln b] - eta2 . E_1[T] - A(eta2).
     """
     _check_pair(f1, f2)
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
+    eta1, eta2 = to_natural(f1), to_natural(f2)
     if alpha.is_one:
-        if f1.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-            return cross_entropy_multivariate_gaussian(f1.cov, f2.cov, alpha)
-        return _shannon_quadrature(f1, f2)
+        value = (
+            -mean_log_base(eta1)
+            - float(eta2.components @ mean_statistic(eta1))
+            - log_partition(eta2)
+        )
+        return _finite(value, Method.NATURAL_PARAMS)
 
     a = alpha.value
-    eta1, eta2 = to_natural(f1), to_natural(f2)
     try:
         eta_h = combine_natural(eta1, eta2, alpha)
     except OutOfDomainError:
-        if f1.family is Family.BETA and a < 1 and _beta_integral_exists(f1, f2, a):
-            value = oracle.cross_entropy_numeric(
-                f1.pdf, f2.pdf, f1.support, alpha,
-                p_logpdf=f1.logpdf, q_logpdf=f2.logpdf,
-            )
-            return _finite(value, Method.QUADRATURE)
-        return _diverged(alpha, Method.NATURAL_PARAMS)
-
-    log_e = log_base_expectation(eta_h, alpha)
-    if math.isinf(log_e):
         return _diverged(alpha, Method.NATURAL_PARAMS)
     value = (
-        (log_partition(eta1) - log_partition(eta_h) + log_e) / (1.0 - a)
+        (log_partition(eta1) - log_partition(eta_h) + log_base_expectation(eta_h, alpha))
+        / (1.0 - a)
         - log_partition(eta2)
     )
     return _finite(value, Method.NATURAL_PARAMS)
@@ -178,7 +162,7 @@ def cross_entropy_closed(
 
     Each branch spells out its existence condition; outside it the result
     is a divergence marker, never an approximation.  The alpha -> 1 marker
-    dispatches to the Shannon integral by quadrature.
+    gives the per-family Shannon cross-entropy -E_1[ln f2].
     """
     _check_pair(f1, f2)
     if f1.family is Family.MV_GAUSSIAN_ZERO_MEAN:
@@ -188,14 +172,15 @@ def cross_entropy_closed(
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    if alpha.is_one:
-        return _shannon_quadrature(f1, f2)
-    a = alpha.value
-    m = Method.CLOSED_FORM
+    a, one, m = alpha.value, alpha.is_one, Method.CLOSED_FORM
 
     if f1.family is Family.BETA:
         a1, b1 = f1.params
         a2, b2 = f2.params
+        if one:
+            psi = digamma(a1 + b1)
+            value = betaln(a2, b2) - (a2 - 1) * (digamma(a1) - psi) - (b2 - 1) * (digamma(b1) - psi)
+            return _finite(value, m)
         a_h = a1 + (a - 1) * (a2 - 1)
         b_h = b1 + (a - 1) * (b2 - 1)
         if a_h <= 0 or b_h <= 0:
@@ -206,6 +191,9 @@ def cross_entropy_closed(
     if f1.family is Family.CHI_SQUARED:
         nu1, = f1.params
         nu2, = f2.params
+        if one:
+            value = gammaln(nu2 / 2) + math.log(2) + nu1 / 2 - (nu2 / 2 - 1) * digamma(nu1 / 2)
+            return _finite(value, m)
         nu_h = nu1 + (a - 1) * (nu2 - 2)
         if nu_h <= 0:
             return _diverged(alpha, m)
@@ -220,6 +208,8 @@ def cross_entropy_closed(
     if f1.family is Family.EXPONENTIAL:
         lam1, = f1.params
         lam2, = f2.params
+        if one:
+            return _finite(lam2 / lam1 - math.log(lam2), m)
         lam_h = lam1 + (a - 1) * lam2
         if lam_h <= 0:
             return _diverged(alpha, m)
@@ -229,6 +219,10 @@ def cross_entropy_closed(
     if f1.family is Family.GAMMA:
         k1, th1 = f1.params
         k2, th2 = f2.params
+        if one:
+            value = (gammaln(k2) + k2 * math.log(th2) + k1 * th1 / th2
+                     - (k2 - 1) * (digamma(k1) + math.log(th1)))
+            return _finite(value, m)
         k_h = k1 + (a - 1) * (k2 - 1)
         rate_h = 1.0 / th1 + (a - 1) / th2
         if k_h <= 0 or rate_h <= 0:
@@ -245,6 +239,8 @@ def cross_entropy_closed(
     if f1.family is Family.GAUSSIAN:
         mu1, v1 = f1.params
         mu2, v2 = f2.params
+        if one:
+            return _finite(0.5 * (math.log(2 * math.pi * v2) + (v1 + (mu1 - mu2) ** 2) / v2), m)
         v_h = v2 + (a - 1) * v1
         if v_h <= 0:
             return _diverged(alpha, m)
@@ -258,6 +254,8 @@ def cross_entropy_closed(
     if f1.family is Family.LAPLACE_EQUAL_MEAN:
         _, s1 = f1.params
         _, s2 = f2.params
+        if one:
+            return _finite(math.log(2 * s2) + s1 / s2, m)
         s_h = s2 + (a - 1) * s1
         if s_h <= 0:
             return _diverged(alpha, m)
@@ -300,7 +298,7 @@ def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult
     s = as_symmetric_matrix(inv1 + (a - 1.0) * inv2)
     try:
         chol = cholesky_lower(s)
-    except Exception:
+    except NotPositiveDefiniteError:
         return _diverged(alpha, Method.CLOSED_FORM)
     logdet_s = 2.0 * float(np.sum(np.log(np.diag(chol))))
     value = (

@@ -11,7 +11,7 @@ The conventions fixed here (and relied on throughout):
 
     family            b(x)              T(x)                 eta            natural domain
     ----------------  ----------------  -------------------  -------------  ----------------------
-    Beta(a, c)        1/(x(1-x))        (ln x, ln(1-x))      (a, c)         eta1 > 0, eta2 > 0
+    Beta(a, c)        1                 (ln x, ln(1-x))      (a-1, c-1)     eta1 > -1, eta2 > -1
     ChiSquared(nu)    exp(-x/2)         ln x                 nu/2 - 1       eta > -1
     Exponential(lam)  1                 x                    -lam           eta < 0
     Gamma(k, theta)   1                 (ln x, x)            (k-1, -1/th)   eta1 > -1, eta2 < 0
@@ -21,8 +21,11 @@ The conventions fixed here (and relied on throughout):
     MV Gaussian(S)    (2 pi)^(-n/2)     x x^T                -(1/2) S^-1    -2 eta pos. definite
 
 Each natural domain is exactly the set where the normalizing integral
-converges, so an out-of-domain combined parameter certifies a divergent
-cross-entropy integral.  The Laplace location enters T itself, so two
+converges.  Every base measure is constant or, for chi-squared, decays
+like exp(-x/2) whatever its power, so the combined parameter
+eta1 + (alpha - 1) eta2 lies in the domain exactly when the cross-entropy
+integral exists: an out-of-domain combined parameter certifies
+divergence.  The Laplace location enters T itself, so two
 Laplace members belong to the same family (share T) only when their
 locations agree.
 """
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, digamma, gammaln
 
 from .alpha import AlphaOrder
 from .errors import (
@@ -44,17 +47,9 @@ from .errors import (
     OutOfDomainError,
 )
 from .linalg import as_symmetric_matrix, cholesky_lower, spd_inverse, spd_logdet
-from .oracle import QuadratureSettings, integrate
 from .support import ALL_REALS, POSITIVE_REALS, UNIT_INTERVAL, SupportSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Tolerances for the base-expectation quadrature (Beta and chi-squared carry
-# non-constant base measures).  Tight, so the natural-parameter route stays
-# within 1e-10 of the closed forms.
-_BASE_EXPECTATION_SETTINGS = QuadratureSettings(
-    relative_tolerance=5e-13, absolute_tolerance=1e-15, max_subdivisions=1000
-)
 
 
 class Family(Enum):
@@ -273,7 +268,7 @@ def to_natural(d: ExpFamilyDistribution) -> NaturalParam:
     """Natural parameter of d under this module's conventions."""
     p = d.params
     if d.family is Family.BETA:
-        return NaturalParam(d.family, np.array([p[0], p[1]]))
+        return NaturalParam(d.family, np.array([p[0] - 1, p[1] - 1]))
     if d.family is Family.CHI_SQUARED:
         return NaturalParam(d.family, np.array([p[0] / 2 - 1]))
     if d.family is Family.EXPONENTIAL:
@@ -296,7 +291,7 @@ def natural_in_domain(eta: NaturalParam) -> bool:
     """Whether eta lies in the family's natural domain (integral converges)."""
     c = eta.components
     if eta.family is Family.BETA:
-        return c[0] > 0 and c[1] > 0
+        return c[0] > -1 and c[1] > -1
     if eta.family is Family.CHI_SQUARED:
         return c[0] > -1
     if eta.family in (Family.EXPONENTIAL, Family.LAPLACE_EQUAL_MEAN):
@@ -315,20 +310,24 @@ def natural_in_domain(eta: NaturalParam) -> bool:
     raise InvalidParameterError(f"unknown family {eta.family}")
 
 
+def _require_domain(eta: NaturalParam):
+    if not natural_in_domain(eta):
+        raise OutOfDomainError(
+            f"{eta.family.value} natural parameter {eta.components} is outside "
+            "the natural domain (normalizing integral diverges)"
+        )
+
+
 def log_partition(eta: NaturalParam) -> float:
     """Log-normalizer A(eta) = -ln integral b(x) exp(eta . T(x)) dx.
 
     With this sign, f = b exp(eta . T + A).  Raises OutOfDomainError when
     eta is outside the natural domain.
     """
-    if not natural_in_domain(eta):
-        raise OutOfDomainError(
-            f"{eta.family.value} natural parameter {eta.components} is outside "
-            "the natural domain (normalizing integral diverges)"
-        )
+    _require_domain(eta)
     c = eta.components
     if eta.family is Family.BETA:
-        return -float(betaln(c[0], c[1]))
+        return -float(betaln(c[0] + 1, c[1] + 1))
     if eta.family is Family.CHI_SQUARED:
         h = c[0] + 1  # = nu / 2
         return -h * math.log(2) - float(gammaln(h))
@@ -354,7 +353,7 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
     f1 f2^(alpha-1) (up to the base-measure power).  At the alpha -> 1
     marker it returns eta1 exactly.  Raises OutOfDomainError when the
     combination leaves the natural domain, which certifies that the
-    cross-entropy integral diverges for every constant-base family.
+    cross-entropy integral diverges.
     """
     if eta1.family is not eta2.family:
         raise InvalidParameterError(
@@ -390,28 +389,20 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
 
 def log_base_measure(family: Family, x: float, dim: int = 1) -> float:
     """ln b(x) for the family's base measure."""
-    if family is Family.BETA:
-        return -math.log(x) - math.log1p(-x)
     if family is Family.CHI_SQUARED:
         return -x / 2.0
-    if family in (Family.EXPONENTIAL, Family.GAMMA, Family.LAPLACE_EQUAL_MEAN):
-        return 0.0
-    if family is Family.GAUSSIAN:
-        return -0.5 * LOG_2PI
-    if family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        return -0.5 * dim * LOG_2PI
-    raise InvalidParameterError(f"unknown family {family}")
+    return constant_log_base(family, dim)
 
 
 def constant_log_base(family: Family, dim: int = 1) -> float | None:
     """ln b when the base measure is constant on the support, else None."""
-    if family in (Family.EXPONENTIAL, Family.GAMMA, Family.LAPLACE_EQUAL_MEAN):
+    if family in (Family.BETA, Family.EXPONENTIAL, Family.GAMMA, Family.LAPLACE_EQUAL_MEAN):
         return 0.0
     if family is Family.GAUSSIAN:
         return -0.5 * LOG_2PI
     if family is Family.MV_GAUSSIAN_ZERO_MEAN:
         return -0.5 * dim * LOG_2PI
-    return None
+    return None  # chi-squared
 
 
 def _suff_stat(eta: NaturalParam, x: float) -> np.ndarray:
@@ -456,48 +447,52 @@ def natural_pdf(eta: NaturalParam, x) -> float:
 def log_base_expectation(eta: NaturalParam, alpha) -> float:
     """ln E[ b(X)^(alpha-1) ] under the member with natural parameter eta.
 
-    For the constant-base families this is (alpha - 1) ln b exactly.  For
-    Beta and chi-squared the expectation is evaluated by quadrature of
-    b(x)^(alpha-1) against the density of eta; it returns +inf when that
-    integral diverges (possible for Beta), and raises NonConvergenceError
-    if the quadrature cannot reach its tolerance.
+    For the constant-base families this is (alpha - 1) ln b.  For
+    chi-squared, b(X)^(alpha-1) = exp(-(alpha - 1) X / 2), and the
+    chi-squared MGF at t = -(alpha - 1) / 2 gives alpha^(-nu/2) with
+    nu / 2 = eta + 1.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no base expectation at alpha = infinity")
-    if not natural_in_domain(eta):
-        raise OutOfDomainError(
-            f"{eta.family.value} natural parameter {eta.components} is outside "
-            "the natural domain"
-        )
-    if alpha.is_one:
-        return 0.0  # E[b^0] = 1 regardless of the family
+    _require_domain(eta)
     a = alpha.value
     const = constant_log_base(eta.family, eta.dim)
     if const is not None:
         return (a - 1.0) * const
+    return -(eta.components[0] + 1.0) * math.log(a)
 
+
+def mean_log_base(eta: NaturalParam) -> float:
+    """E[ln b(X)] under the member with natural parameter eta."""
+    _require_domain(eta)
+    const = constant_log_base(eta.family, eta.dim)
+    if const is None:  # chi-squared: E[-X/2] = -nu/2
+        return -(eta.components[0] + 1.0)
+    return const
+
+
+def mean_statistic(eta: NaturalParam) -> np.ndarray:
+    """E[T(X)] = -grad A(eta) under the member with natural parameter eta.
+
+    Flattened like ``components``; the ln x entries are digamma means.
+    """
+    _require_domain(eta)
+    c = eta.components
     if eta.family is Family.BETA:
-        # Integrand x^(eta1 - a) (1-x)^(eta2 - a) / B(eta1, eta2); it is
-        # integrable iff both exponents exceed -1.
-        if not (eta.components[0] - a > -1.0 and eta.components[1] - a > -1.0):
-            return math.inf
-        supp = UNIT_INTERVAL
-    else:  # chi-squared: exp(-a x / 2) x^eta / (2^h Gamma(h)) always integrable
-        supp = POSITIVE_REALS
-
-    log_a = log_partition(eta)
-    fam = eta.family
-
-    def integrand(x):
-        if not _interior(fam, x):
-            return 0.0
-        z = (
-            a * log_base_measure(fam, x)
-            + float(eta.components @ _suff_stat(eta, x))
-            + log_a
-        )
-        return math.exp(z)
-
-    value, _ = integrate(integrand, supp, _BASE_EXPECTATION_SETTINGS)
-    return math.log(value)
+        a, b = c + 1.0
+        return np.array([digamma(a), digamma(b)]) - digamma(a + b)
+    if eta.family is Family.CHI_SQUARED:
+        return np.array([digamma(c[0] + 1.0) + math.log(2.0)])
+    if eta.family in (Family.EXPONENTIAL, Family.LAPLACE_EQUAL_MEAN):
+        return np.array([-1.0 / c[0]])
+    if eta.family is Family.GAMMA:
+        k, rate = c[0] + 1.0, -c[1]
+        return np.array([digamma(k) - math.log(rate), k / rate])
+    if eta.family is Family.GAUSSIAN:
+        var = -0.5 / c[1]
+        mu = c[0] * var
+        return np.array([mu, mu * mu + var])
+    if eta.family is Family.MV_GAUSSIAN_ZERO_MEAN:
+        return spd_inverse(as_symmetric_matrix(-2.0 * eta.matrix())).reshape(-1)
+    raise InvalidParameterError(f"unknown family {eta.family}")

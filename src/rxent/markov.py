@@ -16,8 +16,11 @@ At the alpha -> 1 marker the rate is the Shannon cross-entropy slope
 n H_n - (n-1) H_{n-1} evaluated at n = 4096, which converges geometrically
 for irreducible aperiodic chains.
 
-Matrix powers (the finite-n blocks and the slope's state occupation) are
-taken by binary powering with scaling, O(K^3 log n) work.
+Class eigenvalues come from LAPACK (``numpy.linalg.eig``).  The classes
+come from the boolean reachability closure of I + pattern, taken by
+repeated squaring in float matrix products.  Matrix powers (the finite-n
+blocks and the slope's state occupation) are taken by binary powering with
+scaling, O(K^3 log n) work.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .alpha import AlphaOrder
 from .discrete import DiscreteDistribution
@@ -42,8 +43,6 @@ from .errors import (
 )
 
 _ROW_SUM_TOLERANCE = 1e-12
-_POWER_TOLERANCE = 1e-13
-_POWER_MAX_ITER = 100_000
 _RESIDUAL_FACTOR = 1e-12
 _SHANNON_SLOPE_N = 4096
 
@@ -143,47 +142,40 @@ def build_weighted(p_src: MarkovSource, q_src: MarkovSource, alpha) -> WeightedM
 
 
 def classify(matrix: np.ndarray) -> ClassStructure:
-    """Strongly connected classes of the positivity pattern of a matrix."""
+    """Strongly connected classes of the positivity pattern of a matrix.
+
+    R, the inclusive reachability of I + pattern, is closed under
+    ceil(log2 K) boolean squarings.  Two states share a class exactly when
+    they reach each other, so the classes are the distinct rows of R & R^T;
+    each is labelled by its smallest state, and the class reachability is R
+    restricted to those representatives.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
     pattern = m > 0
-    count, labels = connected_components(csr_matrix(pattern), connection="strong")
-    classes = tuple(
-        tuple(int(i) for i in np.flatnonzero(labels == c)) for c in range(count)
-    )
-    self_comm = tuple(
-        len(c) > 1 or bool(pattern[c[0], c[0]]) for c in classes
-    )
-    adjacency = np.eye(count, dtype=bool)
-    for ci in range(count):
-        rows = np.asarray(classes[ci])
-        for cj in range(count):
-            if ci == cj:
-                continue
-            if pattern[np.ix_(rows, np.asarray(classes[cj]))].any():
-                adjacency[ci, cj] = True
-    reach = adjacency.copy()
-    for _ in range(count):  # transitive closure by boolean powering
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-    return ClassStructure(classes, self_comm, reach, labels)
+    k = m.shape[0]
+    reach = pattern | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):  # covers paths of length 2^j
+        closure = reach.astype(float)
+        reach = closure @ closure > 0
+    mutual = reach & reach.T
+    reps, labels = np.unique(np.argmax(mutual, axis=1), return_inverse=True)
+    classes = tuple(tuple(np.flatnonzero(row).tolist()) for row in mutual[reps])
+    self_comm = tuple(len(c) > 1 or bool(pattern[c[0], c[0]]) for c in classes)
+    return ClassStructure(classes, self_comm, reach[np.ix_(reps, reps)], labels)
 
 
-def perron_eigenpair(matrix: np.ndarray, tol: float = _POWER_TOLERANCE,
-                     max_iter: int = _POWER_MAX_ITER) -> tuple[float, np.ndarray]:
+def perron_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron eigenvalue and positive eigenvector of an irreducible
-    nonnegative matrix, by shifted power iteration.
+    nonnegative matrix, by LAPACK (``numpy.linalg.eig``).
 
-    The diagonal shift (a tenth of the largest row sum) makes the iteration
-    matrix primitive, so convergence is guaranteed; the shift cancels out
-    of the eigenvalue exactly.  Iteration stops when the eigenpair residual
-    max|m v - lambda v| drops below tol * lambda.  Raises
+    The Perron root is the eigenvalue of largest real part; its eigenvector
+    is taken in absolute value and scaled to sum to 1.  Raises
     NotIrreducibleError when the positivity pattern has more than one class
-    (or a single degenerate state), NonConvergenceError when the residual
-    fails to reach 1e-12 * lambda.
+    (or a single degenerate state), NonConvergenceError when LAPACK fails
+    or the residual max|m v - lambda v| exceeds 1e-12 times the largest
+    row sum of m.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -195,31 +187,20 @@ def perron_eigenpair(matrix: np.ndarray, tol: float = _POWER_TOLERANCE,
         raise NotIrreducibleError(
             f"matrix has {len(structure.classes)} communication classes"
         )
-    k = m.shape[0]
-    if k == 1:
-        return float(m[0, 0]), np.array([1.0])
-    shift = 0.1 * float(np.max(m.sum(axis=1)))
-    v = np.full(k, 1.0 / k)
-    lam = math.nan
-    converged = False
-    for _ in range(max_iter):
-        w = m @ v + shift * v
-        rayleigh = float(v @ w) / float(v @ v)
-        lam = rayleigh - shift
-        # (m + shift I) v - rayleigh v == m v - lam v exactly
-        residual = float(np.max(np.abs(w - rayleigh * v)))
-        v = w / w.sum()
-        if residual <= tol * max(lam, 1e-300):
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations"
-        )
+    try:
+        values, vectors = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigenvalue solver failed: {exc}") from exc
+    top = int(np.argmax(values.real))
+    lam = float(values[top].real)
+    v = np.abs(vectors[:, top])
+    v /= v.sum()
     residual = float(np.max(np.abs(m @ v - lam * v)))
-    if residual > _RESIDUAL_FACTOR * max(lam, 1e-300):
+    bound = _RESIDUAL_FACTOR * float(m.sum(axis=1).max())
+    if residual > bound:
         raise NonConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:g} * lambda"
+            f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:g} "
+            "* the largest row sum"
         )
     return lam, v
 

@@ -126,13 +126,10 @@ def test_criterion_01_closed_forms_match_quadrature_and_engine():
                     assert natural.diverged, (f1, f2, a)
                     assert closed.value == natural.value
                     continue
-                if natural.method is Method.NATURAL_PARAMS:
-                    assert abs(natural.value - closed.value) <= 1e-10 * max(
-                        1.0, abs(closed.value)
-                    ), (f1, f2, a)
-                else:  # engine fell back to quadrature (Beta, alpha < 1)
-                    assert_allclose(natural.value, closed.value,
-                                    rtol=1e-6, atol=1e-8)
+                assert natural.method is Method.NATURAL_PARAMS
+                assert abs(natural.value - closed.value) <= 1e-10 * max(
+                    1.0, abs(closed.value)
+                ), (f1, f2, a)
                 numeric = quad_value(f1, f2, a)
                 assert_allclose(numeric, closed.value, rtol=1e-6, atol=1e-8,
                                 err_msg=f"{f1} vs {f2} at alpha={a}")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -37,6 +38,39 @@ FAMILY_PAIRS = [
     (E.gaussian(0.3, 1.7), E.gaussian(-0.4, 0.8)),
     (E.laplace(0.5, 1.5), E.laplace(0.5, 0.7)),
 ]
+
+
+def mp_logpdf(d):
+    """Log-density of a scalar member in mpmath, with its integration breakpoints."""
+    fam, p = d.family.value, [mp.mpf(v) for v in d.params]
+    if fam == "beta":
+        a, b = p
+        return (lambda x: (a - 1) * mp.log(x) + (b - 1) * mp.log1p(-x) - mp.log(mp.beta(a, b)),
+                [0, 1])
+    if fam == "chi_squared":
+        nu, = p
+        return (lambda x: (nu / 2 - 1) * mp.log(x) - x / 2 - nu / 2 * mp.log(2)
+                - mp.loggamma(nu / 2), [0, mp.inf])
+    if fam == "exponential":
+        lam, = p
+        return lambda x: mp.log(lam) - lam * x, [0, mp.inf]
+    if fam == "gamma":
+        k, th = p
+        return (lambda x: (k - 1) * mp.log(x) - x / th - mp.loggamma(k) - k * mp.log(th),
+                [0, mp.inf])
+    if fam == "gaussian":
+        mu, v = p
+        return lambda x: -(x - mu) ** 2 / (2 * v) - mp.log(2 * mp.pi * v) / 2, [-mp.inf, mp.inf]
+    mu, s = p
+    return lambda x: -abs(x - mu) / s - mp.log(2 * s), [-mp.inf, mu, mp.inf]
+
+
+def mp_shannon(f1, f2):
+    """-integral f1 ln f2 by mpmath quadrature at 30 digits."""
+    lp1, points = mp_logpdf(f1)
+    lp2, _ = mp_logpdf(f2)
+    with mp.workdps(30):
+        return float(mp.quad(lambda x: -mp.exp(lp1(x)) * lp2(x), points))
 
 
 class TestFrozenValues:
@@ -108,8 +142,18 @@ class TestQuadratureAgreement:
         expected = 0.5 * (
             math.log(2 * math.pi * 0.8) + (1.7 + 0.7**2) / 0.8
         )
-        assert_allclose(r.value, expected, rtol=1e-9)
-        assert r.method is Method.QUADRATURE
+        assert_allclose(r.value, expected, rtol=1e-14)
+        assert r.method is Method.CLOSED_FORM
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=lambda p: p[0].family.value)
+    def test_shannon_marker_closed_natural_mpmath(self, pair):
+        f1, f2 = pair
+        closed = cross_entropy_closed(f1, f2, AlphaOrder.one())
+        natural = cross_entropy_natural(f1, f2, AlphaOrder.one())
+        assert closed.method is Method.CLOSED_FORM
+        assert natural.method is Method.NATURAL_PARAMS
+        assert_allclose(natural.value, closed.value, rtol=1e-12, atol=1e-12)
+        assert_allclose(closed.value, mp_shannon(f1, f2), rtol=1e-12, atol=1e-12)
 
     def test_shannon_marker_exponential_analytic(self):
         r = cross_entropy_closed(E.exponential(2.0), E.exponential(3.0), "one")
@@ -159,15 +203,15 @@ class TestDivergence:
 
 
 class TestBetaFallback:
-    def test_natural_falls_back_to_quadrature(self):
-        # at alpha < 1 the combined Beta natural parameter can leave the
-        # domain while the defining integral still converges
+    def test_no_fallback_below_one(self):
+        # on the constant base measure the combined Beta parameter stays in
+        # the domain whenever the defining integral converges
         f1, f2 = E.beta(0.6, 2.0), E.beta(1.5, 2.0)
         closed = cross_entropy_closed(f1, f2, 0.5)
         natural = cross_entropy_natural(f1, f2, 0.5)
         assert not closed.diverged
-        assert natural.method is Method.QUADRATURE
-        assert_allclose(natural.value, closed.value, rtol=1e-8)
+        assert natural.method is Method.NATURAL_PARAMS
+        assert_allclose(natural.value, closed.value, rtol=1e-12)
 
     def test_true_divergence_not_masked(self):
         f1, f2 = E.beta(0.3, 2.0), E.beta(0.2, 2.0)

@@ -143,7 +143,7 @@ class TestNaturalParam:
         assert_allclose(eta.components, [-0.5])
         assert eta.anchor == 0.7
         eta = to_natural(E.beta(2.5, 3.5))
-        assert_allclose(eta.components, [2.5, 3.5])
+        assert_allclose(eta.components, [1.5, 2.5])
         eta = to_natural(E.chi_squared(5.0))
         assert_allclose(eta.components, [1.5])
         eta = to_natural(E.gamma(2.0, 0.5))
@@ -159,7 +159,8 @@ class TestNaturalParam:
         assert not natural_in_domain(NaturalParam(Family.EXPONENTIAL, np.array([0.0])))
         assert natural_in_domain(NaturalParam(Family.CHI_SQUARED, np.array([-0.5])))
         assert not natural_in_domain(NaturalParam(Family.CHI_SQUARED, np.array([-1.0])))
-        assert not natural_in_domain(NaturalParam(Family.BETA, np.array([0.0, 1.0])))
+        assert not natural_in_domain(NaturalParam(Family.BETA, np.array([-1.0, 0.5])))
+        assert natural_in_domain(NaturalParam(Family.BETA, np.array([-0.5, 0.5])))
         assert not natural_in_domain(
             NaturalParam(Family.GAMMA, np.array([0.5, 0.0]))
         )
@@ -241,11 +242,11 @@ class TestBaseMeasure:
             constant_log_base(Family.MV_GAUSSIAN_ZERO_MEAN, dim=3),
             -1.5 * math.log(2 * math.pi),
         )
-        assert constant_log_base(Family.BETA) is None
+        assert constant_log_base(Family.BETA) == 0.0
         assert constant_log_base(Family.CHI_SQUARED) is None
 
     def test_log_base_measure_values(self):
-        assert_allclose(log_base_measure(Family.BETA, 0.25), -math.log(0.25 * 0.75))
+        assert log_base_measure(Family.BETA, 0.25) == 0.0
         assert_allclose(log_base_measure(Family.CHI_SQUARED, 3.0), -1.5)
 
     def test_constant_expectation_is_exact(self):
@@ -263,24 +264,34 @@ class TestBaseMeasure:
                 value = log_base_expectation(eta, AlphaOrder(a))
                 assert_allclose(value, -(nu / 2) * math.log(a), rtol=1e-11, atol=1e-12)
 
-    def test_beta_expectation_matches_direct_quadrature(self):
-        from scipy.integrate import quad
-        from scipy.special import betaln
+    @staticmethod
+    def _assert_exact_beta_domain(params1, params2, alphas):
+        # the combined Beta parameter leaves the domain exactly when
+        # a1 + (alpha-1)(a2-1) <= 0 or b1 + (alpha-1)(b2-1) <= 0; returns
+        # how many of the orders lie outside
+        eta1, eta2 = to_natural(E.beta(*params1)), to_natural(E.beta(*params2))
+        outside = 0
+        for a in alphas:
+            exists = all(c1 + (a - 1) * (c2 - 1) > 0 for c1, c2 in zip(params1, params2))
+            if exists:
+                combine_natural(eta1, eta2, AlphaOrder(a))
+            else:
+                outside += 1
+                with pytest.raises(OutOfDomainError):
+                    combine_natural(eta1, eta2, AlphaOrder(a))
+        return outside
 
-        a1, b1 = 3.0, 4.0
-        eta = to_natural(E.beta(a1, b1))
-        for a in (1.5, 2.0, 2.5):
-            value = log_base_expectation(eta, AlphaOrder(a))
-            direct, _ = quad(
-                lambda x: x ** (a1 - a) * (1 - x) ** (b1 - a), 0, 1, epsabs=1e-14
-            )
-            assert_allclose(value, math.log(direct) - betaln(a1, b1), rtol=1e-10)
+    def test_beta_domain_edge_below_one(self):
+        # a1 = 0.3, a2 = 3: the edge sits at alpha = 0.85
+        edge = 0.85
+        alphas = [edge * (1 + d) for d in (-1e-2, -1e-9, 1e-9, 1e-2)] + [0.5, 0.95, 2.0]
+        assert self._assert_exact_beta_domain((0.3, 2.0), (3.0, 2.0), alphas) == 3
 
-    def test_beta_expectation_divergence(self):
-        eta = to_natural(E.beta(1.5, 5.0))
-        # integrand exponent a1 - alpha <= -1 at alpha >= a1 + 1
-        assert log_base_expectation(eta, AlphaOrder(2.5)) == math.inf
-        assert log_base_expectation(eta, AlphaOrder(3.0)) == math.inf
+    def test_beta_domain_edge_above_one(self):
+        # a-edge at alpha = 2.875 (a2 < 1), b-edge at alpha = 5 (b2 < 1)
+        alphas = [e * (1 + d) for e in (2.875, 5.0) for d in (-1e-2, -1e-9, 1e-9, 1e-2)]
+        assert self._assert_exact_beta_domain((1.5, 2.0), (0.2, 0.5), alphas + [0.5, 1.5]) == 6
+        assert self._assert_exact_beta_domain((4.0, 2.0), (2.0, 0.5), alphas + [0.5, 1.5]) == 2
 
     def test_alpha_one_is_zero(self):
         for d in (E.beta(2, 3), E.chi_squared(3.0), E.gaussian(0, 1)):

@@ -8,6 +8,7 @@ from rxent import (
     AlphaOrder,
     DegenerateRateError,
     DimensionMismatchError,
+    DiscreteDistribution,
     InvalidAlphaError,
     InvalidParameterError,
     MarkovSource,
@@ -16,6 +17,7 @@ from rxent import (
     cross_entropy_rate,
     finite_n_cross_entropy,
     perron_eigenvalue,
+    renyi_cross_entropy,
     shannon_rate_slope,
 )
 from rxent.markov import build_weighted, classify, perron_eigenpair, scaled_power
@@ -99,6 +101,12 @@ class TestClassify:
         flags = dict(zip((frozenset(c) for c in s.classes), s.self_communicating))
         assert flags[frozenset({0})] is False and flags[frozenset({1})] is True
 
+    def test_identity_gives_singletons(self):
+        s = classify(np.eye(300))
+        assert s.classes == tuple((i,) for i in range(300))
+        assert all(s.self_communicating)
+        assert np.array_equal(s.reach, np.eye(300, dtype=bool))
+
 
 class TestPerron:
     def test_two_state_analytic(self):
@@ -112,8 +120,8 @@ class TestPerron:
         assert_allclose(perron_eigenvalue(P_CHAIN), 1.0, rtol=1e-12)
 
     def test_periodic_matrix(self):
-        # the two-cycle has eigenvalues +-1; the diagonal shift still
-        # isolates the Perron root
+        # the two-cycle has eigenvalues +-1; the Perron root is the one of
+        # largest real part
         lam, v = perron_eigenpair(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert_allclose(lam, 1.0, rtol=1e-12)
         assert_allclose(v, [0.5, 0.5], atol=1e-10)
@@ -135,8 +143,25 @@ class TestPerron:
         assert_allclose(perron_eigenvalue(3.0 * m), 3.0 * perron_eigenvalue(m),
                         rtol=1e-12)
 
+    def test_tiny_scale(self):
+        # the residual check scales with the row sums, not with lambda
+        m = P_CHAIN * Q_CHAIN**2
+        assert_allclose(perron_eigenvalue(1e-200 * m), 1e-200 * perron_eigenvalue(m),
+                        rtol=1e-12)
+
 
 class TestRate:
+    @pytest.mark.parametrize("a", [0.3, 0.7, "one", 1.5, 2.0, 4.0])
+    def test_rank_one_chain_is_discrete(self, a):
+        # rows all p against rows all q: the weighted matrix has rank one and
+        # the rate is the discrete cross-entropy of p against q
+        p_row, q_row = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.2, 0.6])
+        p = MarkovSource.of(np.tile(p_row, (3, 1)), p_row)
+        q = MarkovSource.of(np.tile(q_row, (3, 1)), q_row)
+        expected = renyi_cross_entropy(DiscreteDistribution(p_row),
+                                       DiscreteDistribution(q_row), a)
+        assert_allclose(cross_entropy_rate(p, q, a), expected, rtol=1e-12)
+
     def test_self_pair_order_three(self):
         p = MarkovSource.of(np.array([[0.9, 0.1], [0.2, 0.8]]))
         rate = cross_entropy_rate(p, p, 3.0)
