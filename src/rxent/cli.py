@@ -16,6 +16,10 @@ File formats (CSV)
 * transition matrix: K lines of K comma-separated probabilities
 * autocovariance: one value per line, starting at lag 0
 
+A command reads, parses and validates its inputs once (CSV files, family
+parameters, process specifications), then evaluates them at every order of
+its grid; a value that does not parse as a number is a usage error.
+
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
 with status 2; usage and computation errors exit with status 1.  Orders:
@@ -29,6 +33,7 @@ the quadrature used for ``--oracle`` checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -108,6 +113,13 @@ _FAMILY_ALIASES = {
 }
 
 
+def _number(raw: str, what: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise UsageError(f"cannot parse number {raw!r} for {what}") from None
+
+
 def _parse_kv(text: str) -> dict[str, float]:
     out = {}
     for part in text.split(","):
@@ -117,10 +129,7 @@ def _parse_kv(text: str) -> dict[str, float]:
         if "=" not in part:
             raise UsageError(f"expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
-        try:
-            out[key.strip()] = float(raw)
-        except ValueError:
-            raise UsageError(f"cannot parse number {raw!r} for {key.strip()!r}") from None
+        out[key.strip()] = _number(raw, repr(key.strip()))
     return out
 
 
@@ -151,27 +160,34 @@ def _make_distribution(family: str, spec: str) -> ExpFamilyDistribution:
     return ExpFamilyDistribution.laplace(kv["mu"], kv["b"])
 
 
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    try:
+        return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {path}: {exc}") from None
+
+
 def _read_masses(path: str) -> discrete.DiscreteDistribution:
-    values = np.loadtxt(path, delimiter=",", ndmin=1).reshape(-1)
+    values = _loadtxt(path, delimiter=",", ndmin=1).reshape(-1)
     return discrete.DiscreteDistribution(values)
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    return _loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _read_autocov(path: str) -> np.ndarray:
-    return np.loadtxt(path, ndmin=1).reshape(-1)
+    return _loadtxt(path, ndmin=1).reshape(-1)
 
 
-def _parse_process(text: str) -> gaussproc.StationaryGaussianSpec:
+def _parse_process(text: str, flag: str) -> gaussproc.StationaryGaussianSpec:
     """A process argument: 'white:VAR', 'ar1:RHO[,VAR]', or a CSV path."""
     if text.startswith("white:"):
-        return gaussproc.StationaryGaussianSpec.white_noise(float(text[6:]))
+        return gaussproc.StationaryGaussianSpec.white_noise(_number(text[6:], flag))
     if text.startswith("ar1:"):
         parts = text[4:].split(",")
-        rho = float(parts[0])
-        variance = float(parts[1]) if len(parts) > 1 else 1.0
+        rho = _number(parts[0], flag)
+        variance = _number(parts[1], flag) if len(parts) > 1 else 1.0
         return gaussproc.StationaryGaussianSpec.ar1(rho, variance)
     return gaussproc.StationaryGaussianSpec.from_autocovariance(_read_autocov(text))
 
@@ -274,7 +290,9 @@ _TARGET_BUILDERS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(prog="rxent", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="group", required=True)
@@ -365,42 +383,70 @@ def _discrete_oracle(p, q, alpha: AlphaOrder, definition: str) -> float:
             + discrete.renyi_entropy(p, alpha))
 
 
-def _evaluate_discrete(opts, alpha, want_oracle, settings):
+def _prepare_discrete(opts):
     p = _read_masses(opts["p"])
     q = _read_masses(opts["q"])
-    if opts["definition"] == "standard":
-        value = discrete.renyi_cross_entropy(p, q, alpha)
-    else:
-        value = discrete.alt_cross_entropy(p, q, alpha)
-    oracle_value = _discrete_oracle(p, q, alpha, opts["definition"]) if want_oracle else None
-    return value, oracle_value
+    definition = opts["definition"]
+
+    def evaluate(alpha, want_oracle, settings):
+        if definition == "standard":
+            value = discrete.renyi_cross_entropy(p, q, alpha)
+        else:
+            value = discrete.alt_cross_entropy(p, q, alpha)
+        oracle_value = _discrete_oracle(p, q, alpha, definition) if want_oracle else None
+        return value, oracle_value
+
+    return evaluate
 
 
-def _evaluate_expfam(opts, alpha, want_oracle, settings):
-    family = _FAMILY_ALIASES.get(opts["family"].lower())
-    if family == "mvgauss":
+def _with_numeric_oracle(value_at, densities):
+    """An evaluator whose oracle is the quadrature cross-entropy.
+
+    ``densities()`` returns (support, (p pdf, p logpdf), (q pdf, q logpdf)).
+    It runs once, after the first value, with or without ``--oracle``:
+    building the reference also rejects parameters the value accepts (a
+    non-finite rate or variance), and the first error a bad input raises
+    stays the value's own.
+    """
+    reference = functools.cache(densities)
+
+    def evaluate(alpha, want_oracle, settings):
+        value = value_at(alpha)
+        supp, (p_pdf, p_logpdf), (q_pdf, q_logpdf) = reference()
+        if not want_oracle:
+            return value, None
+        return value, oracle.cross_entropy_numeric(p_pdf, q_pdf, supp, alpha, settings,
+                                                   p_logpdf=p_logpdf, q_logpdf=q_logpdf)
+
+    return evaluate
+
+
+def _densities(d: ExpFamilyDistribution):
+    return d.pdf, d.logpdf
+
+
+def _prepare_expfam(opts):
+    if _FAMILY_ALIASES.get(opts["family"].lower()) == "mvgauss":
         cov1 = _read_matrix(opts["p"])
         cov2 = _read_matrix(opts["q"])
-        value = differential.cross_entropy_multivariate_gaussian(cov1, cov2, alpha).value
-        oracle_value = None
-        if want_oracle:
-            if cov1.shape[0] != 2:
-                raise InvalidParameterError("the grid oracle is bivariate only")
-            oracle_value = oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
-        return value, oracle_value
+
+        def evaluate(alpha, want_oracle, settings):
+            value = differential.cross_entropy_multivariate_gaussian(cov1, cov2, alpha).value
+            oracle_value = None
+            if want_oracle:
+                if cov1.shape[0] != 2:
+                    raise InvalidParameterError("the grid oracle is bivariate only")
+                oracle_value = oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
+            return value, oracle_value
+
+        return evaluate
     f1 = _make_distribution(opts["family"], opts["p"])
     f2 = _make_distribution(opts["family"], opts["q"])
-    if opts["method"] == "natural":
-        value = differential.cross_entropy_natural(f1, f2, alpha).value
-    else:
-        value = differential.cross_entropy_closed(f1, f2, alpha).value
-    oracle_value = None
-    if want_oracle:
-        oracle_value = oracle.cross_entropy_numeric(f1.pdf, f2.pdf, f1.support,
-                                                    alpha, settings,
-                                                    p_logpdf=f1.logpdf,
-                                                    q_logpdf=f2.logpdf)
-    return value, oracle_value
+    engine = (differential.cross_entropy_natural if opts["method"] == "natural"
+              else differential.cross_entropy_closed)
+    return _with_numeric_oracle(
+        lambda alpha: engine(f1, f2, alpha).value,
+        lambda: (f1.support, _densities(f1), _densities(f2)))
 
 
 def _uniform_pdf(supp: SupportSpec):
@@ -437,30 +483,22 @@ def _require(opts, key, variant):
     return value
 
 
-def _evaluate_special(opts, alpha, want_oracle, settings):
+def _prepare_special(opts):
     variant = opts["variant"]
     if variant == "q-uniform":
         supp = SupportSpec.interval(opts["lower"], opts["upper"])
-        value = differential.cross_entropy_q_uniform(supp)
-        uniform, log_uniform = _uniform_pdf(supp)
-        oracle_value = (oracle.cross_entropy_numeric(uniform, uniform, supp, alpha,
-                                                     settings, p_logpdf=log_uniform,
-                                                     q_logpdf=log_uniform)
-                        if want_oracle else None)
-        return value, oracle_value
+        return _with_numeric_oracle(
+            lambda alpha: differential.cross_entropy_q_uniform(supp),
+            lambda: (supp, _uniform_pdf(supp), _uniform_pdf(supp)))
 
     if variant == "p-uniform":
         q = _make_distribution("beta", _require(opts, "q", variant))
-        value = differential.cross_entropy_p_uniform(UNIT_INTERVAL, q, alpha).value
-        uniform, log_uniform = _uniform_pdf(UNIT_INTERVAL)
-        oracle_value = (oracle.cross_entropy_numeric(uniform, q.pdf,
-                                                     UNIT_INTERVAL, alpha, settings,
-                                                     p_logpdf=log_uniform,
-                                                     q_logpdf=q.logpdf)
-                        if want_oracle else None)
-        return value, oracle_value
+        return _with_numeric_oracle(
+            lambda alpha: differential.cross_entropy_p_uniform(UNIT_INTERVAL, q, alpha).value,
+            lambda: (UNIT_INTERVAL, _uniform_pdf(UNIT_INTERVAL), _densities(q)))
 
     p = _make_distribution(_require(opts, "p_family", variant), _require(opts, "p", variant))
+    source = _densities(p)
 
     if variant == "q-exponential":
         rate = _require(opts, "rate", variant)
@@ -468,26 +506,21 @@ def _evaluate_special(opts, alpha, want_oracle, settings):
             raise InvalidParameterError(
                 "the exponential reference needs a source supported on x > 0"
             )
-        value = differential.cross_entropy_q_exponential(differential.mgf_of(p),
-                                                         rate, alpha).value
-        q = ExpFamilyDistribution.exponential(rate)
-        oracle_value = (oracle.cross_entropy_numeric(p.pdf, q.pdf, p.support, alpha,
-                                                     settings, p_logpdf=p.logpdf,
-                                                     q_logpdf=q.logpdf)
-                        if want_oracle else None)
-        return value, oracle_value
+        mgf = differential.mgf_of(p)
+        return _with_numeric_oracle(
+            lambda alpha: differential.cross_entropy_q_exponential(mgf, rate, alpha).value,
+            lambda: (p.support, source,
+                     _densities(ExpFamilyDistribution.exponential(rate))))
 
     variance = _require(opts, "var", variant)
     if variant == "q-gaussian":
         mean = opts["mean"]
         mgf = differential.mgf_of_centered_square(p, mean)
-        value = differential.cross_entropy_q_gaussian(mgf, mean, variance, alpha).value
-        q = ExpFamilyDistribution.gaussian(mean, variance)
-        oracle_value = (oracle.cross_entropy_numeric(p.pdf, q.pdf, p.support, alpha,
-                                                     settings, p_logpdf=p.logpdf,
-                                                     q_logpdf=q.logpdf)
-                        if want_oracle else None)
-        return value, oracle_value
+        return _with_numeric_oracle(
+            lambda alpha: differential.cross_entropy_q_gaussian(mgf, mean, variance,
+                                                                alpha).value,
+            lambda: (p.support, source,
+                     _densities(ExpFamilyDistribution.gaussian(mean, variance))))
 
     # q-half-normal
     if p.support.kind.value == "all_reals":
@@ -495,46 +528,52 @@ def _evaluate_special(opts, alpha, want_oracle, settings):
             "the half-normal reference needs a source supported on x > 0"
         )
     mgf = differential.mgf_of_centered_square(p, 0.0)
-    value = differential.cross_entropy_q_gaussian(mgf, 0.0, variance, alpha,
-                                                  half_normal=True).value
-    hn_pdf, hn_logpdf = _half_normal_pdf(variance)
-    oracle_value = (oracle.cross_entropy_numeric(p.pdf, hn_pdf, p.support, alpha,
-                                                 settings, p_logpdf=p.logpdf,
-                                                 q_logpdf=hn_logpdf)
-                    if want_oracle else None)
-    return value, oracle_value
+    return _with_numeric_oracle(
+        lambda alpha: differential.cross_entropy_q_gaussian(mgf, 0.0, variance, alpha,
+                                                            half_normal=True).value,
+        lambda: (p.support, source, _half_normal_pdf(variance)))
 
 
-def _evaluate_markov(opts, alpha, want_oracle, settings):
+def _prepare_markov(opts):
     p_init = _read_masses(opts["p_init"]) if opts.get("p_init") else None
     q_init = _read_masses(opts["q_init"]) if opts.get("q_init") else None
     p = markov.MarkovSource.of(_read_matrix(opts["p"]), p_init)
     q = markov.MarkovSource.of(_read_matrix(opts["q"]), q_init)
-    value = markov.cross_entropy_rate(p, q, alpha)
-    oracle_value = None
-    if want_oracle:
-        if alpha.is_one:
-            oracle_value = markov.shannon_rate_slope(p, q, max(2, opts["finite_n"]))
-        else:
-            oracle_value = markov.finite_n_cross_entropy(p, q, alpha, opts["finite_n"])
-    return value, oracle_value
+
+    def evaluate(alpha, want_oracle, settings):
+        value = markov.cross_entropy_rate(p, q, alpha)
+        oracle_value = None
+        if want_oracle:
+            if alpha.is_one:
+                oracle_value = markov.shannon_rate_slope(p, q, max(2, opts["finite_n"]))
+            else:
+                oracle_value = markov.finite_n_cross_entropy(p, q, alpha, opts["finite_n"])
+        return value, oracle_value
+
+    return evaluate
 
 
-def _evaluate_gauss(opts, alpha, want_oracle, settings):
-    x = _parse_process(opts["x"])
-    y = _parse_process(opts["y"])
-    value = gaussproc.rate_spectral(x, y, alpha)
-    oracle_value = (gaussproc.rate_finite_n(x, y, alpha, opts["finite_n"])
-                    if want_oracle else None)
-    return value, oracle_value
+def _prepare_gauss(opts):
+    x = _parse_process(opts["x"], "--x")
+    y = _parse_process(opts["y"], "--y")
+
+    def evaluate(alpha, want_oracle, settings):
+        value = gaussproc.rate_spectral(x, y, alpha)
+        oracle_value = (gaussproc.rate_finite_n(x, y, alpha, opts["finite_n"])
+                        if want_oracle else None)
+        return value, oracle_value
+
+    return evaluate
 
 
-_EVALUATORS = {
-    Command.XENT_DISCRETE: _evaluate_discrete,
-    Command.XENT_EXPFAM: _evaluate_expfam,
-    Command.XENT_SPECIAL: _evaluate_special,
-    Command.RATE_MARKOV: _evaluate_markov,
-    Command.RATE_GAUSS: _evaluate_gauss,
+# Each preparer reads, builds and validates a command's inputs once and
+# returns evaluate(alpha, want_oracle, settings) -> (value, oracle value).
+_PREPARERS = {
+    Command.XENT_DISCRETE: _prepare_discrete,
+    Command.XENT_EXPFAM: _prepare_expfam,
+    Command.XENT_SPECIAL: _prepare_special,
+    Command.RATE_MARKOV: _prepare_markov,
+    Command.RATE_GAUSS: _prepare_gauss,
 }
 
 
@@ -603,10 +642,10 @@ def _render(job: JobSpec, rows) -> str:
 def run(job: JobSpec) -> tuple[int, str]:
     """Evaluate a job and return (exit_code, rendered_output)."""
     settings = _oracle_settings()
-    evaluate = _EVALUATORS[job.command]
+    evaluate = _PREPARERS[job.command](job.options)
     rows = []
     for alpha in job.alphas:
-        value, oracle_value = evaluate(job.options, alpha, job.oracle_check, settings)
+        value, oracle_value = evaluate(alpha, job.oracle_check, settings)
         if job.bits:
             value = value / math.log(2)
             if oracle_value is not None:

@@ -16,12 +16,19 @@ the n x n Toeplitz covariance matrices and converges to the spectral value
 as n grows.  Each log-determinant is the sum of the logs of the one-step
 prediction errors of the Levinson-Durbin recursion, so no n x n matrix is
 formed.
+
+Each spec keeps the spectral density it has evaluated on every uniform grid
+size in a private per-size store (``_psd_grid``).  The 4096-point
+construction check fills the first level, and every trapezoid level of the
+spectral rate reads from the store, so a spec evaluated at many orders
+computes its density once per grid size.  The grid cap of 2^17 points bounds
+the store at about 2 MB per spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,7 +46,6 @@ from .expfam import LOG_2PI
 from .linalg import cholesky_lower, toeplitz_logdet
 
 _PSD_FLOOR = 1e-12
-_VALIDATION_GRID = 4096
 _VALIDATION_TOEPLITZ = 64
 _SPECTRAL_GRID = 4096
 _SPECTRAL_GRID_MAX = 1 << 17
@@ -62,6 +68,7 @@ class StationaryGaussianSpec:
     autocov: np.ndarray
     psd_fn: Callable[[np.ndarray], np.ndarray] | None = None
     autocov_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    _grids: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.autocov, dtype=float)
@@ -74,8 +81,7 @@ class StationaryGaussianSpec:
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "autocov", r)
-        grid = np.linspace(0.0, 2.0 * math.pi, _VALIDATION_GRID, endpoint=False)
-        vals = psd(self, grid)
+        vals = _psd_grid(self, _SPECTRAL_GRID)
         if np.min(vals) <= _PSD_FLOOR:
             raise NonpositivePsdError(
                 f"spectral density dips to {np.min(vals):.3e} on the check grid"
@@ -129,6 +135,16 @@ def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
     return r[0] + 2.0 * (r[1:, None] * np.cos(np.outer(lags, w))).sum(axis=0)
 
 
+def _psd_grid(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
+    """psd on the n-point uniform grid over [0, 2 pi), computed once per spec
+    and grid size."""
+    vals = spec._grids.get(n)
+    if vals is None:
+        vals = psd(spec, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        spec._grids[n] = vals
+    return vals
+
+
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
     """r_0..r_{n-1}: the closed form when known, else the truncated sequence
     padded with zeros."""
@@ -172,9 +188,8 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha) -
     previous = None
     n = _SPECTRAL_GRID
     while n <= _SPECTRAL_GRID_MAX:
-        w = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        f = psd(x, w)
-        g = psd(y, w)
+        f = _psd_grid(x, n)
+        g = _psd_grid(y, n)
         if np.min(g) <= _PSD_FLOOR or np.min(f) <= _PSD_FLOOR:
             raise NonpositivePsdError("spectral density not strictly positive on grid")
         h = g + (a - 1.0) * f

@@ -141,6 +141,15 @@ def build_weighted(p_src: MarkovSource, q_src: MarkovSource, alpha) -> WeightedM
     return WeightedMatrix(entries, start)
 
 
+def _closure(pattern: np.ndarray) -> np.ndarray:
+    """Inclusive reachability of I + pattern by ceil(log2 K) boolean squarings."""
+    reach = pattern | np.eye(pattern.shape[0], dtype=bool)
+    for _ in range((pattern.shape[0] - 1).bit_length()):  # covers paths of length 2^j
+        closure = reach.astype(float)
+        reach = closure @ closure > 0
+    return reach
+
+
 def classify(matrix: np.ndarray) -> ClassStructure:
     """Strongly connected classes of the positivity pattern of a matrix.
 
@@ -154,11 +163,7 @@ def classify(matrix: np.ndarray) -> ClassStructure:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
     pattern = m > 0
-    k = m.shape[0]
-    reach = pattern | np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):  # covers paths of length 2^j
-        closure = reach.astype(float)
-        reach = closure @ closure > 0
+    reach = _closure(pattern)
     mutual = reach & reach.T
     reps, labels = np.unique(np.argmax(mutual, axis=1), return_inverse=True)
     classes = tuple(tuple(np.flatnonzero(row).tolist()) for row in mutual[reps])
@@ -182,10 +187,11 @@ def perron_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
     if np.any(m < 0):
         raise InvalidParameterError("matrix entries must be nonnegative")
-    structure = classify(m)
-    if len(structure.classes) != 1 or not structure.self_communicating[0]:
+    pattern = m > 0
+    # irreducible: every state reaches every other, and a lone state loops
+    if not _closure(pattern).all() or (m.shape[0] == 1 and not pattern[0, 0]):
         raise NotIrreducibleError(
-            f"matrix has {len(structure.classes)} communication classes"
+            f"matrix has {len(classify(m).classes)} communication classes"
         )
     try:
         values, vectors = np.linalg.eig(m)

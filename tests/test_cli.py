@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -426,10 +428,10 @@ class TestOutputFormats:
 
         calls = iter([1.0, 2.0])
 
-        def fake(opts, alpha, want_oracle, settings):
+        def fake(alpha, want_oracle, settings):
             return next(calls), None
 
-        monkeypatch.setitem(cli._EVALUATORS, Command.XENT_DISCRETE, fake)
+        monkeypatch.setitem(cli._PREPARERS, Command.XENT_DISCRETE, lambda opts: fake)
         job = parse_args("sweep discrete --p a --q b --alphas 2:3:1".split())
         code, text = cli.run(job)
         assert code == 0
@@ -467,3 +469,124 @@ class TestEnvironment:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.26551212348"
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def sweep_inputs(tmp_path, chain_files, mass_files):
+    """Per target: (single command words, options with CSV inputs, grid).
+    Grid points are binary fractions, so a printed order parses back to
+    the same float."""
+    p, q = chain_files
+    pm, qm = mass_files
+    cov1, cov2, init, autocov = (tmp_path / n for n in ("c1.csv", "c2.csv", "i.csv", "r.csv"))
+    cov1.write_text("2.0,0.3\n0.3,1.0\n")
+    cov2.write_text("1.5,-0.2\n-0.2,0.8\n")
+    init.write_text("0.25,0.75\n")
+    autocov.write_text("2.0\n0.6\n-0.2\n")
+    return {
+        "discrete": ("xent discrete", f"--p {pm} --q {qm}", "0.5:2:0.25"),
+        "expfam": ("xent expfam", f"--family mvgauss --p {cov1} --q {cov2}", "0.5:2:0.25"),
+        "special": ("xent special",
+                    "q-exponential --p-family gamma --p k=2,theta=0.5 --rate 1.5",
+                    "0.5:2:0.25"),
+        "markov": ("rate markov", f"--p {p} --q {q} --p-init {init}", "0.5:2:0.25"),
+        "gauss": ("rate gauss", f"--x {autocov} --y ar1:0.3,2", "0.25:2.75:0.5"),
+    }
+
+
+class TestSweepParsesOnce:
+    @pytest.mark.parametrize("target", ["discrete", "expfam", "special", "markov", "gauss"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_equal_single_evaluations(self, sweep_inputs, target, fmt):
+        single, opts, grid = sweep_inputs[target]
+        code, out, _ = run_cli(f"sweep {target} {opts} --alphas {grid} --bits "
+                               f"--format {fmt}".split())
+        assert code in (0, 2)  # 2: some order diverges
+        if fmt == "csv":
+            rows = out.splitlines()[1:]
+            orders = [row.split(",")[0] for row in rows]
+        else:
+            rows = json.loads(out)
+            orders = [format(row["alpha"], ".12g") for row in rows]
+        assert len(rows) >= 6
+        for order, row in zip(orders, rows):
+            code, one, _ = run_cli(f"{single} {opts} --alpha {order} --bits "
+                                   f"--format {fmt}".split())
+            assert code in (0, 2)
+            if fmt == "csv":
+                assert one.splitlines()[1] == row
+            else:
+                assert json.dumps(json.loads(one)) == json.dumps(row)
+
+    def test_each_file_read_once(self, sweep_inputs, chain_files, tmp_path, monkeypatch):
+        reads = []
+        original = np.loadtxt
+
+        def counting(path, *args, **kwargs):
+            reads.append(str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        p, q = chain_files
+        init = tmp_path / "i.csv"
+        code, _, _ = run_cli(f"sweep markov --p {p} --q {q} --p-init {init} --q-init {init} "
+                             "--alphas 0.5:2:0.25".split())
+        assert code == 0
+        assert sorted(reads) == sorted([p, q, str(init), str(init)])
+
+    def test_one_parser_per_process(self):
+        from rxent import cli
+
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            run_cli("xent expfam --family exponential --p lambda=1 --q lambda=2 "
+                    "--alpha 2".split())
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("sweep, single, message", [
+        ("sweep special q-exponential --p-family gamma --p k=2,theta=1 --rate -1 "
+         "--alphas 0.5:2:0.5",
+         "xent special q-exponential --p-family gamma --p k=2,theta=1 --rate -1 --alpha 0.5",
+         "exponential reference needs rate > 0"),
+        ("sweep markov --p {bad} --q {q} --alphas 0.5:2:0.5",
+         "rate markov --p {bad} --q {q} --alpha 0.5",
+         "row 0 sums to"),
+        ("sweep gauss --x white:2 --y ar1:0.5 --alphas 0.5:2:0.5",
+         "rate gauss --x white:2 --y ar1:0.5 --alpha 1",
+         "finite order different from 1"),
+    ])
+    def test_first_error_unchanged(self, chain_files, tmp_path, sweep, single, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.5,0.4\n0.5,0.5\n")
+        names = {"bad": bad, "q": chain_files[1]}
+        swept = run_cli(sweep.format(**names).split())
+        alone = run_cli(single.format(**names).split())
+        assert swept == alone
+        assert swept[0] == 1 and message in swept[2]
+
+
+class TestMalformedNumbers:
+    def test_process_variance(self, capsys):
+        assert main("rate gauss --x white:abc --y white:1 --alpha 2".split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'abc'" in err and "--x" in err
+
+    def test_process_second_field(self, capsys):
+        assert main("rate gauss --x white:1 --y ar1:0.5,x --alpha 2".split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'x'" in err and "--y" in err
+
+    def test_csv_cell(self, tmp_path, mass_files, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.5,abc,0.2\n")
+        assert main(f"xent discrete --p {bad} --q {mass_files[1]} --alpha 2".split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(bad) in err and "abc" in err

@@ -202,3 +202,60 @@ class TestAr1AllLags:
     def test_order_three_factors(self):
         limit = rate_spectral(self.X, self.Y, 3.0)
         assert abs(rate_finite_n(self.X, self.Y, 3.0, 1024) - limit) < 1e-3
+
+
+def reference_rate_spectral(x, y, a):
+    """The spectral rate with the densities evaluated afresh at every level."""
+    previous, n = None, 4096
+    while True:
+        w = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        f, g = psd(x, w), psd(y, w)
+        h = g + (a - 1.0) * f
+        if np.min(h) <= 0.0:
+            return math.inf
+        integral = 2.0 * math.pi * float(np.mean((2.0 - a) * np.log(g) - np.log(h)))
+        if previous is not None and abs(integral - previous) <= 1e-9:
+            return 0.5 * math.log(2 * math.pi) + integral / (4.0 * math.pi * (1.0 - a))
+        previous, n = integral, 2 * n
+
+
+class TestSpectralGridStore:
+    # (source factory, reference, divergence edge 1 - min g/f)
+    CASES = {
+        "white": (lambda: S.white_noise(4.0), S.white_noise(1.0), 0.75),
+        "ar1": (lambda: S.ar1(0.5, 2.0), S.white_noise(1.0), 1.0 - 1.0 / 6.0),
+        "csv": (lambda: S.from_autocovariance([2.0, 0.8, 0.3]), S.ar1(-0.4), None),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_reused_spec_equals_fresh_spec(self, kind):
+        make, y, edge = self.CASES[kind]
+        if edge is None:  # locate the edge from the densities on a fine grid
+            w = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
+            edge = 1.0 - float(np.min(psd(y, w) / psd(make(), w)))
+        orders = [edge - 0.05, edge - 1e-3, edge + 1e-3, edge + 0.05, 0.3, 1.7, 2.0, 4.5]
+        reused = make()
+        for a in orders + orders[::-1]:
+            value = rate_spectral(reused, y, a)
+            assert value == rate_spectral(make(), y, a)
+            assert value == reference_rate_spectral(make(), y, a)
+        assert math.isinf(rate_spectral(reused, y, edge - 1e-3))
+        assert math.isfinite(rate_spectral(reused, y, edge + 1e-3))
+
+    def test_psd_once_per_spec_and_grid_size(self, monkeypatch):
+        from rxent import gaussproc
+
+        calls = {}
+
+        def counting(spec, w):
+            key = (id(spec), np.size(w))
+            calls[key] = calls.get(key, 0) + 1
+            return psd(spec, w)
+
+        monkeypatch.setattr(gaussproc, "psd", counting)
+        x, y = S.from_autocovariance([2.0, 0.8, 0.3]), S.ar1(0.9)
+        for a in (0.5, 0.9, 1.5, 2.0, 3.0):
+            rate_spectral(x, y, a)
+            rate_spectral(y, x, a)
+        assert calls and set(calls.values()) == {1}
+        assert {size for _, size in calls} >= {4096, 8192}

@@ -131,8 +131,26 @@ class TestPerron:
         assert lam == 0.7 and v[0] == 1.0
 
     def test_reducible_rejected(self):
-        with pytest.raises(NotIrreducibleError):
+        with pytest.raises(NotIrreducibleError, match="has 2 communication classes"):
             perron_eigenpair(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(NotIrreducibleError, match="has 1 communication classes"):
+            perron_eigenpair(np.array([[0.0]]))
+
+    def test_rate_classifies_once(self, monkeypatch):
+        from rxent import markov
+
+        calls = []
+
+        def counting(m):
+            calls.append(m.shape)
+            return classify(m)
+
+        monkeypatch.setattr(markov, "classify", counting)
+        # two self-communicating classes, both reachable from the start
+        p = MarkovSource.of(np.array([[0.5, 0.5, 0.0], [0.0, 0.7, 0.3], [0.0, 0.4, 0.6]]))
+        q = MarkovSource.of(np.array([[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+        assert math.isfinite(cross_entropy_rate(p, q, 2.0))
+        assert calls == [(3, 3)]
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
