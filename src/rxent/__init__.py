@@ -46,6 +46,7 @@ from .errors import (
     AlphaNearOneError,
     DegenerateRateError,
     DimensionMismatchError,
+    DoubleRangeError,
     InfiniteSupportError,
     InvalidAlphaError,
     InvalidParameterError,
@@ -79,6 +80,7 @@ __all__ = [
     "DegenerateRateError",
     "DimensionMismatchError",
     "DiscreteDistribution",
+    "DoubleRangeError",
     "ExpFamilyDistribution",
     "Family",
     "InfiniteSupportError",

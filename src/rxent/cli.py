@@ -462,7 +462,7 @@ def _uniform_pdf(supp: SupportSpec):
 
 
 def _half_normal_pdf(variance: float):
-    log_norm = 0.5 * math.log(2.0 / (math.pi * variance))
+    log_norm = 0.5 * (math.log(2.0) - math.log(math.pi) - math.log(variance))
 
     def pdf(x):
         lp = logpdf(x)

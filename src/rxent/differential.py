@@ -23,7 +23,10 @@ flag the same divergences; keeping both routes makes each an internal check
 of the other, with direct quadrature of the defining integral as the final
 referee.  Special-case reducers (uniform source or reference, exponential or
 Gaussian reference via moment generating functions) and the zero-mean
-multivariate Gaussian form round out the module.
+multivariate Gaussian form round out the module.  The reducers work with
+ln M and, at the alpha -> 1 marker, with the moment each MGF declares.
+Every MGF built here is a closed form except the centered square of a Gamma
+or Beta source, which is integrated by ``oracle.mgf_numeric``.
 
 A divergent defining integral yields value +inf when alpha < 1 and -inf
 when alpha > 1 (the 1/(1-alpha) prefactor flips the sign of ln(+inf)).
@@ -37,12 +40,13 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, hyp1f1
+from scipy.special import betaln, digamma, erfcx, gammaln, hyp1f1
 
 from . import oracle
 from .alpha import AlphaOrder
 from .errors import (
     DimensionMismatchError,
+    DoubleRangeError,
     InfiniteSupportError,
     InvalidAlphaError,
     InvalidParameterError,
@@ -367,27 +371,44 @@ def cross_entropy_p_uniform(
     return _finite(value, m)
 
 
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_LOG_PI = math.log(math.pi)
+
+
 @dataclass(frozen=True)
 class MgfFunction:
     """A moment generating function with its declared finiteness interval.
 
-    ``lower``/``upper`` bound the interval where E[exp(t X)] is finite;
-    closed endpoints are marked by the *_closed flags.  Evaluation outside
-    the interval raises MgfDomainError.  The constructor spot-checks
-    M(0) = 1.
+    Give exactly one of ``fn``, which returns M(t) = E[exp(t X)], and
+    ``log_fn``, which returns ln M(t).  The reducers read ln M through
+    ``log``, so a declared ln M never passes through exp; it must be finite
+    on the interval, and a non-finite one raises DoubleRangeError.  ``mean``
+    is the declared first moment M'(0); without it ``derivative_at_zero``
+    takes a finite difference.
+
+    ``lower``/``upper`` bound the interval where M is finite; closed
+    endpoints are marked by the *_closed flags.  Evaluation outside the
+    interval raises MgfDomainError.  The constructor spot-checks M(0) = 1.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[float], float] | None = None
     lower: float = -math.inf
     upper: float = math.inf
     lower_closed: bool = False
     upper_closed: bool = False
+    log_fn: Callable[[float], float] | None = None
+    mean: float | None = None
 
     def __post_init__(self):
-        at_zero = self.fn(0.0)
-        if not math.isclose(at_zero, 1.0, rel_tol=1e-8, abs_tol=1e-8):
+        if (self.fn is None) == (self.log_fn is None):
+            raise InvalidParameterError("an MGF needs exactly one of fn and log_fn")
+        if self.log_fn is None:
+            at_zero, want, name = self.fn(0.0), 1.0, "M(0)"
+        else:
+            at_zero, want, name = self.log_fn(0.0), 0.0, "ln M(0)"
+        if not math.isclose(at_zero, want, rel_tol=1e-8, abs_tol=1e-8):
             raise InvalidParameterError(
-                f"an MGF must satisfy M(0) = 1, got {at_zero!r}"
+                f"an MGF must satisfy M(0) = 1, got {name} = {at_zero!r}"
             )
 
     def contains(self, t: float) -> bool:
@@ -395,17 +416,37 @@ class MgfFunction:
         above = t > self.lower or (self.lower_closed and t == self.lower)
         return below and above
 
-    def __call__(self, t: float) -> float:
+    def _checked(self, t) -> float:
         t = float(t)
         if not self.contains(t):
             raise MgfDomainError(
                 f"t={t:g} is outside the MGF finiteness interval "
                 f"({self.lower:g}, {self.upper:g})"
             )
-        return float(self.fn(t))
+        return t
+
+    def __call__(self, t: float) -> float:
+        if self.log_fn is None:
+            return float(self.fn(self._checked(t)))
+        log_m = self.log(t)
+        if log_m > _LOG_DOUBLE_MAX:
+            raise DoubleRangeError(f"M({t:g}) = exp({log_m:g}) exceeds the double range")
+        return math.exp(log_m)
+
+    def log(self, t: float) -> float:
+        """ln M(t); +inf when a user ``fn`` reports a divergent integral."""
+        t = self._checked(t)
+        if self.log_fn is None:
+            return _log_positive(float(self.fn(t)), t)
+        log_m = float(self.log_fn(t))
+        if not math.isfinite(log_m):
+            raise DoubleRangeError(f"ln M({t:g}) = {log_m} exceeds the double range")
+        return log_m
 
     def derivative_at_zero(self) -> float:
-        """First moment E[X] by finite differences at 0."""
+        """First moment E[X]: the declared mean, else finite differences at 0."""
+        if self.mean is not None:
+            return self.mean
         h = 1e-5
         if self.contains(h):
             return (self(h) - self(-h)) / (2.0 * h)
@@ -413,59 +454,152 @@ class MgfFunction:
         return (3.0 * self(0.0) - 4.0 * self(-h) + self(-2.0 * h)) / (2.0 * h)
 
 
-def mgf_of(d: ExpFamilyDistribution) -> MgfFunction:
-    """Moment generating function E[exp(t X)] of a family member."""
+def _log_positive(m: float, t: float) -> float:
+    if not m > 0.0:
+        raise DoubleRangeError(f"M({t:g}) = {m!r} is not a positive double")
+    return math.log(m)
+
+
+def _mean_variance(d: ExpFamilyDistribution) -> tuple[float, float]:
+    """Mean and variance of a scalar family member."""
     if d.family is Family.EXPONENTIAL:
-        lam, = d.params
-        return MgfFunction(lambda t: lam / (lam - t), upper=lam)
+        mean = 1.0 / d.params[0]
+        return mean, mean * mean
     if d.family is Family.GAMMA:
         k, theta = d.params
-        return MgfFunction(lambda t: (1.0 - theta * t) ** (-k), upper=1.0 / theta)
+        return k * theta, k * theta * theta
     if d.family is Family.CHI_SQUARED:
         nu, = d.params
-        return MgfFunction(lambda t: (1.0 - 2.0 * t) ** (-nu / 2), upper=0.5)
+        return nu, 2.0 * nu
     if d.family is Family.GAUSSIAN:
         mu, v = d.params
-        return MgfFunction(lambda t: math.exp(mu * t + 0.5 * v * t * t))
+        return mu, v
     if d.family is Family.LAPLACE_EQUAL_MEAN:
         mu, s = d.params
-        return MgfFunction(
-            lambda t: math.exp(mu * t) / (1.0 - s * s * t * t),
-            lower=-1.0 / s,
-            upper=1.0 / s,
-        )
+        return mu, 2.0 * s * s
     if d.family is Family.BETA:
         a, b = d.params
-        return MgfFunction(lambda t: float(hyp1f1(a, a + b, t)))
+        n = a + b
+        return a / n, a * b / (n * n * (n + 1.0))
     raise InvalidParameterError(f"no scalar MGF for family {d.family}")
 
 
-def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFunction:
-    """MGF of Y = (X - center)^2 for X ~ d.
+def _log1p_product(u: float, v: float) -> float:
+    """ln(1 + u v) for u v > -1 and v > 0, also where the product overflows."""
+    uv = u * v
+    return math.log1p(uv) if uv < math.inf else math.log(u) + math.log(v)
 
-    Analytic for Gaussian d; otherwise numerical quadrature with the
-    finiteness interval implied by the family's tail: bounded support gives
-    the whole line, exponential tails give t <= 0.
-    """
-    center = float(center)
+
+def mgf_of(d: ExpFamilyDistribution) -> MgfFunction:
+    """Moment generating function E[exp(t X)] of a family member, in log form."""
+    mean = _mean_variance(d)[0]
+    if d.family in (Family.EXPONENTIAL, Family.GAMMA, Family.CHI_SQUARED):
+        # Gamma(k, theta): M(t) = (1 - theta t)^(-k) for t < 1/theta
+        if d.family is Family.EXPONENTIAL:
+            (lam,), k = d.params, 1.0
+            theta, upper = 1.0 / lam, lam
+        elif d.family is Family.GAMMA:
+            k, theta = d.params
+            upper = 1.0 / theta
+        else:
+            k, theta, upper = d.params[0] / 2.0, 2.0, 0.5
+        return MgfFunction(log_fn=lambda t: -k * _log1p_product(-t, theta), upper=upper,
+                           mean=mean)
     if d.family is Family.GAUSSIAN:
         mu, v = d.params
-        delta2 = (mu - center) ** 2
+        return MgfFunction(log_fn=lambda t: mu * t + 0.5 * v * t * t, mean=mean)
+    if d.family is Family.LAPLACE_EQUAL_MEAN:
+        mu, s = d.params
+        return MgfFunction(
+            log_fn=lambda t: mu * t - math.log1p(-(s * t) ** 2),
+            lower=-1.0 / s,
+            upper=1.0 / s,
+            mean=mean,
+        )
+    a, b = d.params  # Beta, the last scalar family
+    return MgfFunction(log_fn=lambda t: _log_positive(float(hyp1f1(a, a + b, t)), t),
+                       mean=mean)
 
-        def fn(t):
-            r = 1.0 - 2.0 * v * t
-            return math.exp(delta2 * t / r) / math.sqrt(r)
 
-        return MgfFunction(fn, upper=0.5 / v)
+def _log_half_line(kappa: float, e: float, tau: float) -> float:
+    """ln of the integral over x > 0 of exp(-kappa x - tau (x + e)^2), kappa, tau > 0.
+
+    Completing the square gives (1/2) sqrt(pi/tau) exp(-tau e^2) erfcx(z)
+    with z = sqrt(tau) (kappa/(2 tau) + e).  For z < 0 the same integral is
+    (1/2) sqrt(pi/tau) exp(kappa (kappa/(4 tau) + e)) erfc(z), the form of
+    erfcx(z) = 2 exp(z^2) - erfcx(-z) whose exponent does not cancel.
+    """
+    root = math.sqrt(tau)
+    z = 0.5 * kappa / root + root * e
+    if z > 1e8:
+        # erfcx(z) = 1/(z sqrt(pi)) to double precision, and z may have overflowed
+        return -tau * e * e - math.log(kappa + 2.0 * tau * e)
+    head = 0.5 * (_LOG_PI - math.log(tau)) - math.log(2.0)
+    if z >= 0.0:
+        return head - tau * e * e + math.log(erfcx(z))
+    return head + kappa * (0.25 * kappa / tau + e) + math.log(math.erfc(z))
+
+
+def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFunction:
+    """MGF of Y = (X - center)^2 for X ~ d, in log form.
+
+    Closed forms for Gaussian, Laplace and exponential sources (with
+    tau = -t, erfcx sums for the last two).  Gamma and Beta sources go
+    through ``oracle.mgf_numeric``; the density integrates to 1, so M(0) = 1
+    exactly without quadrature.  The finiteness interval follows the tail:
+    bounded support gives the whole line, exponential tails give t <= 0.
+    The declared mean is E[Y] = Var X + (E[X] - center)^2.
+    """
+    center = float(center)
+    if not math.isfinite(center):
+        raise InvalidParameterError(f"the squared deviation needs a finite center, got {center}")
     if d.family is Family.MV_GAUSSIAN_ZERO_MEAN:
         raise InvalidParameterError("centered-square MGF is for scalar families")
+    mean_x, var_x = _mean_variance(d)
+    mean = var_x + (mean_x - center) * (mean_x - center)
+    if d.family is Family.GAUSSIAN:
+        mu, v = d.params
+        delta = mu - center
 
-    def fn(t):
-        return oracle.mgf_numeric(d.pdf, d.support, t, square_center=center)
+        def log_fn(t):
+            return delta * t / (1.0 - 2.0 * v * t) * delta - 0.5 * math.log1p(-2.0 * v * t)
 
-    if d.family is Family.BETA:
-        return MgfFunction(fn)
-    return MgfFunction(fn, upper=0.0, upper_closed=True)
+        return MgfFunction(log_fn=log_fn, upper=0.5 / v, mean=mean)
+
+    if d.family is Family.LAPLACE_EQUAL_MEAN:
+        mu, s = d.params
+        delta, rate, log_norm = mu - center, 1.0 / s, math.log(2.0) + math.log(s)
+
+        def log_fn(t):
+            if t == 0.0:
+                return 0.0
+            return np.logaddexp(_log_half_line(rate, delta, -t),
+                                _log_half_line(rate, -delta, -t)) - log_norm
+    elif d.family is Family.EXPONENTIAL:
+        lam, = d.params
+        log_lam = math.log(lam)
+
+        def log_fn(t):
+            if t == 0.0:
+                return 0.0
+            return log_lam + _log_half_line(lam, -center, -t)
+    else:
+        def log_fn(t):
+            if t == 0.0:
+                return 0.0
+            return _log_positive(
+                oracle.mgf_numeric(d.pdf, d.support, t, square_center=center), t)
+
+        if d.family is Family.BETA:
+            return MgfFunction(log_fn=log_fn, mean=mean)
+    return MgfFunction(log_fn=log_fn, upper=0.0, upper_closed=True, mean=mean)
+
+
+def _special(value: float) -> CrossEntropyResult:
+    """A reducer value; one beyond the double range is an error, not a verdict."""
+    if not math.isfinite(value):
+        raise DoubleRangeError(f"cross-entropy {value} exceeds the double range")
+    return CrossEntropyResult(float(value), Method.SPECIAL_CASE)
 
 
 def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> CrossEntropyResult:
@@ -478,20 +612,20 @@ def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> Cross
     -ln rate + rate E_p[X].
     """
     rate = float(rate)
+    if not math.isfinite(rate):
+        raise InvalidParameterError(f"exponential reference needs a finite rate, got {rate}")
     if rate <= 0:
         raise InvalidParameterError(f"exponential reference needs rate > 0, got {rate}")
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    m = Method.SPECIAL_CASE
     if alpha.is_one:
-        return _finite(-math.log(rate) + rate * mgf_p.derivative_at_zero(), m)
+        return _special(-math.log(rate) + rate * mgf_p.derivative_at_zero())
     a = alpha.value
-    t = rate * (1.0 - a)
-    value_m = mgf_p(t)  # raises MgfDomainError outside the interval
-    if math.isinf(value_m):
-        return _diverged(alpha, m)
-    return _finite(-math.log(rate) + math.log(value_m) / (1.0 - a), m)
+    log_m = mgf_p.log(rate * (1.0 - a))  # raises MgfDomainError outside the interval
+    if log_m == math.inf:
+        return _diverged(alpha, Method.SPECIAL_CASE)
+    return _special(-math.log(rate) + log_m / (1.0 - a))
 
 
 def cross_entropy_q_gaussian(
@@ -512,20 +646,21 @@ def cross_entropy_q_gaussian(
     is responsible for using a positive source there).
     """
     variance = float(variance)
+    if not (math.isfinite(variance) and math.isfinite(mean)):
+        raise InvalidParameterError(
+            f"reference mean and variance must be finite, got {mean} and {variance}")
     if variance <= 0:
         raise InvalidParameterError(f"reference variance must be positive, got {variance}")
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    const = 0.5 * math.log(2.0 * math.pi * variance)
+    const = 0.5 * (LOG_2PI + math.log(variance))
     if half_normal:
         const -= math.log(2.0)
-    m = Method.SPECIAL_CASE
     if alpha.is_one:
-        return _finite(const + mgf_square.derivative_at_zero() / (2.0 * variance), m)
+        return _special(const + mgf_square.derivative_at_zero() / (2.0 * variance))
     a = alpha.value
-    t = (1.0 - a) / (2.0 * variance)
-    value_m = mgf_square(t)
-    if math.isinf(value_m):
-        return _diverged(alpha, m)
-    return _finite(const + math.log(value_m) / (1.0 - a), m)
+    log_m = mgf_square.log((1.0 - a) / (2.0 * variance))
+    if log_m == math.inf:
+        return _diverged(alpha, Method.SPECIAL_CASE)
+    return _special(const + log_m / (1.0 - a))

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 Parameter and domain problems subclass ValueError so callers can keep the
-usual ``except ValueError`` idiom; numeric failures subclass RuntimeError.
+usual ``except ValueError`` idiom; numeric failures subclass RuntimeError,
+and a value beyond the double range subclasses ArithmeticError.
 """
 
 
@@ -47,6 +48,10 @@ class InfiniteSupportError(RenyiError, ValueError):
 
 class ZeroMassError(RenyiError, ValueError):
     """A probability that must be strictly positive is zero."""
+
+
+class DoubleRangeError(RenyiError, ArithmeticError):
+    """A finite value lies outside the range of a double."""
 
 
 class NonConvergenceError(RenyiError, RuntimeError):

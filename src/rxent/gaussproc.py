@@ -131,8 +131,10 @@ def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
     if spec.psd_fn is not None:
         return np.asarray(spec.psd_fn(w), dtype=float)
     r = spec.autocov
-    lags = np.arange(1, r.size)
-    return r[0] + 2.0 * (r[1:, None] * np.cos(np.outer(lags, w))).sum(axis=0)
+    acc = np.zeros_like(w)
+    for k in range(1, r.size):  # one lag at a time: no (lags x points) temporaries
+        acc += r[k] * np.cos(k * w)
+    return r[0] + 2.0 * acc
 
 
 def _psd_grid(spec: StationaryGaussianSpec, n: int) -> np.ndarray:

@@ -340,9 +340,15 @@ def mgf_numeric(
 ) -> float:
     """E[exp(t X)] by quadrature, or E[exp(t (X - c)^2)] when a center is given.
 
-    Returns +inf when the integral diverges.
+    Returns +inf when the integral diverges.  On a bounded interval, and for
+    t <= 0 when the exponent t X or t (X - c)^2 is nonpositive on the whole
+    support, the integrand is bounded by a multiple of the density: the
+    integral is finite and goes straight to quadrature, without the
+    divergence probe.
     """
     t = float(t)
+    bounded = supp.kind is SupportKind.INTERVAL or (
+        t <= 0.0 and (square_center is not None or supp.kind is SupportKind.POSITIVE_REALS))
 
     def integrand(x):
         pv = pdf(x)
@@ -357,6 +363,8 @@ def mgf_numeric(
             return math.inf
         return math.exp(z)
 
+    if bounded:
+        return integrate(integrand, supp, settings)[0]
     return _nonnegative_integral(integrand, supp, settings)
 
 

@@ -289,6 +289,39 @@ class TestSpecialCommand:
         code = main("xent special q-exponential --p-family exponential --p rate=2 --alpha 2".split())
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ("xent special q-half-normal --p-family exponential --p lambda=1 --var nan --alpha 1",
+         "must be finite"),
+        ("xent special q-half-normal --p-family exponential --p lambda=1 --var inf --alpha 2",
+         "must be finite"),
+        ("xent special q-exponential --p-family gamma --p k=2,theta=1 --rate inf --alpha 2",
+         "finite rate"),
+        ("xent special q-gaussian --p-family gaussian --p mu=0,var=1 --mean 1e308 --var 1 "
+         "--alpha 2", "double range"),
+        ("xent special q-gaussian --p-family gaussian --p mu=0,var=1 --mean 1e308 --var 1 "
+         "--alpha 1", "double range"),
+        ("xent special q-gaussian --p-family gaussian --p mu=0,var=1 --mean 1e308 --var 1 "
+         "--alpha 0.5", "double range"),
+    ])
+    def test_extreme_reference_is_a_typed_error(self, argv, message):
+        code, out, err = run_cli(argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+
+    def test_huge_exponential_rate(self):
+        code, out, _ = run_cli("xent special q-exponential --p-family gamma --p k=2,theta=1 "
+                               "--rate 1e308 --alpha 2".split())
+        assert (code, out) == (0, "709.196208642\n")
+
+    def test_huge_half_normal_variance(self):
+        # the oracle reference density needs ln(2 / (pi var)) without forming pi var
+        code, out, _ = run_cli("xent special q-half-normal --p-family exponential --p lambda=1 "
+                               "--var 1e308 --alpha 2 --format json".split())
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert_allclose(value, 0.5 * math.log(math.pi * 0.5) + 0.5 * math.log(1e308),
+                        rtol=1e-12)
+
 
 class TestMarkovCommand:
     def test_spec_example(self, chain_files, capsys):

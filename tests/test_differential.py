@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from rxent import (
     AlphaOrder,
+    DoubleRangeError,
     ExpFamilyDistribution,
     InfiniteSupportError,
     InvalidAlphaError,
@@ -441,3 +442,213 @@ class TestGaussianReference:
     def test_invalid_variance(self):
         with pytest.raises(InvalidParameterError):
             cross_entropy_q_gaussian(mgf_of(E.gaussian(0, 1)), 0.0, 0.0, 2.0)
+
+
+def _mp_centered_square_mgf(d, center, tau):
+    """E[exp(-tau (X - center)^2)] for a Laplace or exponential source in
+    30-digit mpmath, from the erfc form of the completed square."""
+    with mp.workdps(30):
+        tau, c = mp.mpf(tau), mp.mpf(center)
+        if d.family.value == "exponential":
+            lam = mp.mpf(d.params[0])
+            return (lam / 2 * mp.sqrt(mp.pi / tau) * mp.exp(-lam * c + lam ** 2 / (4 * tau))
+                    * mp.erfc(mp.sqrt(tau) * (lam / (2 * tau) - c)))
+        mu, s = (mp.mpf(v) for v in d.params)
+        b = 1 / (2 * s * tau)
+        return mp.sqrt(mp.pi / tau) / (4 * s) * mp.fsum(
+            mp.exp(e / s + tau * b ** 2) * mp.erfc(mp.sqrt(tau) * (b + e))
+            for e in (mu - c, c - mu))
+
+
+def _mp_centered_square_quad(d, center, tau):
+    """The same expectation as a 30-digit quadrature of its defining integral."""
+    with mp.workdps(30):
+        c = mp.mpf(center)
+        if d.family.value == "exponential":
+            lam = mp.mpf(d.params[0])
+            return mp.quad(lambda x: lam * mp.exp(-lam * x - tau * (x - c) ** 2),
+                           sorted({0, max(center, 0.0)}) + [mp.inf])
+        mu, s = (mp.mpf(v) for v in d.params)
+        return mp.quad(lambda x: mp.exp(-abs(x - mu) / s - tau * (x - c) ** 2) / (2 * s),
+                       [-mp.inf] + sorted({d.params[0], center}) + [mp.inf])
+
+
+CLOSED_SQUARE_SOURCES = [E.exponential(0.3), E.exponential(2.5), E.laplace(0.0, 1.0),
+                         E.laplace(-1.5, 0.2), E.laplace(2.0, 4.0)]
+
+
+class TestCenteredSquareClosedForms:
+    @pytest.mark.parametrize("d", CLOSED_SQUARE_SOURCES, ids=repr)
+    @pytest.mark.parametrize("tau", [1e-8, 1e-5, 1e-2, 0.3, 1.0, 7.0, 1e2])
+    @pytest.mark.parametrize("center", [-10.0, -1.5, 0.0, 0.7, 10.0])
+    def test_matches_mpmath(self, d, tau, center):
+        m = mgf_of_centered_square(d, center)
+        want_log = float(mp.log(_mp_centered_square_mgf(d, center, tau)))
+        got_log = m.log(-tau)
+        assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log))
+        if want_log > -700.0:
+            assert_allclose(m(-tau), math.exp(want_log), rtol=1e-12 * max(1.0, abs(want_log)))
+
+    @pytest.mark.parametrize("d, center, tau", [
+        (E.exponential(2.5), 0.7, 0.3), (E.exponential(0.3), -1.5, 1.0),
+        (E.laplace(0.0, 1.0), 0.0, 1.0), (E.laplace(-1.5, 0.2), 0.7, 0.3),
+    ], ids=repr)
+    def test_reference_is_the_defining_integral(self, d, center, tau):
+        assert mp.almosteq(_mp_centered_square_mgf(d, center, tau),
+                           _mp_centered_square_quad(d, center, tau), rel_eps=1e-20)
+
+    @pytest.mark.parametrize("d, center", [(E.exponential(1.0), 10.0),
+                                           (E.laplace(0.0, 1.0), 10.0),
+                                           (E.laplace(0.0, 1.0), -10.0)], ids=repr)
+    def test_negative_erfcx_argument(self, d, center):
+        # tau = 1: z = sqrt(tau) (1/(2 s tau) - |mu - c|) or (lambda/(2 tau) - c) is -9.5
+        want = float(mp.log(_mp_centered_square_mgf(d, center, 1.0)))
+        assert abs(mgf_of_centered_square(d, center).log(-1.0) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("d", [E.exponential(1e300), E.laplace(0.0, 1e-300)], ids=repr)
+    def test_erfcx_argument_beyond_double_range(self, d):
+        # z = rate / (2 sqrt(tau)) overflows; M = 1 - tau E[Y] + ... rounds to 1
+        assert mgf_of_centered_square(d, 0.0).log(-1e-20) == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("d", CLOSED_SQUARE_SOURCES + [E.gaussian(0.5, 2.0)], ids=repr)
+    def test_exactly_one_at_zero(self, d):
+        m = mgf_of_centered_square(d, 0.3)
+        assert m.log(0.0) == 0.0 and m(0.0) == 1.0
+
+
+def _mp_shannon(p, q_logpdf):
+    """-integral of p ln q in 30-digit mpmath."""
+    with mp.workdps(30):
+        fam, prm = p.family.value, [mp.mpf(v) for v in p.params]
+        if fam == "beta":
+            a, b = prm
+            pdf, pts = (lambda x: x ** (a - 1) * (1 - x) ** (b - 1) / mp.beta(a, b)), [0, 1]
+        elif fam == "chi_squared":
+            k, th = prm[0] / 2, mp.mpf(2)
+            pdf, pts = (lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k),
+                        [0, 1, mp.inf])
+        elif fam == "exponential":
+            pdf, pts = (lambda x: prm[0] * mp.exp(-prm[0] * x)), [0, 1, mp.inf]
+        elif fam == "gamma":
+            k, th = prm
+            pdf, pts = (lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k),
+                        [0, 1, mp.inf])
+        elif fam == "gaussian":
+            mu, v = prm
+            pdf, pts = (lambda x: mp.npdf(x, mu, mp.sqrt(v))), [-mp.inf, mu, mp.inf]
+        else:
+            mu, s = prm
+            pdf, pts = (lambda x: mp.exp(-abs(x - mu) / s) / (2 * s)), [-mp.inf, mu, mp.inf]
+        return mp.quad(lambda x: -pdf(x) * q_logpdf(x), pts)
+
+
+SIX_SOURCES = [E.beta(2.5, 1.5), E.chi_squared(3.0), E.exponential(1.7), E.gamma(2.5, 0.8),
+               E.gaussian(0.4, 1.3), E.laplace(-0.6, 0.9)]
+
+
+class TestDeclaredMoments:
+    @pytest.mark.parametrize("p", SIX_SOURCES, ids=repr)
+    def test_gaussian_reference_marker(self, p):
+        mean, var = 0.35, 1.6
+        want = _mp_shannon(p, lambda x: -(x - mean) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2)
+        got = cross_entropy_q_gaussian(mgf_of_centered_square(p, mean), mean, var, "one")
+        assert abs(got.value - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+    @pytest.mark.parametrize("p", [d for d in SIX_SOURCES if d.support == POSITIVE_REALS
+                                   or d.family.value == "beta"], ids=repr)
+    def test_exponential_reference_marker(self, p):
+        rate = 0.8
+        want = _mp_shannon(p, lambda x: mp.log(rate) - rate * x)
+        got = cross_entropy_q_exponential(mgf_of(p), rate, "one")
+        assert abs(got.value - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+    def test_hand_built_mgf_takes_central_difference(self):
+        m = MgfFunction(lambda t: math.exp(0.7 * t + t * t))
+        assert m.mean is None
+        assert_allclose(m.derivative_at_zero(), 0.7, atol=1e-8)
+
+    def test_needs_exactly_one_function(self):
+        with pytest.raises(InvalidParameterError):
+            MgfFunction()
+        with pytest.raises(InvalidParameterError):
+            MgfFunction(lambda t: 1.0, log_fn=lambda t: 0.0)
+        with pytest.raises(InvalidParameterError):
+            MgfFunction(log_fn=lambda t: 1.0 + t)
+
+
+class TestQuadratureCalls:
+    @pytest.fixture
+    def quad_calls(self, monkeypatch):
+        from rxent import oracle
+
+        calls = []
+        real = oracle.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "quad", counting)
+        return calls
+
+    @pytest.mark.parametrize("p", [E.gaussian(0.4, 1.3), E.laplace(-0.6, 0.9),
+                                   E.exponential(1.7)], ids=repr)
+    def test_closed_sources_never_integrate(self, quad_calls, p):
+        m = mgf_of_centered_square(p, 0.25)
+        for t in (0.0, -1e-6, -0.5, -30.0):
+            m.log(t)
+        for a in (1.5, 3.0, "one"):
+            cross_entropy_q_gaussian(m, 0.25, 1.3, a)
+        half = mgf_of_centered_square(p, 0.0)
+        cross_entropy_q_gaussian(half, 0.0, 0.7, 2.0, half_normal=True)
+        assert quad_calls == []
+
+    def test_gamma_one_quadrature_per_evaluation(self, quad_calls):
+        m = mgf_of_centered_square(E.gamma(2.5, 0.8), 0.25)
+        assert quad_calls == []  # M(0) = 1 needs no quadrature
+        for n, t in enumerate((-1e-6, -0.5, -30.0), start=1):
+            m.log(t)
+            assert len(quad_calls) == n
+        cross_entropy_q_gaussian(m, 0.25, 1.3, 2.0)
+        assert len(quad_calls) == 4
+        cross_entropy_q_gaussian(m, 0.25, 1.3, "one")
+        assert len(quad_calls) == 4
+
+
+class TestLogSpace:
+    def test_huge_exponential_rate(self):
+        # gamma(2, 1) source: -ln r + 2 ln(1 + r) at alpha = 2, about 709.2
+        r = 1e308
+        got = cross_entropy_q_exponential(mgf_of(E.gamma(2.0, 1.0)), r, 2.0)
+        with mp.workdps(30):
+            want = -mp.log(r) + 2 * mp.log1p(r)
+        assert_allclose(got.value, float(want), rtol=1e-14)
+        assert not got.diverged
+
+    def test_gaussian_square_near_end_of_interval(self):
+        # t -> 1/(2 v) makes M overflow a double; the value is still finite
+        p, q = E.gaussian(0.0, 1.0), E.gaussian(3.0, 0.5)
+        a = 0.5 + 1e-7
+        got = cross_entropy_q_gaussian(mgf_of_centered_square(p, 3.0), 3.0, 0.5, a)
+        assert_allclose(got.value, cross_entropy_closed(p, q, a).value, rtol=1e-9)
+        with pytest.raises(DoubleRangeError):
+            mgf_of_centered_square(p, 3.0)((1.0 - a) / 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, "one", 2.0])
+    def test_result_beyond_double_range_is_typed(self, a):
+        m = mgf_of_centered_square(E.gaussian(0.0, 1.0), 1e308)
+        with pytest.raises(DoubleRangeError):
+            cross_entropy_q_gaussian(m, 1e308, 1.0, a)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        m = mgf_of(E.exponential(1.0))
+        with pytest.raises(InvalidParameterError):
+            cross_entropy_q_exponential(m, bad, 2.0)
+        square = mgf_of_centered_square(E.exponential(1.0), 0.0)
+        with pytest.raises(InvalidParameterError):
+            cross_entropy_q_gaussian(square, 0.0, bad, 2.0)
+        with pytest.raises(InvalidParameterError):
+            cross_entropy_q_gaussian(square, bad, 1.0, 2.0)
+        with pytest.raises(InvalidParameterError):
+            mgf_of_centered_square(E.exponential(1.0), bad)

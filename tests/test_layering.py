@@ -1,6 +1,7 @@
 """Static checks of which modules the package imports.
 
-Quadrature belongs to the referee (``oracle.py``) alone, graph algorithms
+Quadrature belongs to the referee (``oracle.py``) alone, and the closed forms
+reach it only for the numeric MGF of Gamma and Beta sources; graph algorithms
 come from numpy, and the exponential-family representation does not depend
 on the referee it is checked against.
 """
@@ -45,3 +46,14 @@ def test_no_quadrature_or_sparse_outside_oracle(path):
 def test_expfam_does_not_import_oracle():
     names = imported_modules(PACKAGE / "expfam.py")
     assert not any(n == "rxent.oracle" or n.startswith("rxent.oracle.") for n in names)
+
+
+def test_differential_uses_only_the_numeric_mgf_of_oracle():
+    path = PACKAGE / "differential.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "oracle"}
+    assert used == {"mgf_numeric"}
+    assert not any(isinstance(node, ast.ImportFrom) and node.module
+                   and node.module.split(".")[-1] == "oracle" for node in ast.walk(tree))
