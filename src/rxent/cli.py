@@ -399,14 +399,15 @@ def _prepare_discrete(opts):
     return evaluate
 
 
-def _with_numeric_oracle(value_at, densities):
+def _with_numeric_oracle(value_at, densities, kinks=()):
     """An evaluator whose oracle is the quadrature cross-entropy.
 
     ``densities()`` returns (support, (p pdf, p logpdf), (q pdf, q logpdf)).
     It runs once, after the first value, with or without ``--oracle``:
     building the reference also rejects parameters the value accepts (a
     non-finite rate or variance), and the first error a bad input raises
-    stays the value's own.
+    stays the value's own.  ``kinks`` are points where the quadrature
+    splits the integral.
     """
     reference = functools.cache(densities)
 
@@ -416,13 +417,20 @@ def _with_numeric_oracle(value_at, densities):
         if not want_oracle:
             return value, None
         return value, oracle.cross_entropy_numeric(p_pdf, q_pdf, supp, alpha, settings,
-                                                   p_logpdf=p_logpdf, q_logpdf=q_logpdf)
+                                                   p_logpdf=p_logpdf, q_logpdf=q_logpdf,
+                                                   points=kinks)
 
     return evaluate
 
 
 def _densities(d: ExpFamilyDistribution):
     return d.pdf, d.logpdf
+
+
+def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
+    """Where the density of d is not smooth inside its support: a Laplace
+    location."""
+    return (d.params[0],) if d.family is Family.LAPLACE_EQUAL_MEAN else ()
 
 
 def _prepare_expfam(opts):
@@ -446,7 +454,7 @@ def _prepare_expfam(opts):
               else differential.cross_entropy_closed)
     return _with_numeric_oracle(
         lambda alpha: engine(f1, f2, alpha).value,
-        lambda: (f1.support, _densities(f1), _densities(f2)))
+        lambda: (f1.support, _densities(f1), _densities(f2)), _kinks(f1))
 
 
 def _uniform_pdf(supp: SupportSpec):
@@ -520,7 +528,8 @@ def _prepare_special(opts):
             lambda alpha: differential.cross_entropy_q_gaussian(mgf, mean, variance,
                                                                 alpha).value,
             lambda: (p.support, source,
-                     _densities(ExpFamilyDistribution.gaussian(mean, variance))))
+                     _densities(ExpFamilyDistribution.gaussian(mean, variance))),
+            _kinks(p))
 
     # q-half-normal
     if p.support.kind.value == "all_reals":

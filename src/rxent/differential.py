@@ -40,7 +40,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaln, digamma, erfcx, gammaln, hyp1f1
 
 from . import oracle
 from .alpha import AlphaOrder
@@ -71,6 +70,7 @@ from .linalg import (
     spd_inverse,
     spd_logdet,
 )
+from .specfun import betaln, betaln_step, digamma, erfcx, gammaln, gammaln_step, log_kummer
 from .support import SupportSpec
 
 
@@ -185,11 +185,10 @@ def cross_entropy_closed(
             psi = digamma(a1 + b1)
             value = betaln(a2, b2) - (a2 - 1) * (digamma(a1) - psi) - (b2 - 1) * (digamma(b1) - psi)
             return _finite(value, m)
-        a_h = a1 + (a - 1) * (a2 - 1)
-        b_h = b1 + (a - 1) * (b2 - 1)
-        if a_h <= 0 or b_h <= 0:
+        da, db = (a - 1) * (a2 - 1), (a - 1) * (b2 - 1)
+        if a1 + da <= 0 or b1 + db <= 0:
             return _diverged(alpha, m)
-        value = betaln(a2, b2) + (betaln(a_h, b_h) - betaln(a1, b1)) / (1.0 - a)
+        value = betaln(a2, b2) + betaln_step(a1, b1, da, db) / (1.0 - a)
         return _finite(value, m)
 
     if f1.family is Family.CHI_SQUARED:
@@ -202,7 +201,7 @@ def cross_entropy_closed(
         if nu_h <= 0:
             return _diverged(alpha, m)
         value = (
-            (gammaln(nu_h / 2) - gammaln(nu1 / 2) - (nu_h / 2) * math.log(a))
+            (gammaln_step(nu1 / 2, (a - 1) * (nu2 - 2) / 2) - (nu_h / 2) * math.log(a))
             / (1.0 - a)
             + math.log(2)
             + gammaln(nu2 / 2)
@@ -227,13 +226,14 @@ def cross_entropy_closed(
             value = (gammaln(k2) + k2 * math.log(th2) + k1 * th1 / th2
                      - (k2 - 1) * (digamma(k1) + math.log(th1)))
             return _finite(value, m)
-        k_h = k1 + (a - 1) * (k2 - 1)
-        rate_h = 1.0 / th1 + (a - 1) / th2
-        if k_h <= 0 or rate_h <= 0:
+        dk = (a - 1) * (k2 - 1)
+        u = (a - 1) * th1 / th2  # rate_h th1 - 1, rate_h = 1/th1 + (a - 1)/th2
+        if k1 + dk <= 0 or u <= -1.0:
             return _diverged(alpha, m)
-        th_h = 1.0 / rate_h
+        # k_h ln th_h - k1 ln th1 = (k_h - k1) ln th1 - k_h ln(rate_h th1)
+        log_scale = dk * math.log(th1) - (k1 + dk) * math.log1p(u)
         value = (
-            (gammaln(k_h) + k_h * math.log(th_h) - gammaln(k1) - k1 * math.log(th1))
+            (gammaln_step(k1, dk) + log_scale)
             / (1.0 - a)
             + gammaln(k2)
             + k2 * math.log(th2)
@@ -516,9 +516,8 @@ def mgf_of(d: ExpFamilyDistribution) -> MgfFunction:
             upper=1.0 / s,
             mean=mean,
         )
-    a, b = d.params  # Beta, the last scalar family
-    return MgfFunction(log_fn=lambda t: _log_positive(float(hyp1f1(a, a + b, t)), t),
-                       mean=mean)
+    a, b = d.params  # Beta, the last scalar family: M(t) = 1F1(a; a + b; t)
+    return MgfFunction(log_fn=lambda t: log_kummer(a, b, t), mean=mean)
 
 
 def _log_half_line(kappa: float, e: float, tau: float) -> float:

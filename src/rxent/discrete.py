@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .alpha import AlphaOrder
 from .errors import DimensionMismatchError, InvalidParameterError
+from .specfun import logsumexp
 
 _MASS_TOLERANCE = 1e-12
 
@@ -100,7 +100,7 @@ def renyi_entropy(p: DiscreteDistribution, alpha) -> float:
         return float(-np.log(p.probs.max()))
     a = alpha.value
     logp = np.log(p.probs[p.probs > 0])
-    return float(logsumexp(a * logp)) / (1.0 - a)
+    return logsumexp(a * logp) / (1.0 - a)
 
 
 def renyi_divergence(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:
@@ -121,7 +121,7 @@ def renyi_divergence(p: DiscreteDistribution, q: DiscreteDistribution, alpha) ->
     # Terms with q = 0 contribute 0 when alpha < 1; an empty sum gives
     # logsumexp = -inf and thus divergence +inf (disjoint supports).
     terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
-    return float(logsumexp(terms)) / (a - 1.0)
+    return logsumexp(terms) / (a - 1.0)
 
 
 def renyi_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:
@@ -146,7 +146,7 @@ def renyi_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution, alpha)
     # When alpha > 1, terms with q = 0 vanish; an empty sum means the whole
     # mass of p sits where q = 0 and the cross-entropy is +inf.
     terms = np.log(pv[both]) + (a - 1.0) * np.log(qv[both])
-    return float(logsumexp(terms)) / (1.0 - a)
+    return logsumexp(terms) / (1.0 - a)
 
 
 def alt_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
 
 from .alpha import AlphaOrder
 from .errors import (
@@ -47,6 +46,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .linalg import as_symmetric_matrix, cholesky_lower, spd_inverse, spd_logdet
+from .specfun import betaln, digamma, gammaln
 from .support import ALL_REALS, POSITIVE_REALS, UNIT_INTERVAL, SupportSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -257,7 +257,8 @@ def logpdf(d: ExpFamilyDistribution, x) -> float:
         return (k - 1) * math.log(x) - x / theta - float(gammaln(k)) - k * math.log(theta)
     if d.family is Family.GAUSSIAN:
         mu, var = p
-        return -((x - mu) ** 2) / (2 * var) - 0.5 * math.log(2 * math.pi * var)
+        z = x - mu  # z * z is inf, not an OverflowError, for |z| > 1.3e154
+        return -(z * z) / (2 * var) - 0.5 * math.log(2 * math.pi * var)
     if d.family is Family.LAPLACE_EQUAL_MEAN:
         mu, s = p
         return -abs(x - mu) / s - math.log(2 * s)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .alpha import AlphaOrder
 from .errors import (
@@ -163,7 +162,8 @@ def toeplitz_cov(spec: StationaryGaussianSpec, n: int, _validate: bool = True) -
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    cov = scipy.linalg.toeplitz(autocov_lags(spec, n))
+    lags = np.arange(n)
+    cov = autocov_lags(spec, n)[np.abs(lags[:, None] - lags[None, :])]
     if _validate:
         cholesky_lower(cov, name="Toeplitz covariance")
     return cov

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
@@ -21,11 +20,18 @@ def as_symmetric_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def cholesky_lower(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure."""
+    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure.
+
+    A matrix with an infinite or NaN entry fails too: LAPACK factors it
+    without complaint, into a factor that is not finite.
+    """
     try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
+    if not np.isfinite(chol).all():
+        raise NotPositiveDefiniteError(f"{name} has entries that are not finite")
+    return chol
 
 
 def spd_logdet(a: np.ndarray, name: str = "matrix") -> float:
@@ -62,8 +68,8 @@ def toeplitz_logdet(first_column, name: str = "matrix") -> float:
 
 
 def spd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    chol = cholesky_lower(a, name=name)
-    identity = np.eye(a.shape[0])
-    inv = scipy.linalg.cho_solve((chol, True), identity)
+    """Inverse of a symmetric positive definite matrix via Cholesky:
+    A^-1 = L^-T L^-1 from the lower factor L."""
+    chol_inv = np.linalg.solve(cholesky_lower(a, name=name), np.eye(a.shape[0]))
+    inv = chol_inv.T @ chol_inv
     return (inv + inv.T) / 2.0

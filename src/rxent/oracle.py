@@ -4,7 +4,9 @@ Every closed form in this library is checked against direct numeric
 evaluation of its defining integral.  Infinite domains are folded onto a
 compact interval first (tangent or exponential map) so the adaptive rule
 sees the whole line; divergence of nonnegative integrands is detected by a
-window-doubling probe before the folded integral is attempted.
+window-doubling probe before the folded integral is attempted.  The
+adaptive rule is QUADPACK's, from ``scipy.integrate``, which is imported
+when the first integral runs.
 
 The routines here never call the closed forms they are used to check.
 """
@@ -18,7 +20,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, trapezoid
 
 from .alpha import AlphaOrder
 from .errors import InvalidAlphaError, InvalidParameterError, NonConvergenceError
@@ -74,8 +75,16 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def _quad_interval(f, a, b, settings: QuadratureSettings):
-    """scipy.integrate.quad with warnings returned instead of emitted."""
+def quad(f, a, b, **options):
+    """scipy.integrate.quad; scipy is imported on the first call."""
+    from scipy.integrate import quad as adaptive
+    return adaptive(f, a, b, **options)
+
+
+def _quad_interval(f, a, b, settings: QuadratureSettings, points=()):
+    """quad with warnings returned instead of emitted; ``points`` are kinks
+    inside (a, b) where the adaptive rule splits the interval."""
+    from scipy.integrate import IntegrationWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         value, abserr = quad(
@@ -85,6 +94,7 @@ def _quad_interval(f, a, b, settings: QuadratureSettings):
             epsabs=settings.absolute_tolerance,
             epsrel=settings.relative_tolerance,
             limit=settings.max_subdivisions,
+            points=points or None,
         )
     messages = [str(w.message) for w in caught if issubclass(w.category, IntegrationWarning)]
     divergent = any("divergent" in m for m in messages)
@@ -132,19 +142,36 @@ def _folded(f: Callable[[float], float], supp: SupportSpec, transform: DomainTra
     raise InvalidParameterError(f"cannot integrate over support kind {supp.kind}")
 
 
+def _folded_quad(f, supp: SupportSpec, settings: QuadratureSettings, points):
+    """``_quad_interval`` of f over supp after folding, split at the kinks
+    ``points`` of f that lie in supp.  On the whole line the exponential map
+    integrates f(x) + f(-x) over x > 0, so a kink x lands at e^-|x|."""
+    transform = settings.infinite_domain_transform
+    g, a, b = _folded(f, supp, transform)
+    inside = [x for x in points if supp.contains(x)]
+    if supp.kind is SupportKind.INTERVAL:
+        folded = inside
+    elif transform is DomainTransform.TANGENT:
+        folded = [math.atan(x) for x in inside]
+    else:
+        folded = [math.exp(-abs(x)) for x in inside]
+    return _quad_interval(g, a, b, settings, tuple(u for u in folded if a < u < b))
+
+
 def integrate(
     f: Callable[[float], float],
     supp: SupportSpec,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
+    points=(),
 ) -> tuple[float, float]:
     """Integrate f over a scalar support.
 
-    Returns (value, error_estimate).  Raises NonConvergenceError when the
-    adaptive rule reports trouble and its error estimate misses the
-    requested tolerance, or when the result is not finite.
+    ``points`` are kinks of f (in x), where the adaptive rule splits the
+    domain.  Returns (value, error_estimate).  Raises NonConvergenceError
+    when the adaptive rule reports trouble and its error estimate misses
+    the requested tolerance, or when the result is not finite.
     """
-    g, a, b = _folded(f, supp, settings.infinite_domain_transform)
-    value, abserr, messages, divergent = _quad_interval(g, a, b, settings)
+    value, abserr, messages, divergent = _folded_quad(f, supp, settings, points)
     if divergent or not math.isfinite(value):
         raise NonConvergenceError(
             f"integral did not converge: {messages[0] if messages else 'non-finite value'}"
@@ -194,12 +221,13 @@ def _diverges(f, supp: SupportSpec, settings: QuadratureSettings) -> bool:
     return run >= _PROBE_RUN
 
 
-def _nonnegative_integral(f, supp: SupportSpec, settings: QuadratureSettings) -> float:
-    """Integral of a nonnegative integrand, or +inf when it diverges."""
+def _nonnegative_integral(f, supp: SupportSpec, settings: QuadratureSettings,
+                          points=()) -> float:
+    """Integral of a nonnegative integrand, or +inf when it diverges;
+    ``points`` as for ``integrate``."""
     if _diverges(f, supp, settings):
         return math.inf
-    g, a, b = _folded(f, supp, settings.infinite_domain_transform)
-    value, abserr, messages, divergent = _quad_interval(g, a, b, settings)
+    value, abserr, messages, divergent = _folded_quad(f, supp, settings, points)
     if divergent or not math.isfinite(value):
         return math.inf
     tol = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
@@ -219,13 +247,15 @@ def cross_entropy_numeric(
     *,
     p_logpdf: Callable[[float], float] | None = None,
     q_logpdf: Callable[[float], float] | None = None,
+    points=(),
 ) -> float:
     """Order-alpha differential cross-entropy by direct quadrature.
 
     Evaluates (1/(1-alpha)) ln integral of p q^(alpha-1) over the common
     support; at the alpha -> 1 marker it evaluates -integral of p ln q.
     Returns +inf (alpha < 1) or -inf (alpha > 1) when the defining integral
-    diverges.
+    diverges.  ``points`` are kinks of p or q, such as the location of a
+    Laplace density, where the integral is split.
 
     When both log-densities are supplied, the integrand is formed in log
     space.  For alpha < 1 this matters: a reference density that underflows
@@ -258,7 +288,7 @@ def cross_entropy_numeric(
                     return math.inf
                 return -pv * math.log(qv)
 
-        value, _ = integrate(integrand, supp, settings)
+        value, _ = integrate(integrand, supp, settings, points)
         return value
 
     a = alpha.value
@@ -287,7 +317,7 @@ def cross_entropy_numeric(
                 return math.inf if a < 1.0 else 0.0
             return math.exp(math.log(pv) + (a - 1.0) * math.log(qv))
 
-    total = _nonnegative_integral(integrand, supp, settings)
+    total = _nonnegative_integral(integrand, supp, settings, points)
     if math.isinf(total):
         return math.inf if a < 1.0 else -math.inf
     if total <= 0.0:
@@ -386,6 +416,11 @@ def gaussian_pdf_2d(cov) -> Callable:
     return pdf
 
 
+def _trapezoid(y: np.ndarray, step: float):
+    """Trapezoid rule along the last axis of samples on a uniform grid."""
+    return step * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+
+
 def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
     """Cross-entropy of two zero-mean bivariate normals on a fixed tensor grid.
 
@@ -403,7 +438,7 @@ def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
     scale = math.sqrt(max(np.max(np.diag(np.asarray(cov1, dtype=float))),
                           np.max(np.diag(np.asarray(cov2, dtype=float)))))
     w = _GRID_SD_MULTIPLE * scale
-    axis = np.linspace(-w, w, _GRID_POINTS)
+    axis, step = np.linspace(-w, w, _GRID_POINTS, retstep=True)
     a = alpha.value
     inner = np.empty(_GRID_POINTS)
     for lo in range(0, _GRID_POINTS, _GRID_BLOCK_ROWS):
@@ -414,8 +449,8 @@ def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
             vals = np.where(p > 0, p * -np.log(np.maximum(q, 1e-320)), 0.0)
         else:
             vals = p * q ** (a - 1.0)
-        inner[rows] = trapezoid(vals, axis, axis=1)
-    total = float(trapezoid(inner, axis))
+        inner[rows] = _trapezoid(vals, step)
+    total = float(_trapezoid(inner, step))
     if alpha.is_one:
         return total
     if total <= 0.0:

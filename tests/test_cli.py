@@ -308,6 +308,21 @@ class TestSpecialCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and message in err
 
+    def test_far_gaussian_source_oracle_is_typed(self):
+        # (x - mu)^2 overflows a double for |x - mu| > 1.3e154
+        code, out, err = run_cli("xent special q-gaussian --p-family gaussian --p mu=1e200,var=1 "
+                                 "--mean 0 --var 1e300 --alpha 2 --oracle".split())
+        assert (code, out) == (1, "") and err.startswith("error:")
+
+    def test_laplace_source_oracle_matches_closed_form(self):
+        # the Laplace density has a kink at its location, where the quadrature splits
+        code, out, _ = run_cli("xent special q-gaussian --p-family laplace "
+                               "--p mu=1.6681,b=4.365294939636926 --mean -0.3559 "
+                               "--var 2.4304334322029684 --alpha 1.138085 --oracle "
+                               "--format json".split())
+        row = json.loads(out)
+        assert code == 0 and abs(row["oracle"] - row["value"]) <= 1e-8
+
     def test_huge_exponential_rate(self):
         code, out, _ = run_cli("xent special q-exponential --p-family gamma --p k=2,theta=1 "
                                "--rate 1e308 --alpha 2".split())

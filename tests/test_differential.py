@@ -652,3 +652,40 @@ class TestLogSpace:
             cross_entropy_q_gaussian(square, bad, 1.0, 2.0)
         with pytest.raises(InvalidParameterError):
             mgf_of_centered_square(E.exponential(1.0), bad)
+
+
+class TestClosedFormsNearOne:
+    """ln Gamma differences divided by 1 - alpha: the closed forms sum them
+    term by term, so the value keeps its digits at |alpha - 1| ~ 1e-9."""
+
+    @staticmethod
+    def _reference(f1, f2, a):
+        with mp.workdps(40):
+            a = mp.mpf(a)
+            p1, p2 = [mp.mpf(v) for v in f1.params], [mp.mpf(v) for v in f2.params]
+            if f1.family.value == "beta":
+                (a1, b1), (a2, b2) = p1, p2
+                ah, bh = a1 + (a - 1) * (a2 - 1), b1 + (a - 1) * (b2 - 1)
+                step = mp.log(mp.beta(ah, bh)) - mp.log(mp.beta(a1, b1))
+                return float(mp.log(mp.beta(a2, b2)) + step / (1 - a))
+            if f1.family.value == "gamma":
+                (k1, t1), (k2, t2) = p1, p2
+                kh, th = k1 + (a - 1) * (k2 - 1), 1 / (1 / t1 + (a - 1) / t2)
+                step = mp.loggamma(kh) + kh * mp.log(th) - mp.loggamma(k1) - k1 * mp.log(t1)
+                return float(step / (1 - a) + mp.loggamma(k2) + k2 * mp.log(t2))
+            (nu1,), (nu2,) = p1, p2
+            nuh = nu1 + (a - 1) * (nu2 - 2)
+            step = mp.loggamma(nuh / 2) - mp.loggamma(nu1 / 2) - nuh / 2 * mp.log(a)
+            return float(step / (1 - a) + mp.log(2) + mp.loggamma(nu2 / 2))
+
+    @pytest.mark.parametrize("f1, f2", [
+        (E.beta(0.6808491250705226, 2.75896853758957), E.beta(0.5100192422182414, 3.211390663132383)),
+        (E.gamma(1.0845193312024632, 0.3707551948700261),
+         E.gamma(0.8646484809683953, 3.3749364569856666)),
+        (E.chi_squared(0.8035747398271624), E.chi_squared(2.2940829372323233)),
+    ], ids=lambda d: d.family.value)
+    @pytest.mark.parametrize("t", [1.3e-9, -1.3e-9, 2e-8, -7e-7])
+    def test_matches_mpmath(self, f1, f2, t):
+        a = 1.0 + t
+        assert_allclose(cross_entropy_closed(f1, f2, a).value, self._reference(f1, f2, a),
+                        rtol=1e-8)

@@ -1,12 +1,18 @@
-"""Static checks of which modules the package imports.
+"""Checks of which modules the package imports.
 
 Quadrature belongs to the referee (``oracle.py``) alone, and the closed forms
 reach it only for the numeric MGF of Gamma and Beta sources; graph algorithms
 come from numpy, and the exponential-family representation does not depend
-on the referee it is checked against.
+on the referee it is checked against.  scipy is the referee's adaptive
+rule: no other module imports it, and ``oracle.py`` imports it only when
+the first integral runs.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -57,3 +63,78 @@ def test_differential_uses_only_the_numeric_mgf_of_oracle():
     assert used == {"mgf_numeric"}
     assert not any(isinstance(node, ast.ImportFrom) and node.module
                    and node.module.split(".")[-1] == "oracle" for node in ast.walk(tree))
+
+
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracle.py"],
+                         ids=lambda p: p.name)
+def test_no_scipy_outside_oracle(path):
+    assert not any(_is_scipy(n) for n in imported_modules(path))
+
+
+def test_oracle_imports_scipy_only_inside_functions():
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # everything outside function bodies runs at import time, class bodies too
+    pending, at_import = list(tree.body), []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            at_import += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            at_import.append(node.module or "")
+        pending.extend(ast.iter_child_nodes(node))
+    assert at_import and not any(_is_scipy(n) for n in at_import)
+    assert any(_is_scipy(n) for n in imported_modules(path))
+
+
+def test_closed_form_sweeps_load_no_scipy(tmp_path):
+    """Importing the package and the CLI, then one sweep per target that
+    needs no quadrature, leaves scipy unloaded."""
+    files = {"p.csv": "0.5,0.3,0.2\n", "q.csv": "0.4,0.4,0.2\n",
+             "P.csv": "0.9,0.1\n0.2,0.8\n", "Q.csv": "0.7,0.3\n0.4,0.6\n",
+             "c1.csv": "2.0,0.3\n0.3,1.0\n", "c2.csv": "1.5,-0.2\n-0.2,0.8\n",
+             "r.csv": "2.0\n0.6\n-0.2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    families = {"gaussian": ("mu=0.3,var=1.5", "mu=-0.2,var=2"),
+                "exponential": ("lambda=1.5", "lambda=0.7"),
+                "beta": ("a=2.5,b=1.5", "a=0.8,b=3"),
+                "gamma": ("k=2,theta=0.5", "k=1.5,theta=1.2"),
+                "chi2": ("nu=3", "nu=5"),
+                "laplace": ("mu=0.4,b=0.7", "mu=0.4,b=1.3")}
+    # grids step through alpha = 1 except where the target rejects it there
+    sweeps = [("discrete --p p.csv --q q.csv", "0.5:3:0.25"),
+              ("expfam --family mvgauss --p c1.csv --q c2.csv", "0.5:3:0.25"),
+              ("special q-gaussian --p-family laplace --p mu=0.2,b=0.8 --mean -0.5 --var 1.5",
+               "1:3:0.25"),
+              ("special q-exponential --p-family gamma --p k=2,theta=0.5 --rate 1.5",
+               "0.5:3:0.25"),
+              ("special q-exponential --p-family beta --p a=2,b=3 --rate 1.5", "0.5:3:0.25"),
+              ("special q-half-normal --p-family exponential --p lambda=1.5 --var 2",
+               "1:3:0.25"),
+              ("special p-uniform --q a=2,b=3", "0.5:3:0.25"),
+              ("markov --p P.csv --q Q.csv", "0.5:3:0.25"),
+              ("gauss --x r.csv --y ar1:0.3,2", "0.25:2.75:0.5")]
+    sweeps += [(f"expfam --family {family} --p {p} --q {q} --method {method}", "0.5:3:0.25")
+               for family, (p, q) in families.items() for method in ("closed", "natural")]
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import rxent, rxent.cli
+        for words, grid in {sweeps!r}:
+            argv = ["sweep"] + words.split() + ["--alphas", grid]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = rxent.cli.main(argv)
+            assert code in (0, 2), (words, code)  # 2: an order diverges
+        print(sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy.")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,7 +4,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from rxent import NotPositiveDefiniteError
-from rxent.linalg import toeplitz_logdet
+from rxent.gaussproc import StationaryGaussianSpec, toeplitz_cov
+from rxent.linalg import cholesky_lower, spd_inverse, toeplitz_logdet
 
 
 def random_spd_column(rng, n):
@@ -42,3 +43,30 @@ class TestToeplitzLogdet:
     def test_error_names_the_matrix(self):
         with pytest.raises(NotPositiveDefiniteError, match="reference"):
             toeplitz_logdet(np.array([1.0, 2.0]), name="reference")
+
+
+class TestCholeskyHelpers:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_is_typed(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_lower(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_indefinite_matrix_is_typed(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_spd_inverse(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        spd = a @ a.T + n * np.eye(n)
+        inv = spd_inverse(spd)
+        assert np.array_equal(inv, inv.T)
+        assert_allclose(inv, np.linalg.inv(spd), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_toeplitz_cov_matches_scipy(self, n):
+        spec = StationaryGaussianSpec.from_autocovariance([2.0, 0.6, -0.2])
+        r = np.zeros(n)
+        r[:min(n, 3)] = spec.autocov[:min(n, 3)]
+        assert np.array_equal(toeplitz_cov(spec, n), scipy.linalg.toeplitz(r))

@@ -272,3 +272,41 @@ class TestGrid2d:
         exact = math.log((4 * math.pi) ** 1.0 * math.sqrt(det))
         value = cross_entropy_grid2d_gaussian(cov, cov, AlphaOrder(2.0))
         assert abs(value - exact) < 1e-6
+
+
+class TestKinks:
+    @pytest.mark.parametrize("transform", list(DomainTransform))
+    @pytest.mark.parametrize("supp, kink, want", [
+        (LINE, -0.7, 2.0),
+        (LINE, 1.3, 2.0),
+        (HALF, 1.3, 2.0 - math.exp(-1.3)),
+        (HALF, -0.5, math.exp(-0.5)),
+        (HALF, -800.0, 0.0),
+        (SupportSpec.interval(0.0, 2.0), 0.5, 2.0 - math.exp(-0.5) - math.exp(-1.5)),
+    ])
+    def test_kink_lands_on_its_folded_point(self, monkeypatch, transform, supp, kink, want):
+        from rxent import oracle
+
+        seen = []
+        real = oracle.quad
+
+        def spy(f, a, b, **options):
+            seen.append(options["points"])
+            return real(f, a, b, **options)
+
+        monkeypatch.setattr(oracle, "quad", spy)
+        settings = QuadratureSettings(infinite_domain_transform=transform)
+        value, _ = integrate(lambda x: math.exp(-abs(x - kink)), supp, settings, points=(kink,))
+        assert value == pytest.approx(want, rel=1e-10)
+        (points,) = seen
+        if supp is HALF and kink < 0:
+            assert points is None
+            return
+        (u,) = points
+        if supp.kind.value == "interval":
+            back = u
+        elif transform is DomainTransform.TANGENT:
+            back = math.tan(u)
+        else:
+            back = -math.log(u) if supp is HALF else math.copysign(-math.log(u), kink)
+        assert back == pytest.approx(kink, rel=1e-14)

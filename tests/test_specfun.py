@@ -1,0 +1,153 @@
+"""The special functions against 30-digit mpmath, and logsumexp against scipy.
+
+Parameters cover the ranges the benchmark draws: Beta and Gamma parameters
+0.4-8, chi-squared half-degrees 0.3-6, combined parameters up to about 60,
+and Beta MGF arguments rate (1 - alpha) in [-21, 2.6].
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+from scipy.special import hyp1f1
+from scipy.special import logsumexp as scipy_logsumexp
+
+from rxent import DoubleRangeError
+from rxent.differential import mgf_of
+from rxent.expfam import ExpFamilyDistribution as E
+from rxent.specfun import (
+    betaln, betaln_step, digamma, erfcx, gammaln, gammaln_step, log_kummer, logsumexp,
+)
+
+ARGS = [float(x) for x in np.geomspace(0.3, 60.0, 13)]
+
+
+def _close(got, want, rtol=1e-14, atol=0.0):
+    return abs(got - want) <= rtol * abs(want) + atol
+
+
+class TestGammaFunctions:
+    @pytest.mark.parametrize("x", ARGS + [1e-300, 1.0, 2.0, 1e8, 1e300])
+    def test_gammaln(self, x):
+        with mp.workdps(30):
+            want = float(mp.loggamma(x))
+        assert _close(gammaln(x), want, atol=1e-15)
+
+    def test_gammaln_beyond_double_range_is_inf(self):
+        assert gammaln(1e306) == math.inf
+
+    @pytest.mark.parametrize("x", ARGS + [1e-3, 1.4, 1.46, 1.4616321449683622, 1.47, 1.5,
+                                          9.999, 10.0, 1e3, 1e8])
+    def test_digamma(self, x):
+        # relative 1e-14, but near the positive root 1.4616... the value
+        # cancels and only the absolute error stays small
+        with mp.workdps(30):
+            want = float(mp.digamma(x))
+        assert _close(digamma(x), want, atol=2e-15)
+
+    @pytest.mark.parametrize("a", ARGS)
+    @pytest.mark.parametrize("b", ARGS)
+    def test_betaln(self, a, b):
+        with mp.workdps(30):
+            want = float(mp.log(mp.beta(a, b)))
+        assert _close(betaln(a, b), want, atol=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(1e8, 0.5), (0.5, 1e8), (10.0, 0.3), (9.999, 0.3),
+                                      (1e8, 1e8), (1e-320, 2.0), (3.0, 3.0)])
+    def test_betaln_extremes(self, a, b):
+        with mp.workdps(30):
+            want = float(mp.log(mp.beta(a, b)))
+        assert _close(betaln(a, b), want)
+
+
+class TestSteps:
+    @pytest.mark.parametrize("x", [0.3, 0.4018, 1.0, 2.75, 7.9, 10.0, 33.0])
+    @pytest.mark.parametrize("h", [1e-12, -1.3e-9, 2e-8, -7e-7, 1e-4, 0.25, -0.29, 5.0, 49.0])
+    def test_gammaln_step(self, x, h):
+        # absolute error about 1e-18 as h -> 0, where a difference of two
+        # ln Gamma values keeps about 1e-16
+        with mp.workdps(40):
+            want = float(mp.loggamma(mp.mpf(x) + mp.mpf(h)) - mp.loggamma(x))
+        assert _close(gammaln_step(x, h), want, atol=1e-17)
+
+    def test_gammaln_step_to_the_edge(self):
+        # x + h = 2^-53: 1 + h / x would keep about one bit of it
+        x = 0.5
+        h = -0.5 + 2.0 ** -53
+        with mp.workdps(40):
+            want = float(mp.loggamma(mp.mpf(x) + mp.mpf(h)) - mp.loggamma(x))
+        assert _close(gammaln_step(x, h), want)
+
+    @pytest.mark.parametrize("h", [1.3e-9, -2e-8, 1e-4, 0.5])
+    def test_betaln_step(self, h):
+        a, b, da, db = 0.68, 2.76, h * -0.49, h * 2.21
+        with mp.workdps(40):
+            want = float(mp.log(mp.beta(mp.mpf(a) + mp.mpf(da), mp.mpf(b) + mp.mpf(db)))
+                         - mp.log(mp.beta(a, b)))
+        assert _close(betaln_step(a, b, da, db), want, atol=1e-17)
+
+
+class TestKummer:
+    @pytest.mark.parametrize("a", [0.4, 1.3, 3.7, 8.0])
+    @pytest.mark.parametrize("b", [0.4, 1.3, 3.7, 8.0])
+    @pytest.mark.parametrize("t", [-21.0, -7.5, -1.0, -1e-3, 0.0, 1e-3, 0.9, 2.55])
+    def test_matches_mpmath(self, a, b, t):
+        with mp.workdps(30):
+            want = float(mp.hyp1f1(a, a + b, t))
+        assert_allclose(math.exp(log_kummer(a, b, t)), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("t", [-800.0, -3000.0])
+    def test_large_negative_argument(self, t):
+        # e^-t M(b, a + b, -t) overflows a double, so the sum is rescaled;
+        # its running product of term ratios rounds about |t| times
+        with mp.workdps(30):
+            want = float(mp.log(mp.hyp1f1(2.5, 6.0, t)))
+        assert_allclose(log_kummer(2.5, 3.5, t), want, rtol=1e-16 * abs(t))
+
+    def test_overflow_point(self):
+        a, b = 2.0, 3.0
+        with mp.workdps(30):
+            edge = mp.findroot(lambda t: mp.log(mp.hyp1f1(a, a + b, t))
+                               - mp.log(np.finfo(float).max), 726.0)
+            below, above = float(edge * (1 - 1e-9)), float(edge * (1 + 1e-9))
+            want = float(mp.log(mp.hyp1f1(a, a + b, below)))
+        assert_allclose(log_kummer(a, b, below), want, rtol=1e-14)
+        assert log_kummer(a, b, above) == math.inf
+        assert math.isfinite(hyp1f1(a, a + b, below)) and hyp1f1(a, a + b, above) == math.inf
+        mgf = mgf_of(E.beta(a, b))
+        assert_allclose(mgf.log(below), want, rtol=1e-14)
+        with pytest.raises(DoubleRangeError):
+            mgf.log(above)
+
+
+class TestErfcx:
+    @pytest.mark.parametrize("z", [0.0, 1e-300] + [float(z) for z in np.geomspace(1e-6, 1e8, 43)]
+                             + [25.999, 26.0, 26.001])
+    def test_matches_mpmath(self, z):
+        with mp.workdps(30):
+            want = float(mp.exp(mp.mpf(z) ** 2) * mp.erfc(z))
+        assert_allclose(erfcx(z), want, rtol=1e-14)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("terms", [
+        [], [-math.inf], [-math.inf, -math.inf], [math.inf, 1.0], [math.inf, -math.inf],
+        [-math.inf, math.inf], [math.nan, 1.0], [1.0, math.nan, math.inf], [0.0],
+        [1.0, 2.0, 3.0], [0.0, -800.0], [-1e300, -1e300], [700.0, 700.0, -math.inf],
+    ], ids=repr)
+    def test_edge_cases_match_scipy(self, terms):
+        terms = np.array(terms, dtype=float)
+        got, want = logsumexp(terms), float(scipy_logsumexp(terms))
+        assert isinstance(got, float)
+        assert got == want or (math.isnan(got) and math.isnan(want)) or \
+            abs(got - want) <= 1e-15 * abs(want)
+
+    def test_random_vectors_match_scipy(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 20, 200):
+            for scale in (1e-3, 1.0, 50.0, 1e3):
+                terms = scale * rng.normal(size=size)
+                assert_allclose(logsumexp(terms), scipy_logsumexp(terms), rtol=1e-15,
+                                atol=1e-300)
