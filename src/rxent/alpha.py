@@ -2,9 +2,12 @@
 
 An order is either a finite positive float different from 1, or one of two
 explicit limit markers: ``AlphaOrder.one()`` for the alpha -> 1 (Shannon)
-limit and ``AlphaOrder.inf()`` for the alpha -> infinity limit.  Finite
-floats within 1e-9 of 1 are rejected rather than silently treated as the
-limit, because the 1/(1-alpha) prefactors lose all precision there.
+limit and ``AlphaOrder.inf()`` for the alpha -> infinity limit.  Every
+target computes the marker from its own order-alpha formula at
+t = alpha - 1 = 0, and keeps its digits right up to it.  Finite floats
+within 1e-9 of 1 are still rejected: the special-case reducers priced
+through a moment generating function divide ln M by 1 - alpha, which loses
+all precision there.
 """
 
 from __future__ import annotations

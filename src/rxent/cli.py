@@ -23,9 +23,11 @@ its grid; a value that does not parse as a number is a usage error.
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
 with status 2; usage and computation errors exit with status 1.  Orders:
-``--alpha 1`` selects the Shannon limit, ``--alpha inf`` the min-entropy
-limit (discrete only); other floats within 1e-9 of 1 are rejected.  Sweep
-grid points that land on 1 are evaluated at the Shannon limit.  The
+``--alpha 1`` selects the Shannon limit, which every target takes from its
+own order-alpha formula, ``--alpha inf`` the min-entropy limit (discrete
+only); other floats within 1e-9 of 1 are rejected.  Sweep grid points that
+land on 1 are evaluated at the Shannon limit, so any grid may step through
+1.  The
 environment variable ``XENT_QUAD_TOL`` overrides the relative tolerance of
 the quadrature used for ``--oracle`` checks.
 """
@@ -221,10 +223,11 @@ def _parse_alpha_grid(text: str) -> tuple[AlphaOrder, ...]:
 def _add_common(sp, sweep: bool):
     if sweep:
         sp.add_argument("--alphas", required=True,
-                        help="inclusive grid start:stop:step (points on 1 use the Shannon limit)")
+                        help="inclusive grid start:stop:step (a point on 1 takes the Shannon limit)")
     else:
         sp.add_argument("--alpha", required=True,
-                        help="order: a positive float, '1' (Shannon), or 'inf'")
+                        help="order: a positive float, '1' (the Shannon limit), or 'inf' "
+                             "(discrete only)")
     sp.add_argument("--oracle", action="store_true",
                     help="also print an independent oracle value and the gap")
     sp.add_argument("--format", choices=[f.value for f in OutputFormat],

@@ -1,22 +1,20 @@
 """Differential Renyi cross-entropy in closed form.
 
 Two independent routes are provided for pairs inside one exponential
-family:
+family.  Both write the value as a function of t = alpha - 1 without a
+1/(1 - alpha) cancellation, so t = 0 gives the Shannon cross-entropy
+-E_1[ln f2] from the same formula:
 
 * ``cross_entropy_natural`` works entirely in the representation
-  f = b exp(eta . T + A): with eta_h = eta1 + (alpha - 1) eta2,
+  f = b exp(eta . T + A): with eta_h = eta1 + t eta2,
 
-      h_alpha(f1; f2) = [A(eta1) - A(eta_h) + ln E_h] / (1 - alpha) - A(eta2),
+      h_alpha(f1; f2) = [A(eta_h) - A(eta1)] / t - ln E_h[b^t] / t - A(eta2),
 
-  where E_h is the expectation of b(X)^(alpha-1) under the member eta_h.
+  where E_h is the expectation under the member eta_h and both quotients
+  are the family's divided differences.
 * ``cross_entropy_closed`` evaluates the per-family formulas obtained by
-  carrying out that algebra analytically.
-
-At the alpha -> 1 marker both routes give the Shannon cross-entropy
--E_1[ln f2] in closed form: the engine as
--E_1[ln b] - eta2 . E_1[T] - A(eta2) with E_1[T] = -grad A(eta1), the
-closed route by per-family formulas (digamma means for the ln x
-statistics).
+  carrying out that algebra analytically, from log1p(t r) / t and ln Gamma
+  divided differences.
 
 The two agree to ~1e-12 wherever the defining integral converges, and both
 flag the same divergences; keeping both routes makes each an internal check
@@ -60,17 +58,25 @@ from .expfam import (
     combine_natural,
     log_base_expectation,
     log_partition,
-    mean_log_base,
-    mean_statistic,
+    log_partition_slope,
     to_natural,
 )
 from .linalg import (
     as_symmetric_matrix,
     cholesky_lower,
-    spd_inverse,
+    relative_eigenvalues,
     spd_logdet,
 )
-from .specfun import betaln, betaln_step, digamma, erfcx, gammaln, gammaln_step, log_kummer
+from .specfun import (
+    betaln,
+    betaln_slope,
+    erfcx,
+    gammaln,
+    gammaln_slope,
+    log1p_slope,
+    log1p_slope_sum,
+    log_kummer,
+)
 from .support import SupportSpec
 
 
@@ -127,35 +133,23 @@ def cross_entropy_natural(
 ) -> CrossEntropyResult:
     """Cross-entropy through the combined natural parameter.
 
-    Uses only the family's (b, T, eta, A) representation plus the base
-    expectation E_h; no per-family cross-entropy formula.  The combined
-    parameter leaves the natural domain exactly when the defining integral
-    diverges.  At the alpha -> 1 marker it returns
-    -E_1[ln b] - eta2 . E_1[T] - A(eta2).
+    Uses only the family's (b, T, eta, A) representation (see the module
+    docstring); at t = 0 the divided differences give the Shannon value
+    -E_1[ln b] - eta2 . E_1[T] - A(eta2).  The combined parameter leaves the
+    natural domain exactly when the defining integral diverges.
     """
     _check_pair(f1, f2)
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
     eta1, eta2 = to_natural(f1), to_natural(f2)
-    if alpha.is_one:
-        value = (
-            -mean_log_base(eta1)
-            - float(eta2.components @ mean_statistic(eta1))
-            - log_partition(eta2)
-        )
-        return _finite(value, Method.NATURAL_PARAMS)
-
-    a = alpha.value
     try:
         eta_h = combine_natural(eta1, eta2, alpha)
     except OutOfDomainError:
         return _diverged(alpha, Method.NATURAL_PARAMS)
-    value = (
-        (log_partition(eta1) - log_partition(eta_h) + log_base_expectation(eta_h, alpha))
-        / (1.0 - a)
-        - log_partition(eta2)
-    )
+    t = alpha.value - 1.0
+    value = (log_partition_slope(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
+             - log_partition(eta2))
     return _finite(value, Method.NATURAL_PARAMS)
 
 
@@ -165,8 +159,10 @@ def cross_entropy_closed(
     """Per-family closed form of the order-alpha cross-entropy.
 
     Each branch spells out its existence condition; outside it the result
-    is a divergence marker, never an approximation.  The alpha -> 1 marker
-    gives the per-family Shannon cross-entropy -E_1[ln f2].
+    is a divergence marker, never an approximation.  Every formula is a
+    function of t = alpha - 1 built from log1p(t r) / t and
+    [ln Gamma(x + c t) - ln Gamma(x)] / t, whose limits r and c psi(x) make
+    t = 0 the Shannon cross-entropy -E_1[ln f2].
     """
     _check_pair(f1, f2)
     if f1.family is Family.MV_GAUSSIAN_ZERO_MEAN:
@@ -176,95 +172,59 @@ def cross_entropy_closed(
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    a, one, m = alpha.value, alpha.is_one, Method.CLOSED_FORM
+    t, m = alpha.value - 1.0, Method.CLOSED_FORM
 
     if f1.family is Family.BETA:
         a1, b1 = f1.params
         a2, b2 = f2.params
-        if one:
-            psi = digamma(a1 + b1)
-            value = betaln(a2, b2) - (a2 - 1) * (digamma(a1) - psi) - (b2 - 1) * (digamma(b1) - psi)
-            return _finite(value, m)
-        da, db = (a - 1) * (a2 - 1), (a - 1) * (b2 - 1)
-        if a1 + da <= 0 or b1 + db <= 0:
+        if a1 + t * (a2 - 1) <= 0 or b1 + t * (b2 - 1) <= 0:
             return _diverged(alpha, m)
-        value = betaln(a2, b2) + betaln_step(a1, b1, da, db) / (1.0 - a)
-        return _finite(value, m)
+        return _finite(betaln(a2, b2) - betaln_slope(a1, b1, a2 - 1, b2 - 1, t), m)
 
     if f1.family is Family.CHI_SQUARED:
         nu1, = f1.params
         nu2, = f2.params
-        if one:
-            value = gammaln(nu2 / 2) + math.log(2) + nu1 / 2 - (nu2 / 2 - 1) * digamma(nu1 / 2)
-            return _finite(value, m)
-        nu_h = nu1 + (a - 1) * (nu2 - 2)
+        nu_h = nu1 + t * (nu2 - 2)
         if nu_h <= 0:
             return _diverged(alpha, m)
-        value = (
-            (gammaln_step(nu1 / 2, (a - 1) * (nu2 - 2) / 2) - (nu_h / 2) * math.log(a))
-            / (1.0 - a)
-            + math.log(2)
-            + gammaln(nu2 / 2)
-        )
+        value = (-gammaln_slope(nu1 / 2, nu2 / 2 - 1, t) + (nu_h / 2) * log1p_slope(t, 1.0)
+                 + math.log(2) + gammaln(nu2 / 2))
         return _finite(value, m)
 
     if f1.family is Family.EXPONENTIAL:
         lam1, = f1.params
         lam2, = f2.params
-        if one:
-            return _finite(lam2 / lam1 - math.log(lam2), m)
-        lam_h = lam1 + (a - 1) * lam2
-        if lam_h <= 0:
+        if t * (lam2 / lam1) <= -1.0:
             return _diverged(alpha, m)
-        value = math.log(lam1 / lam_h) / (1.0 - a) - math.log(lam2)
-        return _finite(value, m)
+        return _finite(log1p_slope(t, lam2 / lam1) - math.log(lam2), m)
 
     if f1.family is Family.GAMMA:
         k1, th1 = f1.params
         k2, th2 = f2.params
-        if one:
-            value = (gammaln(k2) + k2 * math.log(th2) + k1 * th1 / th2
-                     - (k2 - 1) * (digamma(k1) + math.log(th1)))
-            return _finite(value, m)
-        dk = (a - 1) * (k2 - 1)
-        u = (a - 1) * th1 / th2  # rate_h th1 - 1, rate_h = 1/th1 + (a - 1)/th2
-        if k1 + dk <= 0 or u <= -1.0:
+        r = th1 / th2  # rate_h th1 = 1 + t r, rate_h = 1/th1 + t/th2
+        if k1 + t * (k2 - 1) <= 0 or t * r <= -1.0:
             return _diverged(alpha, m)
-        # k_h ln th_h - k1 ln th1 = (k_h - k1) ln th1 - k_h ln(rate_h th1)
-        log_scale = dk * math.log(th1) - (k1 + dk) * math.log1p(u)
-        value = (
-            (gammaln_step(k1, dk) + log_scale)
-            / (1.0 - a)
-            + gammaln(k2)
-            + k2 * math.log(th2)
-        )
+        # the scale term [k_h ln th_h - k1 ln th1] / -t, k_h = k1 + t (k2 - 1)
+        value = (-gammaln_slope(k1, k2 - 1, t) - (k2 - 1) * math.log(th1)
+                 + (k1 + t * (k2 - 1)) * log1p_slope(t, r)
+                 + gammaln(k2) + k2 * math.log(th2))
         return _finite(value, m)
 
     if f1.family is Family.GAUSSIAN:
         mu1, v1 = f1.params
         mu2, v2 = f2.params
-        if one:
-            return _finite(0.5 * (math.log(2 * math.pi * v2) + (v1 + (mu1 - mu2) ** 2) / v2), m)
-        v_h = v2 + (a - 1) * v1
-        if v_h <= 0:
+        if t * (v1 / v2) <= -1.0:  # v_h = v2 (1 + t v1 / v2) > 0
             return _diverged(alpha, m)
-        value = 0.5 * (
-            math.log(2 * math.pi * v2)
-            + math.log(v2 / v_h) / (1.0 - a)
-            + (mu1 - mu2) ** 2 / v_h
-        )
+        value = 0.5 * (math.log(2 * math.pi * v2) + log1p_slope(t, v1 / v2)
+                       + (mu1 - mu2) ** 2 / (v2 * (1.0 + t * (v1 / v2))))
         return _finite(value, m)
 
     if f1.family is Family.LAPLACE_EQUAL_MEAN:
         _, s1 = f1.params
         _, s2 = f2.params
-        if one:
-            return _finite(math.log(2 * s2) + s1 / s2, m)
-        s_h = s2 + (a - 1) * s1
-        if s_h <= 0:
+        if t * (s1 / s2) <= -1.0:
             return _diverged(alpha, m)
-        value = math.log(2 * s2) + math.log(s2 / s_h) / (1.0 - a)
-        return _finite(value, m)
+        return _finite(math.log(2 * s2) + log1p_slope(t, s1 / s2), m)
 
     raise InvalidParameterError(f"no closed form for family {f1.family}")
 
@@ -272,14 +232,14 @@ def cross_entropy_closed(
 def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult:
     """Cross-entropy of zero-mean multivariate normals.
 
-    With S = cov1^-1 + (alpha - 1) cov2^-1,
+    With t = alpha - 1 and lambda_i the eigenvalues of cov1 cov2^-1,
 
-        h_alpha = [ln det cov1 + ln det S] / (2 (alpha - 1))
+        h_alpha = sum_i log1p(t lambda_i) / (2 t)
                   + (1/2) ln det cov2 + (n/2) ln 2 pi,
 
-    finite exactly when S is positive definite (always for alpha > 1).  The
-    alpha -> 1 marker gives the Shannon value
-    (n/2) ln 2 pi + (1/2) ln det cov2 + (1/2) tr(cov2^-1 cov1).
+    finite exactly when every 1 + t lambda_i is positive (always for
+    alpha > 1).  At t = 0 the sum is (1/2) tr(cov2^-1 cov1), the Shannon
+    value.
     """
     cov1 = as_symmetric_matrix(cov1, name="cov1")
     cov2 = as_symmetric_matrix(cov2, name="cov2")
@@ -288,28 +248,15 @@ def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult
             f"covariance shapes differ: {cov1.shape} vs {cov2.shape}"
         )
     n = cov1.shape[0]
-    inv1 = spd_inverse(cov1, name="cov1")
-    inv2 = spd_inverse(cov2, name="cov2")
+    cholesky_lower(cov1, name="cov1")  # SPD check
+    lam = relative_eigenvalues(cov1, cov2, name="cov2")
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    if alpha.is_one:
-        value = 0.5 * (
-            n * LOG_2PI + spd_logdet(cov2, name="cov2") + float(np.trace(inv2 @ cov1))
-        )
-        return _finite(value, Method.CLOSED_FORM)
-    a = alpha.value
-    s = as_symmetric_matrix(inv1 + (a - 1.0) * inv2)
-    try:
-        chol = cholesky_lower(s)
-    except NotPositiveDefiniteError:
+    t = alpha.value - 1.0
+    if np.any(1.0 + t * lam <= 0.0):
         return _diverged(alpha, Method.CLOSED_FORM)
-    logdet_s = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = (
-        (spd_logdet(cov1, name="cov1") + logdet_s) / (2.0 * (a - 1.0))
-        + 0.5 * spd_logdet(cov2, name="cov2")
-        + 0.5 * n * LOG_2PI
-    )
+    value = 0.5 * (log1p_slope_sum(t, lam) + spd_logdet(cov2, name="cov2") + n * LOG_2PI)
     return _finite(value, Method.CLOSED_FORM)
 
 
@@ -340,11 +287,12 @@ def cross_entropy_p_uniform(
 
     At alpha = 2 the integral is exactly 1, so the value is ln |S| no matter
     what q is.  q must be a Beta member (the only supported family on a
-    bounded interval), so the integral has the closed form
-    B(a', b') / B(a, b)^(alpha-1) with a' = (alpha-1)(a-1) + 1.
+    bounded interval, so |S| = 1): with t = alpha - 1 the integral is
+    B(1 + t (a - 1), 1 + t (b - 1)) / B(a, b)^t, and the value ln B(a, b)
+    minus the divided difference of ln B from (1, 1), whose t = 0 limit
+    gives the Shannon value (a - 1) + (b - 1) + ln B(a, b).
     """
-    length = supp.length
-    if length is None:
+    if supp.length is None:
         raise InfiniteSupportError("uniform source needs a finite-length support")
     if q.support != supp:
         raise InvalidParameterError(
@@ -356,19 +304,10 @@ def cross_entropy_p_uniform(
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    m = Method.SPECIAL_CASE
-    if alpha.is_one:
-        # -mean of ln q over (0,1): integral ln x dx = -1 on the unit interval
-        value = (qa - 1.0) + (qb - 1.0) + betaln(qa, qb)
-        return _finite(value, m)
-    a = alpha.value
-    a_bar = (a - 1.0) * (qa - 1.0) + 1.0
-    b_bar = (a - 1.0) * (qb - 1.0) + 1.0
-    if a_bar <= 0 or b_bar <= 0:
+    t, m = alpha.value - 1.0, Method.SPECIAL_CASE
+    if t * (qa - 1.0) <= -1.0 or t * (qb - 1.0) <= -1.0:
         return _diverged(alpha, m)
-    log_integral = betaln(a_bar, b_bar) - (a - 1.0) * betaln(qa, qb)
-    value = (-math.log(length) + log_integral) / (1.0 - a)
-    return _finite(value, m)
+    return _finite(betaln(qa, qb) - betaln_slope(1.0, 1.0, qa - 1.0, qb - 1.0, t), m)
 
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)

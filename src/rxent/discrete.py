@@ -1,11 +1,13 @@
 """Renyi entropy, divergence, and cross-entropy for finite alphabets.
 
-All sums are evaluated in log space (logsumexp) so that extreme orders such
-as alpha = 1000 keep full precision.  Values are in nats.  Conventions for
-zero masses follow the usual measure-theoretic limits: terms with p(x) = 0
-contribute nothing, and q(x) = 0 on the support of p sends divergence and
-cross-entropy to +inf whenever the exponent alpha - 1 is negative (and the
-alpha -> 1 and alpha -> infinity limits).
+Each measure is one function of t = alpha - 1, ln(sum p e^(t x)) / t for a
+per-symbol x (ln q, ln p or ln(p/q)), whose t = 0 value is the Shannon
+measure: near t = 0 the sum goes through log1p and expm1, far from it
+through logsumexp, so orders from 1 to 1000 keep full precision.  Values
+are in nats.  Conventions for zero masses follow the usual
+measure-theoretic limits: terms with p(x) = 0 contribute nothing, and
+q(x) = 0 on the support of p sends the cross-entropy to +inf for
+alpha <= 1 and the divergence to +inf for alpha >= 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import DimensionMismatchError, InvalidParameterError
 from .specfun import logsumexp
 
 _MASS_TOLERANCE = 1e-12
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,90 +66,95 @@ def _pair(p: DiscreteDistribution, q: DiscreteDistribution):
     return p.probs, q.probs
 
 
+def _log_mean_exp_slope(p: np.ndarray, x: np.ndarray, t: float) -> float:
+    """ln(sum p e^(t x)) / t for masses p > 0, and its limit sum p x at t = 0.
+
+    Below |t| = 1/2 it is log1p(sum p expm1(t x) / sum p) / t: the masses
+    are only weights, so their slack (up to 1e-12) does not enter as
+    ln(sum p) / t, and terms of one sign never cancel.  Where that mean is
+    -1/2 or less (no cancellation left to avoid), where e^(t x) would
+    overflow, and above |t| = 1/2, the log-space sum; x = -inf with t > 0
+    contributes 0, so disjoint supports give -inf.
+    """
+    if t == 0.0:
+        return float(p @ x)
+    tx = t * x
+    if abs(t) < 0.5 and tx.max() < _LOG_DOUBLE_MAX:
+        mean = float(p @ np.expm1(tx)) / float(p.sum())
+        if mean > -0.5:
+            return math.log1p(mean) / t
+    return logsumexp(np.log(p) + tx) / t
+
+
 def shannon_entropy(p: DiscreteDistribution) -> float:
     """-sum p ln p."""
-    pv = p.probs[p.probs > 0]
-    return float(-(pv * np.log(pv)).sum())
+    return renyi_entropy(p, AlphaOrder.one())
 
 
 def shannon_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """-sum p ln q; +inf when q vanishes on the support of p."""
-    pv, qv = _pair(p, q)
-    on = pv > 0
-    if np.any(qv[on] == 0):
-        return math.inf
-    return float(-(pv[on] * np.log(qv[on])).sum())
+    return renyi_cross_entropy(p, q, AlphaOrder.one())
 
 
 def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """sum p ln(p/q); +inf when q vanishes on the support of p."""
-    pv, qv = _pair(p, q)
-    on = pv > 0
-    if np.any(qv[on] == 0):
-        return math.inf
-    return float((pv[on] * (np.log(pv[on]) - np.log(qv[on]))).sum())
+    return renyi_divergence(p, q, AlphaOrder.one())
 
 
 def renyi_entropy(p: DiscreteDistribution, alpha) -> float:
     """Order-alpha entropy (1/(1-alpha)) ln sum p^alpha.
 
-    The alpha -> 1 marker gives Shannon entropy, the alpha -> infinity
-    marker gives min-entropy -ln max p.  Always in [0, ln alphabet_size].
+    With t = alpha - 1 this is -ln(sum p e^(t ln p)) / t, whose t = 0 value
+    is the Shannon entropy; the alpha -> infinity marker gives min-entropy
+    -ln max p.  Always in [0, ln alphabet_size].
     """
     alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_one:
-        return shannon_entropy(p)
     if alpha.is_inf:
         return float(-np.log(p.probs.max()))
-    a = alpha.value
-    logp = np.log(p.probs[p.probs > 0])
-    return logsumexp(a * logp) / (1.0 - a)
+    pv = p.probs[p.probs > 0]
+    return -_log_mean_exp_slope(pv, np.log(pv), alpha.value - 1.0)
 
 
 def renyi_divergence(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:
-    """Order-alpha divergence (1/(alpha-1)) ln sum p^alpha q^(1-alpha)."""
+    """Order-alpha divergence (1/(alpha-1)) ln sum p^alpha q^(1-alpha), that
+    is ln(sum p e^(t ln(p/q))) / t, t = alpha - 1: Kullback-Leibler at t = 0."""
     pv, qv = _pair(p, q)
     alpha = AlphaOrder.coerce(alpha)
     on = pv > 0
-    if alpha.is_one:
-        return kl_divergence(p, q)
     if alpha.is_inf:
         if np.any(qv[on] == 0):
             return math.inf
         return float(np.max(np.log(pv[on]) - np.log(qv[on])))
-    a = alpha.value
-    if a > 1 and np.any(qv[on] == 0):
+    t = alpha.value - 1.0
+    if t >= 0 and np.any(qv[on] == 0):
         return math.inf
-    both = on & (qv > 0)
-    # Terms with q = 0 contribute 0 when alpha < 1; an empty sum gives
-    # logsumexp = -inf and thus divergence +inf (disjoint supports).
-    terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
-    return logsumexp(terms) / (a - 1.0)
+    # Below alpha = 1, terms with q = 0 have ln(p/q) = +inf and contribute
+    # 0; when every term does (disjoint supports) the divergence is +inf.
+    with np.errstate(divide="ignore"):
+        return _log_mean_exp_slope(pv[on], np.log(pv[on]) - np.log(qv[on]), t)
 
 
 def renyi_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:
     """Order-alpha cross-entropy (1/(1-alpha)) ln sum p q^(alpha-1).
 
-    The alpha -> 1 marker gives the Shannon cross-entropy -sum p ln q; the
-    alpha -> infinity marker gives -ln max of q over the support of p.
-    Nonnegative for probability vectors, and non-increasing in alpha.
+    With t = alpha - 1 this is -ln(sum p e^(t ln q)) / t, whose t = 0 value
+    is the Shannon cross-entropy -sum p ln q; the alpha -> infinity marker
+    gives -ln max of q over the support of p.  Nonnegative for probability
+    vectors, and non-increasing in alpha.
     """
     pv, qv = _pair(p, q)
     alpha = AlphaOrder.coerce(alpha)
     on = pv > 0
-    if alpha.is_one:
-        return shannon_cross_entropy(p, q)
     if alpha.is_inf:
         top = qv[on].max()
         return math.inf if top == 0 else float(-np.log(top))
-    a = alpha.value
-    if a < 1 and np.any(qv[on] == 0):
+    t = alpha.value - 1.0
+    if t <= 0 and np.any(qv[on] == 0):
         return math.inf
-    both = on & (qv > 0)
-    # When alpha > 1, terms with q = 0 vanish; an empty sum means the whole
-    # mass of p sits where q = 0 and the cross-entropy is +inf.
-    terms = np.log(pv[both]) + (a - 1.0) * np.log(qv[both])
-    return logsumexp(terms) / (1.0 - a)
+    # Above alpha = 1, terms with q = 0 contribute 0; when every term does
+    # (the whole mass of p sits where q = 0) the cross-entropy is +inf.
+    with np.errstate(divide="ignore"):
+        return -_log_mean_exp_slope(pv[on], np.log(qv[on]), t)
 
 
 def alt_cross_entropy(p: DiscreteDistribution, q: DiscreteDistribution, alpha) -> float:

@@ -45,8 +45,14 @@ from .errors import (
     InvalidParameterError,
     OutOfDomainError,
 )
-from .linalg import as_symmetric_matrix, cholesky_lower, spd_inverse, spd_logdet
-from .specfun import betaln, digamma, gammaln
+from .linalg import (
+    as_symmetric_matrix,
+    cholesky_lower,
+    relative_eigenvalues,
+    spd_inverse,
+    spd_logdet,
+)
+from .specfun import betaln, betaln_slope, gammaln, gammaln_slope, log1p_slope, log1p_slope_sum
 from .support import ALL_REALS, POSITIVE_REALS, UNIT_INTERVAL, SupportSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -351,10 +357,9 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
     """The combined parameter eta1 + (alpha - 1) eta2.
 
     This is the natural parameter of the tilted density proportional to
-    f1 f2^(alpha-1) (up to the base-measure power).  At the alpha -> 1
-    marker it returns eta1 exactly.  Raises OutOfDomainError when the
-    combination leaves the natural domain, which certifies that the
-    cross-entropy integral diverges.
+    f1 f2^(alpha-1) (up to the base-measure power); at alpha = 1 it is
+    eta1.  Raises OutOfDomainError when the combination leaves the natural
+    domain, which certifies that the cross-entropy integral diverges.
     """
     if eta1.family is not eta2.family:
         raise InvalidParameterError(
@@ -373,8 +378,6 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("cannot combine natural parameters at alpha = infinity")
-    if alpha.is_one:
-        return NaturalParam(eta1.family, eta1.components.copy(), eta1.anchor)
     combined = NaturalParam(
         eta1.family,
         eta1.components + (alpha.value - 1.0) * eta2.components,
@@ -445,55 +448,48 @@ def natural_pdf(eta: NaturalParam, x) -> float:
     return math.exp(log_base_measure(eta.family, x) + exponent + log_partition(eta))
 
 
-def log_base_expectation(eta: NaturalParam, alpha) -> float:
-    """ln E[ b(X)^(alpha-1) ] under the member with natural parameter eta.
+def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> float:
+    """Divided difference [A(eta1 + t eta2) - A(eta1)] / t of the log-normalizer.
 
-    For the constant-base families this is (alpha - 1) ln b.  For
-    chi-squared, b(X)^(alpha-1) = exp(-(alpha - 1) X / 2), and the
-    chi-squared MGF at t = -(alpha - 1) / 2 gives alpha^(-nu/2) with
-    nu / 2 = eta + 1.
+    Written per family with log1p and ln Gamma divided differences, so it
+    does not cancel as t -> 0; at t = 0 it is the directional derivative
+    grad A(eta1) . eta2 = -E_1[T] . eta2.  The caller checks that
+    eta1 + t eta2 lies in the natural domain (``combine_natural``).
+    """
+    c, d = eta1.components, eta2.components
+    if eta1.family is Family.BETA:
+        return -betaln_slope(c[0] + 1, c[1] + 1, d[0], d[1], t)
+    if eta1.family is Family.CHI_SQUARED:
+        return -d[0] * math.log(2) - gammaln_slope(c[0] + 1, d[0], t)
+    if eta1.family in (Family.EXPONENTIAL, Family.LAPLACE_EQUAL_MEAN):
+        return log1p_slope(t, d[0] / c[0])
+    if eta1.family is Family.GAMMA:
+        k = c[0] + 1
+        return (-gammaln_slope(k, d[0], t) + d[0] * math.log(-c[1])
+                + (k + t * d[0]) * log1p_slope(t, d[1] / c[1]))
+    if eta1.family is Family.GAUSSIAN:
+        # (1/2) ln(-2 eta_2) plus eta_1^2 / (4 eta_2), differenced exactly
+        x, u, y, v = c[0], c[1], d[0], d[1]
+        return (0.5 * log1p_slope(t, v / u)
+                + (u * y * (2.0 * x + t * y) - x * x * v) / (4.0 * u * (u + t * v)))
+    if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN:  # A = (1/2) ln det(-2 eta)
+        return 0.5 * log1p_slope_sum(t, relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))
+    raise InvalidParameterError(f"unknown family {eta1.family}")
+
+
+def log_base_expectation(eta: NaturalParam, alpha) -> float:
+    """ln E[ b(X)^t ] / t with t = alpha - 1, under the member eta.
+
+    For the constant-base families this is ln b.  For chi-squared,
+    b(X)^t = exp(-t X / 2), and the chi-squared MGF at -t / 2 gives
+    (1 + t)^(-nu/2) with nu / 2 = eta + 1, so the value is
+    -(nu/2) log1p(t) / t.  At alpha = 1 it is E[ln b(X)].
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no base expectation at alpha = infinity")
     _require_domain(eta)
-    a = alpha.value
     const = constant_log_base(eta.family, eta.dim)
     if const is not None:
-        return (a - 1.0) * const
-    return -(eta.components[0] + 1.0) * math.log(a)
-
-
-def mean_log_base(eta: NaturalParam) -> float:
-    """E[ln b(X)] under the member with natural parameter eta."""
-    _require_domain(eta)
-    const = constant_log_base(eta.family, eta.dim)
-    if const is None:  # chi-squared: E[-X/2] = -nu/2
-        return -(eta.components[0] + 1.0)
-    return const
-
-
-def mean_statistic(eta: NaturalParam) -> np.ndarray:
-    """E[T(X)] = -grad A(eta) under the member with natural parameter eta.
-
-    Flattened like ``components``; the ln x entries are digamma means.
-    """
-    _require_domain(eta)
-    c = eta.components
-    if eta.family is Family.BETA:
-        a, b = c + 1.0
-        return np.array([digamma(a), digamma(b)]) - digamma(a + b)
-    if eta.family is Family.CHI_SQUARED:
-        return np.array([digamma(c[0] + 1.0) + math.log(2.0)])
-    if eta.family in (Family.EXPONENTIAL, Family.LAPLACE_EQUAL_MEAN):
-        return np.array([-1.0 / c[0]])
-    if eta.family is Family.GAMMA:
-        k, rate = c[0] + 1.0, -c[1]
-        return np.array([digamma(k) - math.log(rate), k / rate])
-    if eta.family is Family.GAUSSIAN:
-        var = -0.5 / c[1]
-        mu = c[0] * var
-        return np.array([mu, mu * mu + var])
-    if eta.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        return spd_inverse(as_symmetric_matrix(-2.0 * eta.matrix())).reshape(-1)
-    raise InvalidParameterError(f"unknown family {eta.family}")
+        return const
+    return -(eta.components[0] + 1.0) * log1p_slope(alpha.value - 1.0, 1.0)

@@ -73,3 +73,10 @@ def spd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     chol_inv = np.linalg.solve(cholesky_lower(a, name=name), np.eye(a.shape[0]))
     inv = chol_inv.T @ chol_inv
     return (inv + inv.T) / 2.0
+
+
+def relative_eigenvalues(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Eigenvalues of b^-1 a for a symmetric a and a positive definite b
+    (``name`` labels b): those of the symmetric L^-1 a L^-T, b = L L^T."""
+    chol_inv = np.linalg.solve(cholesky_lower(b, name=name), np.eye(b.shape[0]))
+    return np.linalg.eigvalsh(chol_inv @ a @ chol_inv.T)

@@ -12,9 +12,13 @@ Perron eigenvalue; in general it is the maximum of the Perron eigenvalues
 of the self-communicating classes reachable from the support of s (with
 strictly positive start weights, the spectral radius of R).
 
-At the alpha -> 1 marker the rate is the Shannon cross-entropy slope
-n H_n - (n-1) H_{n-1} evaluated at n = 4096, which converges geometrically
-for irreducible aperiodic chains.
+With t = alpha - 1, a closed class (one the source never leaves) has
+lambda = 1 + t u D 1 exactly, where D = P o expm1(t ln Q) / t and u is the
+left Perron vector of its block, scaled to sum 1 (P 1 = 1 there).  Its rate
+-log1p(t u D 1) / t runs through t = 0, where u is the stationary law and
+the rate is the Shannon rate -u (P o ln Q) 1; at t = 0 the chain's rate
+weights the reachable closed classes by their absorption probabilities.
+The block-entropy slope n H_n - (n-1) H_{n-1} is kept as its referee.
 
 Class eigenvalues come from LAPACK (``numpy.linalg.eig``).  The classes
 come from the boolean reachability closure of I + pattern, taken by
@@ -41,6 +45,7 @@ from .errors import (
     NotIrreducibleError,
     ZeroMassError,
 )
+from .specfun import log1p_slope
 
 _ROW_SUM_TOLERANCE = 1e-12
 _RESIDUAL_FACTOR = 1e-12
@@ -114,30 +119,33 @@ class ClassStructure:
     labels: np.ndarray
 
 
-def build_weighted(p_src: MarkovSource, q_src: MarkovSource, alpha) -> WeightedMatrix:
-    """Assemble the weighted matrix and start weights for a source pair.
-
-    For alpha < 1 the exponent alpha - 1 is negative, so every reference
-    transition probability and start mass must be strictly positive.
-    """
+def _check_reference(p_src: MarkovSource, q_src: MarkovSource, t: float):
+    """Equal state counts and, below alpha = 1 (t < 0), where q^t has no
+    limit at q = 0, strictly positive reference probabilities."""
     if p_src.num_states != q_src.num_states:
-        raise DimensionMismatchError(
-            f"state counts differ: {p_src.num_states} vs {q_src.num_states}"
-        )
-    alpha = AlphaOrder.coerce(alpha)
-    if not alpha.is_finite_order:
-        raise InvalidAlphaError("weighted matrix needs a finite order different from 1")
-    a = alpha.value
-    p, q = p_src.transition, q_src.transition
-    p0, q0 = p_src.initial.probs, q_src.initial.probs
-    if a < 1.0 and (np.any(q == 0) or np.any(q0 == 0)):
+        raise DimensionMismatchError(f"state counts differ: {p_src.num_states} vs "
+                                     f"{q_src.num_states}")
+    if t < 0.0 and (np.any(q_src.transition == 0) or np.any(q_src.initial.probs == 0)):
         raise ZeroMassError(
             "alpha < 1 requires strictly positive reference transition "
             "probabilities and start masses"
         )
-    with np.errstate(divide="ignore"):
-        entries = np.where(q > 0, p * q ** (a - 1.0), 0.0)
-        start = np.where(q0 > 0, p0 * q0 ** (a - 1.0), 0.0)
+
+
+def build_weighted(p_src: MarkovSource, q_src: MarkovSource, alpha) -> WeightedMatrix:
+    """Assemble the weighted matrix and start weights for a source pair.
+
+    For alpha < 1 the exponent alpha - 1 is negative, so every reference
+    transition probability and start mass must be strictly positive.  At
+    alpha = 1 the weights are the source's own (P o Q^0 = P, 0^0 = 1).
+    """
+    alpha = AlphaOrder.coerce(alpha)
+    if alpha.is_inf:
+        raise InvalidAlphaError("weighted matrix needs a finite order")
+    t = alpha.value - 1.0
+    _check_reference(p_src, q_src, t)
+    entries = p_src.transition * q_src.transition ** t
+    start = p_src.initial.probs * q_src.initial.probs ** t
     return WeightedMatrix(entries, start)
 
 
@@ -215,47 +223,62 @@ def perron_eigenvalue(matrix: np.ndarray) -> float:
     return perron_eigenpair(matrix)[0]
 
 
-def _reachable_top_eigenvalue(weighted: WeightedMatrix) -> float:
-    """Largest class eigenvalue reachable from the support of the start weights."""
-    entries = weighted.entries
-    structure = classify(entries)
-    support = np.flatnonzero(weighted.start > 0)
-    if support.size == 0:
-        raise DegenerateRateError("start weights are identically zero")
-    start_classes = np.unique(structure.labels[support])
-    reachable = np.zeros(len(structure.classes), dtype=bool)
-    for c in start_classes:
-        reachable |= structure.reach[c]
-    best = 0.0
-    for ci, cls in enumerate(structure.classes):
-        if not reachable[ci] or not structure.self_communicating[ci]:
-            continue
-        idx = np.asarray(cls)
-        sub = entries[np.ix_(idx, idx)]
-        best = max(best, perron_eigenpair(sub)[0])
-    if best <= 0.0:
-        raise DegenerateRateError(
-            "every reachable class is degenerate; the weighted products vanish"
-        )
-    return best
+def _absorption_weights(p, start, states, closed: list) -> np.ndarray:
+    """Probability that the chain P from ``start`` ends in each class of
+    ``closed``, with the fundamental matrix (I - P_TT)^-1 of the transient
+    states T among ``states``, those the start reaches."""
+    member = np.zeros((p.shape[0], len(closed)))
+    for j, idx in enumerate(closed):
+        member[idx, j] = 1.0
+    weights = start @ member
+    trans = states[~member[states].any(axis=1)]
+    if trans.size:
+        into = np.linalg.solve(np.eye(trans.size) - p[np.ix_(trans, trans)], p[trans] @ member)
+        weights = weights + start[trans] @ into
+    return weights / weights.sum()
 
 
 def cross_entropy_rate(p_src: MarkovSource, q_src: MarkovSource, alpha) -> float:
     """Asymptotic per-symbol cross-entropy ln(lambda) / (1 - alpha).
 
-    lambda is the Perron eigenvalue of the weighted matrix when it is
-    irreducible, and otherwise the largest self-communicating class
-    eigenvalue reachable from the start support.  The alpha -> 1 marker
-    dispatches to the Shannon slope at n = 4096.
+    Each self-communicating class of R = P o Q^t (t = alpha - 1) that the
+    start reaches has the rate -ln(lambda_C) / t (see the module docstring);
+    the chain takes the largest lambda_C, and at t = 0 the
+    absorption-weighted mean of the closed classes.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no rate form at the alpha -> infinity limit")
-    if alpha.is_one:
-        return shannon_rate_slope(p_src, q_src)
-    weighted = build_weighted(p_src, q_src, alpha)
-    lam = _reachable_top_eigenvalue(weighted)
-    return math.log(lam) / (1.0 - alpha.value)
+    t = alpha.value - 1.0
+    built = build_weighted(p_src, q_src, alpha)
+    weighted, start = built.entries, built.start
+    p, q = p_src.transition, q_src.transition
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        d = np.where(p > 0, p * (log_q if t == 0.0 else np.expm1(t * log_q) / t), 0.0)
+    structure = classify(weighted)
+    reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
+    states = np.flatnonzero(reachable[structure.labels])
+    if np.isneginf(d[states]).any():
+        return math.inf  # the source makes a move the reference forbids
+    # a closed class is one no source move leaves: P 1 = 1 on its block
+    leaves = ((p > 0) & (structure.labels[:, None] != structure.labels)).any(axis=1)
+    rates, blocks = [], []
+    for ci in np.flatnonzero(reachable):
+        idx = np.asarray(structure.classes[ci])
+        is_closed = not leaves[idx].any()
+        if not structure.self_communicating[ci] or not (is_closed or t != 0.0):
+            continue
+        lam, u = perron_eigenpair(weighted[np.ix_(idx, idx)].T)
+        # a closed class has lambda = 1 + t slope; another one only lambda
+        slope = float(u @ d[np.ix_(idx, idx)].sum(axis=1)) if is_closed else math.inf
+        rates.append(-log1p_slope(t, slope) if abs(t * slope) < 0.5 else -math.log(lam) / t)
+        blocks.append(idx)
+    if not rates:
+        raise DegenerateRateError("no reachable class has a cycle; the weighted products vanish")
+    if len(rates) == 1 or t != 0.0:
+        return min(rates) if t > 0.0 else max(rates)
+    return float(_absorption_weights(p, start, states, blocks) @ np.array(rates))
 
 
 def scaled_power(matrix: np.ndarray, k: int) -> tuple[np.ndarray, float]:

@@ -2,7 +2,7 @@
 
 Every closed form in this library is checked against direct numeric
 evaluation of its defining integral.  Infinite domains are folded onto a
-compact interval first (tangent or exponential map) so the adaptive rule
+compact interval first (the tangent map x = tan u) so the adaptive rule
 sees the whole line; divergence of nonnegative integrands is detected by a
 window-doubling probe before the folded integral is attempted.  The
 adaptive rule is QUADPACK's, from ``scipy.integrate``, which is imported
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -51,19 +50,11 @@ _GRID_SD_MULTIPLE = 12.0
 _GRID_BLOCK_ROWS = 64
 
 
-class DomainTransform(Enum):
-    """Change of variables used to fold an infinite domain onto a box."""
-
-    TANGENT = "tangent"          # x = tan(u)
-    EXPONENTIAL = "exponential"  # x = -ln(v)
-
-
 @dataclass(frozen=True)
 class QuadratureSettings:
     relative_tolerance: float = 1e-10
     absolute_tolerance: float = 1e-12
     max_subdivisions: int = 2000
-    infinite_domain_transform: DomainTransform = DomainTransform.TANGENT
 
     def __post_init__(self):
         if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
@@ -101,61 +92,34 @@ def _quad_interval(f, a, b, settings: QuadratureSettings, points=()):
     return value, abserr, messages, divergent
 
 
-def _folded(f: Callable[[float], float], supp: SupportSpec, transform: DomainTransform):
-    """Return (g, a, b) with integral of f over supp equal to quad of g on (a, b)."""
+def _folded(f: Callable[[float], float], supp: SupportSpec):
+    """Return (g, a, b) with integral of f over supp equal to quad of g on
+    (a, b): an infinite domain is folded by x = tan(u)."""
     if supp.kind is SupportKind.INTERVAL:
         return f, supp.lower, supp.upper
 
-    if transform is DomainTransform.TANGENT:
-        def g(u):
-            x = math.tan(u)
-            fx = f(x)
-            if fx == 0.0:
-                return 0.0
-            return fx * (1.0 + x * x)
+    def g(u):
+        x = math.tan(u)
+        fx = f(x)
+        if fx == 0.0:
+            return 0.0
+        return fx * (1.0 + x * x)
 
-        if supp.kind is SupportKind.POSITIVE_REALS:
-            return g, 0.0, math.pi / 2
-        if supp.kind is SupportKind.ALL_REALS:
-            return g, -math.pi / 2, math.pi / 2
-
-    if transform is DomainTransform.EXPONENTIAL:
-        if supp.kind is SupportKind.POSITIVE_REALS:
-            def g(v):
-                x = -math.log(v)
-                fx = f(x)
-                if fx == 0.0:
-                    return 0.0
-                return fx / v
-
-            return g, 0.0, 1.0
-        if supp.kind is SupportKind.ALL_REALS:
-            def g(v):
-                x = -math.log(v)
-                fx = f(x) + f(-x)
-                if fx == 0.0:
-                    return 0.0
-                return fx / v
-
-            return g, 0.0, 1.0
-
+    if supp.kind is SupportKind.POSITIVE_REALS:
+        return g, 0.0, math.pi / 2
+    if supp.kind is SupportKind.ALL_REALS:
+        return g, -math.pi / 2, math.pi / 2
     raise InvalidParameterError(f"cannot integrate over support kind {supp.kind}")
 
 
 def _folded_quad(f, supp: SupportSpec, settings: QuadratureSettings, points):
     """``_quad_interval`` of f over supp after folding, split at the kinks
-    ``points`` of f that lie in supp.  On the whole line the exponential map
-    integrates f(x) + f(-x) over x > 0, so a kink x lands at e^-|x|."""
-    transform = settings.infinite_domain_transform
-    g, a, b = _folded(f, supp, transform)
+    ``points`` of f that lie in supp (a kink x lands at atan(x))."""
+    g, a, b = _folded(f, supp)
     inside = [x for x in points if supp.contains(x)]
-    if supp.kind is SupportKind.INTERVAL:
-        folded = inside
-    elif transform is DomainTransform.TANGENT:
-        folded = [math.atan(x) for x in inside]
-    else:
-        folded = [math.exp(-abs(x)) for x in inside]
-    return _quad_interval(g, a, b, settings, tuple(u for u in folded if a < u < b))
+    if supp.kind is not SupportKind.INTERVAL:
+        inside = [math.atan(x) for x in inside]
+    return _quad_interval(g, a, b, settings, tuple(u for u in inside if a < u < b))
 
 
 def integrate(

@@ -392,9 +392,12 @@ class TestGaussCommand:
         assert code == 2
         assert capsys.readouterr().out.strip() == "inf"
 
-    def test_shannon_marker_rejected(self, capsys):
+    def test_shannon_marker(self, capsys):
+        # (1/2) ln 2 pi + (1/2) (ln w + v / w) for white noise v against w
         code = main("rate gauss --x white:1 --y white:2 --alpha 1".split())
-        assert code == 1
+        assert code == 0
+        assert_allclose(float(capsys.readouterr().out),
+                        0.5 * (math.log(2 * math.pi) + math.log(2.0) + 0.5), rtol=1e-11)
 
 
 class TestOutputFormats:
@@ -607,14 +610,16 @@ class TestSweepParsesOnce:
         ("sweep markov --p {bad} --q {q} --alphas 0.5:2:0.5",
          "rate markov --p {bad} --q {q} --alpha 0.5",
          "row 0 sums to"),
-        ("sweep gauss --x white:2 --y ar1:0.5 --alphas 0.5:2:0.5",
-         "rate gauss --x white:2 --y ar1:0.5 --alpha 1",
-         "finite order different from 1"),
+        ("sweep markov --p {p} --q {zero} --alphas 0.5:2:0.5",
+         "rate markov --p {p} --q {zero} --alpha 0.5",
+         "strictly positive reference"),
     ])
     def test_first_error_unchanged(self, chain_files, tmp_path, sweep, single, message):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.5,0.4\n0.5,0.5\n")
-        names = {"bad": bad, "q": chain_files[1]}
+        zero = tmp_path / "zero.csv"
+        zero.write_text("1.0,0.0\n0.5,0.5\n")
+        names = {"bad": bad, "q": chain_files[1], "p": chain_files[0], "zero": zero}
         swept = run_cli(sweep.format(**names).split())
         alone = run_cli(single.format(**names).split())
         assert swept == alone

@@ -689,3 +689,29 @@ class TestClosedFormsNearOne:
         a = 1.0 + t
         assert_allclose(cross_entropy_closed(f1, f2, a).value, self._reference(f1, f2, a),
                         rtol=1e-8)
+
+
+class TestExistenceEdge:
+    """Within a few ulps of the existence edge alpha* < 1 the combined
+    parameter and the log1p or ln Gamma argument round separately; each
+    route still returns a value or a divergence verdict, never a math error."""
+
+    @pytest.mark.parametrize("f1, f2, edge", [
+        (E.exponential(1.5530626496354714), E.exponential(8.80454269592202),
+         1 - 1.5530626496354714 / 8.80454269592202),
+        (E.gaussian(0.2, 2.3), E.gaussian(-0.1, 0.7), 1 - 0.7 / 2.3),
+        (E.gamma(0.9, 1.0), E.gamma(4.1, 1.0), 1 - 0.9 / 3.1),
+        (E.chi_squared(1.3), E.chi_squared(7.7), 1 - 1.3 / 5.7),
+        (E.beta(0.7, 2.0), E.beta(5.3, 2.0), 1 - 0.7 / 4.3),
+    ], ids=["exponential", "gaussian", "gamma", "chi2", "beta"])
+    def test_no_math_error_at_the_edge(self, f1, f2, edge):
+        alphas = [edge]
+        for direction in (0.0, 2.0):
+            a = edge
+            for _ in range(6):
+                a = float(np.nextafter(a, direction))
+                alphas.append(a)
+        for a in alphas:
+            for route in (cross_entropy_closed, cross_entropy_natural):
+                r = route(f1, f2, a)
+                assert r.diverged == (r.value == math.inf)

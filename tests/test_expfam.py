@@ -250,19 +250,21 @@ class TestBaseMeasure:
         assert_allclose(log_base_measure(Family.CHI_SQUARED, 3.0), -1.5)
 
     def test_constant_expectation_is_exact(self):
+        # ln E[b^(alpha-1)] / (alpha - 1) is ln b itself for a constant base
         for d in (E.exponential(2.0), E.gamma(2.0, 1.0), E.gaussian(0.0, 1.0)):
             eta = to_natural(d)
-            for a in (0.5, 2.0, 3.0):
-                expected = (a - 1.0) * constant_log_base(d.family)
-                assert log_base_expectation(eta, AlphaOrder(a)) == expected
+            for a in (0.5, 2.0, 3.0, AlphaOrder.one()):
+                expected = constant_log_base(d.family)
+                assert log_base_expectation(eta, AlphaOrder.coerce(a)) == expected
 
     def test_chi_squared_expectation_analytic(self):
         # E[exp(-(alpha-1) X / 2)] under chi-squared(nu) is alpha^(-nu/2)
         for nu in (1.0, 2.0, 4.0, 7.5):
             eta = to_natural(E.chi_squared(nu))
-            for a in (0.5, 2.0, 3.0, 5.0):
+            for a in (0.5, 2.0, 3.0, 5.0, 1.0 + 1.01e-9):
                 value = log_base_expectation(eta, AlphaOrder(a))
-                assert_allclose(value, -(nu / 2) * math.log(a), rtol=1e-11, atol=1e-12)
+                assert_allclose(value, -(nu / 2) * math.log(a) / (a - 1.0), rtol=1e-11,
+                                atol=1e-12)
 
     @staticmethod
     def _assert_exact_beta_domain(params1, params2, alphas):
@@ -293,6 +295,9 @@ class TestBaseMeasure:
         assert self._assert_exact_beta_domain((1.5, 2.0), (0.2, 0.5), alphas + [0.5, 1.5]) == 6
         assert self._assert_exact_beta_domain((4.0, 2.0), (2.0, 0.5), alphas + [0.5, 1.5]) == 2
 
-    def test_alpha_one_is_zero(self):
-        for d in (E.beta(2, 3), E.chi_squared(3.0), E.gaussian(0, 1)):
-            assert log_base_expectation(to_natural(d), AlphaOrder.one()) == 0.0
+    def test_alpha_one_is_the_mean_log_base(self):
+        # E[ln b(X)]: ln b for a constant base, E[-X / 2] = -nu / 2 for chi-squared
+        assert log_base_expectation(to_natural(E.beta(2, 3)), AlphaOrder.one()) == 0.0
+        assert log_base_expectation(to_natural(E.chi_squared(3.0)), AlphaOrder.one()) == -1.5
+        assert_allclose(log_base_expectation(to_natural(E.gaussian(0, 1)), AlphaOrder.one()),
+                        -0.5 * math.log(2 * math.pi), rtol=1e-15)

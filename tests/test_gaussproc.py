@@ -99,6 +99,18 @@ class TestWhiteNoiseRates:
         assert rate_spectral(x, y, 0.5) == math.inf
         assert rate_finite_n(x, y, 0.5, 16) == math.inf
 
+    @pytest.mark.parametrize("rho, v, w", [(0.6, 1.3, 2.0), (-0.95, 0.4, 0.7)])
+    @pytest.mark.parametrize("a", [0.99, 3.0, 10.0])
+    def test_ar1_against_white_closed_form(self, rho, v, w, a):
+        # 1 + t f / w = (A - 2 rho cos) / |1 - rho e^iw|^2 with
+        # A = 1 + rho^2 + t v (1 - rho^2) / w; the circle mean of ln(A - B cos)
+        # is ln((A + sqrt(A^2 - B^2)) / 2), and of the denominator 0
+        t = a - 1.0
+        big_a = 1.0 + rho * rho + t * v * (1.0 - rho * rho) / w
+        mean = math.log((big_a + math.sqrt(big_a**2 - 4.0 * rho * rho)) / 2.0) / t
+        want = 0.5 * math.log(2 * math.pi) + 0.5 * (math.log(w) + mean)
+        assert_allclose(rate_spectral(S.ar1(rho, v), S.white_noise(w), a), want, rtol=1e-12)
+
 
 class TestCorrelatedRates:
     X = S.ar1(0.6, 1.0)
@@ -134,8 +146,14 @@ class TestCorrelatedRates:
         assert rate_spectral(x, y, 0.5) == math.inf
         assert rate_finite_n(x, y, 0.5, 256) == math.inf
 
-    def test_alpha_markers_rejected(self):
-        for a in (AlphaOrder.one(), AlphaOrder.inf(), "shannon", "inf"):
+    def test_alpha_markers(self):
+        # the spectral rate takes the Shannon limit from its own formula;
+        # the finite-n referee and the infinite order reject the markers
+        for a in (AlphaOrder.one(), "shannon"):
+            assert math.isfinite(rate_spectral(self.X, self.Y, a))
+            with pytest.raises(InvalidAlphaError):
+                rate_finite_n(self.X, self.Y, a, 16)
+        for a in (AlphaOrder.inf(), "inf"):
             with pytest.raises(InvalidAlphaError):
                 rate_spectral(self.X, self.Y, a)
             with pytest.raises(InvalidAlphaError):
@@ -206,17 +224,16 @@ class TestAr1AllLags:
 
 def reference_rate_spectral(x, y, a):
     """The spectral rate with the densities evaluated afresh at every level."""
-    previous, n = None, 4096
+    previous, n, t = None, 4096, a - 1.0
     while True:
         w = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        f, g = psd(x, w), psd(y, w)
-        h = g + (a - 1.0) * f
-        if np.min(h) <= 0.0:
+        ratio = psd(x, w) / psd(y, w)
+        if np.min(1.0 + t * ratio) <= 0.0:
             return math.inf
-        integral = 2.0 * math.pi * float(np.mean((2.0 - a) * np.log(g) - np.log(h)))
-        if previous is not None and abs(integral - previous) <= 1e-9:
-            return 0.5 * math.log(2 * math.pi) + integral / (4.0 * math.pi * (1.0 - a))
-        previous, n = integral, 2 * n
+        mean = float(np.mean(np.log(psd(y, w)))) + float(np.log1p(t * ratio).sum()) / t / n
+        if previous is not None and abs(mean - previous) <= 1e-10:
+            return 0.5 * (math.log(2 * math.pi) + mean)
+        previous, n = mean, 2 * n
 
 
 class TestSpectralGridStore:

@@ -138,3 +138,46 @@ def test_closed_form_sweeps_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Functions that may fork on the alpha = 1 marker: the MGF reducers, which
+# read the declared mean there, and the referees, which have their own
+# alpha = 1 code.  Every other value gets its Shannon limit from its own
+# formula at t = alpha - 1 = 0.
+MARKER_FORKS = {
+    "differential.py": {"cross_entropy_q_exponential", "cross_entropy_q_gaussian"},
+    "markov.py": {"finite_n_cross_entropy", "shannon_rate_slope"},
+    "gaussproc.py": {"rate_finite_n"},
+    "discrete.py": set(),
+    "expfam.py": set(),
+}
+
+
+def _marker_readers(path):
+    """Names of the top-level functions that read ``.is_one`` or
+    ``.is_finite_order``, with "<module>" for reads outside any function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = set()
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("is_one", "is_finite_order"):
+                readers.add(name)
+    return readers
+
+
+@pytest.mark.parametrize("name", sorted(MARKER_FORKS))
+def test_alpha_one_forks_only_where_allowed(name):
+    assert _marker_readers(PACKAGE / name) <= MARKER_FORKS[name]
+
+
+def test_marker_readers_are_found():
+    assert _marker_readers(PACKAGE / "cli.py") >= {"_discrete_oracle", "_alpha_text"}
+
+
+def test_production_never_calls_the_slope_referee():
+    for name in MARKER_FORKS:
+        tree = ast.parse((PACKAGE / name).read_text())
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "shannon_rate_slope" not in called, name

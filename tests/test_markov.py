@@ -72,9 +72,16 @@ class TestBuildWeighted:
 
     def test_markers_rejected(self):
         p = MarkovSource.of(P_CHAIN)
-        for a in (AlphaOrder.one(), AlphaOrder.inf()):
-            with pytest.raises(InvalidAlphaError):
-                build_weighted(p, p, a)
+        with pytest.raises(InvalidAlphaError):
+            build_weighted(p, p, AlphaOrder.inf())
+
+    def test_order_one_keeps_the_source_weights(self):
+        # P o Q^0 = P, also where Q vanishes (0^0 = 1)
+        q = MarkovSource.of(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        p = MarkovSource.of(P_CHAIN)
+        w = build_weighted(p, q, AlphaOrder.one())
+        assert np.array_equal(w.entries, P_CHAIN)
+        assert np.array_equal(w.start, p.initial.probs)
 
 
 class TestClassify:
@@ -241,10 +248,15 @@ class TestShannonSlope:
         expected = float(pi @ (-(P_CHAIN * np.log(Q_CHAIN)).sum(axis=1)))
         assert_allclose(shannon_rate_slope(p, q), expected, rtol=1e-12)
 
-    def test_rate_dispatches_marker(self):
+    def test_rate_marker_matches_slope(self):
+        # the rate takes the marker from its stationary law, the slope from
+        # the block entropies, whose powers of P round to about 1e-13
         p = MarkovSource.of(P_CHAIN)
         q = MarkovSource.of(Q_CHAIN)
-        assert cross_entropy_rate(p, q, "one") == shannon_rate_slope(p, q)
+        pi = np.array([2.0 / 3.0, 1.0 / 3.0])
+        expected = float(pi @ (-(P_CHAIN * np.log(Q_CHAIN)).sum(axis=1)))
+        assert_allclose(cross_entropy_rate(p, q, "one"), expected, rtol=1e-15)
+        assert_allclose(cross_entropy_rate(p, q, "one"), shannon_rate_slope(p, q), rtol=1e-12)
 
     def test_infinite_on_impossible_transition(self):
         p = MarkovSource.of(P_CHAIN)

@@ -18,7 +18,8 @@ from rxent import DoubleRangeError
 from rxent.differential import mgf_of
 from rxent.expfam import ExpFamilyDistribution as E
 from rxent.specfun import (
-    betaln, betaln_step, digamma, erfcx, gammaln, gammaln_step, log_kummer, logsumexp,
+    betaln, betaln_slope, digamma, erfcx, gammaln, gammaln_slope, gammaln_step, log1p_slope,
+    log_kummer, logsumexp,
 )
 
 ARGS = [float(x) for x in np.geomspace(0.3, 60.0, 13)]
@@ -80,13 +81,36 @@ class TestSteps:
             want = float(mp.loggamma(mp.mpf(x) + mp.mpf(h)) - mp.loggamma(x))
         assert _close(gammaln_step(x, h), want)
 
-    @pytest.mark.parametrize("h", [1.3e-9, -2e-8, 1e-4, 0.5])
-    def test_betaln_step(self, h):
-        a, b, da, db = 0.68, 2.76, h * -0.49, h * 2.21
+    @pytest.mark.parametrize("h", [1e-9, -1e-9, 1.01e-9, -1.01e-9])
+    def test_gammaln_step_relative_at_tiny_steps(self, h):
+        # the difference of the two Stirling tails is summed as h times a
+        # positive sum, so the step divided by h keeps its digits however
+        # small h is; 300 draws as in the closed forms: x in (0.1, 20),
+        # c in (-3, 3).  Near the root of psi (x = 1.46) the quotient,
+        # about c psi(x), cancels, so the bound has a floor of 5e-15 |c|.
+        rng = np.random.default_rng(12)
+        for x, c in zip(rng.uniform(0.1, 20.0, 300), rng.uniform(-3.0, 3.0, 300)):
+            x, c = float(x), float(c)
+            with mp.workdps(40):
+                want = (mp.loggamma(mp.mpf(x) + mp.mpf(c) * mp.mpf(h)) - mp.loggamma(x)) / h
+            assert _close(gammaln_step(x, c * h) / h, float(want), atol=5e-15 * abs(c)), (x, c)
+
+    @pytest.mark.parametrize("t", [0.0, 1.3e-9, -2e-8, 1e-4, 0.5])
+    def test_betaln_slope(self, t):
+        a, b, ca, cb = 0.68, 2.76, -0.49, 2.21
         with mp.workdps(40):
-            want = float(mp.log(mp.beta(mp.mpf(a) + mp.mpf(da), mp.mpf(b) + mp.mpf(db)))
-                         - mp.log(mp.beta(a, b)))
-        assert _close(betaln_step(a, b, da, db), want, atol=1e-17)
+            a_, b_ = mp.mpf(a), mp.mpf(b)
+            if t == 0.0:
+                want = ca * mp.digamma(a_) + cb * mp.digamma(b_) - (ca + cb) * mp.digamma(a_ + b_)
+            else:
+                want = (mp.log(mp.beta(a_ + ca * mp.mpf(t), b_ + cb * mp.mpf(t)))
+                        - mp.log(mp.beta(a_, b_))) / t
+        assert _close(betaln_slope(a, b, ca, cb, t), float(want))
+
+    def test_slopes_at_zero_are_the_limits(self):
+        assert gammaln_slope(2.5, -1.5, 0.0) == -1.5 * digamma(2.5)
+        assert log1p_slope(0.0, 0.37) == 0.37
+        assert_allclose(log1p_slope(1e-9, 0.37), 0.37 * (1 - 0.5e-9 * 0.37), rtol=1e-15)
 
 
 class TestKummer:
@@ -97,6 +121,15 @@ class TestKummer:
         with mp.workdps(30):
             want = float(mp.hyp1f1(a, a + b, t))
         assert_allclose(math.exp(log_kummer(a, b, t)), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.4, 8.0), (8.0, 0.4)])
+    @pytest.mark.parametrize("t", [1e-9, -1e-9, 1.01e-9, -1.01e-9])
+    def test_near_zero_argument_relative(self, a, b, t):
+        # the terms after the leading 1 enter through log1p, so ln M keeps
+        # its relative precision as t -> 0
+        with mp.workdps(40):
+            want = float(mp.log(mp.hyp1f1(a, a + b, t)))
+        assert_allclose(log_kummer(a, b, t), want, rtol=1e-14)
 
     @pytest.mark.parametrize("t", [-800.0, -3000.0])
     def test_large_negative_argument(self, t):
