@@ -50,7 +50,6 @@ from .errors import (
     InfiniteSupportError,
     InvalidAlphaError,
     InvalidParameterError,
-    MgfDomainError,
     NonConvergenceError,
     NonpositivePsdError,
     NotIrreducibleError,
@@ -88,7 +87,6 @@ __all__ = [
     "InvalidParameterError",
     "MarkovSource",
     "Method",
-    "MgfDomainError",
     "MgfFunction",
     "NaturalParam",
     "NonConvergenceError",

@@ -27,9 +27,8 @@ with status 2; usage and computation errors exit with status 1.  Orders:
 own order-alpha formula, ``--alpha inf`` the min-entropy limit (discrete
 only); other floats within 1e-9 of 1 are rejected.  Sweep grid points that
 land on 1 are evaluated at the Shannon limit, so any grid may step through
-1.  The
-environment variable ``XENT_QUAD_TOL`` overrides the relative tolerance of
-the quadrature used for ``--oracle`` checks.
+1.  ``--oracle`` adds an independent referee value and the gap between the
+two, which is 0 where both are the same infinity.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -353,37 +351,38 @@ def parse_args(argv) -> JobSpec:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _oracle_settings() -> oracle.QuadratureSettings:
-    raw = os.environ.get("XENT_QUAD_TOL")
-    if raw is None:
-        return oracle.DEFAULT_SETTINGS
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise UsageError(f"XENT_QUAD_TOL must be a float, got {raw!r}") from None
-    return oracle.QuadratureSettings(relative_tolerance=tol)
-
-
 def _discrete_oracle(p, q, alpha: AlphaOrder, definition: str) -> float:
-    """Plain-float power sums, independent of the logsumexp implementation."""
-    pv, qv = p.probs, q.probs
-    def xent(av, bv):
+    """Plain-float power sums over the support of p, independent of
+    ``discrete.py``: the cross-entropy -S(ln q), or for ``alternate`` the
+    divergence S(ln p - ln q) plus the entropy -S(ln p).
+
+    S(x) = ln(sum p e^(t x)) / t with t = alpha - 1, the sum shifted by its
+    largest exponent; S is sum p x at alpha = 1 and max x at alpha = inf.
+    With ln 0 = -inf this gives the zero rules: q = 0 on the support of p
+    sends the cross-entropy to +inf for alpha <= 1 and the divergence to
+    +inf for alpha >= 1; otherwise such terms add 0, and disjoint supports
+    give +inf.
+    """
+    pairs = [(a, b) for a, b in zip(p.probs.tolist(), q.probs.tolist()) if a > 0]
+    masses = [a for a, _ in pairs]
+    log_p = [math.log(a) for a in masses]
+    log_q = [math.log(b) if b > 0 else -math.inf for _, b in pairs]
+    t = alpha.value - 1.0
+
+    def power_sum(xs):
         if alpha.is_one:
-            return sum(-a * math.log(b) if a > 0 else 0.0 for a, b in zip(av, bv))
+            return math.fsum(a * x for a, x in zip(masses, xs))
         if alpha.is_inf:
-            return -math.log(max(b for a, b in zip(av, bv) if a > 0))
-        e = alpha.value - 1.0
-        total = 0.0
-        for a, b in zip(av, bv):
-            if a > 0:
-                if b == 0 and e < 0:
-                    return math.inf
-                total += a * b ** e
-        return math.log(total) / (1.0 - alpha.value) if total > 0 else math.inf
+            return max(xs)
+        zs = [lp + t * x for lp, x in zip(log_p, xs)]
+        top = max(zs)
+        if math.isinf(top):
+            return top / t
+        return (top + math.log(math.fsum(math.exp(z - top) for z in zs))) / t
+
     if definition == "standard":
-        return xent(pv, qv)
-    return (discrete.renyi_divergence(p, q, alpha)
-            + discrete.renyi_entropy(p, alpha))
+        return -power_sum(log_q)
+    return power_sum([x - y for x, y in zip(log_p, log_q)]) - power_sum(log_p)
 
 
 def _prepare_discrete(opts):
@@ -391,7 +390,7 @@ def _prepare_discrete(opts):
     q = _read_masses(opts["q"])
     definition = opts["definition"]
 
-    def evaluate(alpha, want_oracle, settings):
+    def evaluate(alpha, want_oracle):
         if definition == "standard":
             value = discrete.renyi_cross_entropy(p, q, alpha)
         else:
@@ -414,12 +413,12 @@ def _with_numeric_oracle(value_at, densities, kinks=()):
     """
     reference = functools.cache(densities)
 
-    def evaluate(alpha, want_oracle, settings):
+    def evaluate(alpha, want_oracle):
         value = value_at(alpha)
         supp, (p_pdf, p_logpdf), (q_pdf, q_logpdf) = reference()
         if not want_oracle:
             return value, None
-        return value, oracle.cross_entropy_numeric(p_pdf, q_pdf, supp, alpha, settings,
+        return value, oracle.cross_entropy_numeric(p_pdf, q_pdf, supp, alpha,
                                                    p_logpdf=p_logpdf, q_logpdf=q_logpdf,
                                                    points=kinks)
 
@@ -441,7 +440,7 @@ def _prepare_expfam(opts):
         cov1 = _read_matrix(opts["p"])
         cov2 = _read_matrix(opts["q"])
 
-        def evaluate(alpha, want_oracle, settings):
+        def evaluate(alpha, want_oracle):
             value = differential.cross_entropy_multivariate_gaussian(cov1, cov2, alpha).value
             oracle_value = None
             if want_oracle:
@@ -552,7 +551,7 @@ def _prepare_markov(opts):
     p = markov.MarkovSource.of(_read_matrix(opts["p"]), p_init)
     q = markov.MarkovSource.of(_read_matrix(opts["q"]), q_init)
 
-    def evaluate(alpha, want_oracle, settings):
+    def evaluate(alpha, want_oracle):
         value = markov.cross_entropy_rate(p, q, alpha)
         oracle_value = None
         if want_oracle:
@@ -569,7 +568,7 @@ def _prepare_gauss(opts):
     x = _parse_process(opts["x"], "--x")
     y = _parse_process(opts["y"], "--y")
 
-    def evaluate(alpha, want_oracle, settings):
+    def evaluate(alpha, want_oracle):
         value = gaussproc.rate_spectral(x, y, alpha)
         oracle_value = (gaussproc.rate_finite_n(x, y, alpha, opts["finite_n"])
                         if want_oracle else None)
@@ -579,7 +578,7 @@ def _prepare_gauss(opts):
 
 
 # Each preparer reads, builds and validates a command's inputs once and
-# returns evaluate(alpha, want_oracle, settings) -> (value, oracle value).
+# returns evaluate(alpha, want_oracle) -> (value, oracle value).
 _PREPARERS = {
     Command.XENT_DISCRETE: _prepare_discrete,
     Command.XENT_EXPFAM: _prepare_expfam,
@@ -628,7 +627,10 @@ def _render(job: JobSpec, rows) -> str:
         return "\n".join(lines)
 
     alpha, value, oracle_value = rows[0]
-    gap = None if oracle_value is None else abs(value - oracle_value)
+    if oracle_value is None:
+        gap = None
+    else:  # the same infinity twice is agreement, not nan
+        gap = 0.0 if value == oracle_value else abs(value - oracle_value)
     if fmt is OutputFormat.JSON:
         payload = {
             "command": job.command.value,
@@ -653,11 +655,10 @@ def _render(job: JobSpec, rows) -> str:
 
 def run(job: JobSpec) -> tuple[int, str]:
     """Evaluate a job and return (exit_code, rendered_output)."""
-    settings = _oracle_settings()
     evaluate = _PREPARERS[job.command](job.options)
     rows = []
     for alpha in job.alphas:
-        value, oracle_value = evaluate(alpha, job.oracle_check, settings)
+        value, oracle_value = evaluate(alpha, job.oracle_check)
         if job.bits:
             value = value / math.log(2)
             if oracle_value is not None:

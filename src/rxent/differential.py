@@ -27,7 +27,9 @@ Every MGF built here is a closed form except the centered square of a Gamma
 or Beta source, which is integrated by ``oracle.mgf_numeric``.
 
 A divergent defining integral yields value +inf when alpha < 1 and -inf
-when alpha > 1 (the 1/(1-alpha) prefactor flips the sign of ln(+inf)).
+when alpha > 1 (the 1/(1-alpha) prefactor flips the sign of ln(+inf)).  For
+the reducers that is every order whose MGF argument lies outside the MGF
+finiteness interval, where ln M = +inf.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .errors import (
     InfiniteSupportError,
     InvalidAlphaError,
     InvalidParameterError,
-    MgfDomainError,
     NotPositiveDefiniteError,
     OutOfDomainError,
 )
@@ -310,93 +311,47 @@ def cross_entropy_p_uniform(
     return _finite(betaln(qa, qb) - betaln_slope(1.0, 1.0, qa - 1.0, qb - 1.0, t), m)
 
 
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _LOG_PI = math.log(math.pi)
 
 
 @dataclass(frozen=True)
 class MgfFunction:
-    """A moment generating function with its declared finiteness interval.
+    """A moment generating function M(t) = E[exp(t X)], in log form.
 
-    Give exactly one of ``fn``, which returns M(t) = E[exp(t X)], and
-    ``log_fn``, which returns ln M(t).  The reducers read ln M through
-    ``log``, so a declared ln M never passes through exp; it must be finite
-    on the interval, and a non-finite one raises DoubleRangeError.  ``mean``
-    is the declared first moment M'(0); without it ``derivative_at_zero``
-    takes a finite difference.
-
-    ``lower``/``upper`` bound the interval where M is finite; closed
-    endpoints are marked by the *_closed flags.  Evaluation outside the
-    interval raises MgfDomainError.  The constructor spot-checks M(0) = 1.
+    ``log_fn`` returns ln M(t) on the finiteness interval (lower, upper),
+    which holds its upper end when ``upper_closed`` is set; ``mean`` is the
+    first moment M'(0), which the reducers read at the alpha -> 1 marker.
+    The reducers go through ``log``, so ln M never passes through exp.
+    Outside the interval M is infinite and ``log`` returns +inf.  Inside it
+    a non-finite ln M is an overflow, not a divergence, and raises
+    DoubleRangeError.  The constructor spot-checks M(0) = 1.
     """
 
-    fn: Callable[[float], float] | None = None
+    log_fn: Callable[[float], float]
+    mean: float
     lower: float = -math.inf
     upper: float = math.inf
-    lower_closed: bool = False
     upper_closed: bool = False
-    log_fn: Callable[[float], float] | None = None
-    mean: float | None = None
 
     def __post_init__(self):
-        if (self.fn is None) == (self.log_fn is None):
-            raise InvalidParameterError("an MGF needs exactly one of fn and log_fn")
-        if self.log_fn is None:
-            at_zero, want, name = self.fn(0.0), 1.0, "M(0)"
-        else:
-            at_zero, want, name = self.log_fn(0.0), 0.0, "ln M(0)"
-        if not math.isclose(at_zero, want, rel_tol=1e-8, abs_tol=1e-8):
-            raise InvalidParameterError(
-                f"an MGF must satisfy M(0) = 1, got {name} = {at_zero!r}"
-            )
+        at_zero = self.log_fn(0.0)
+        if not math.isclose(at_zero, 0.0, abs_tol=1e-8):
+            raise InvalidParameterError(f"an MGF must satisfy M(0) = 1, got ln M(0) = {at_zero!r}")
 
     def contains(self, t: float) -> bool:
-        below = t < self.upper or (self.upper_closed and t == self.upper)
-        above = t > self.lower or (self.lower_closed and t == self.lower)
-        return below and above
-
-    def _checked(self, t) -> float:
-        t = float(t)
-        if not self.contains(t):
-            raise MgfDomainError(
-                f"t={t:g} is outside the MGF finiteness interval "
-                f"({self.lower:g}, {self.upper:g})"
-            )
-        return t
-
-    def __call__(self, t: float) -> float:
-        if self.log_fn is None:
-            return float(self.fn(self._checked(t)))
-        log_m = self.log(t)
-        if log_m > _LOG_DOUBLE_MAX:
-            raise DoubleRangeError(f"M({t:g}) = exp({log_m:g}) exceeds the double range")
-        return math.exp(log_m)
+        return self.lower < t and (t < self.upper or (self.upper_closed and t == self.upper))
 
     def log(self, t: float) -> float:
-        """ln M(t); +inf when a user ``fn`` reports a divergent integral."""
-        t = self._checked(t)
-        if self.log_fn is None:
-            return _log_positive(float(self.fn(t)), t)
+        """ln M(t); +inf outside the finiteness interval."""
+        t = float(t)
+        if not math.isfinite(t):
+            raise DoubleRangeError(f"MGF argument {t} exceeds the double range")
+        if not self.contains(t):
+            return math.inf
         log_m = float(self.log_fn(t))
         if not math.isfinite(log_m):
             raise DoubleRangeError(f"ln M({t:g}) = {log_m} exceeds the double range")
         return log_m
-
-    def derivative_at_zero(self) -> float:
-        """First moment E[X]: the declared mean, else finite differences at 0."""
-        if self.mean is not None:
-            return self.mean
-        h = 1e-5
-        if self.contains(h):
-            return (self(h) - self(-h)) / (2.0 * h)
-        # one-sided second-order stencil when 0 is the upper endpoint
-        return (3.0 * self(0.0) - 4.0 * self(-h) + self(-2.0 * h)) / (2.0 * h)
-
-
-def _log_positive(m: float, t: float) -> float:
-    if not m > 0.0:
-        raise DoubleRangeError(f"M({t:g}) = {m!r} is not a positive double")
-    return math.log(m)
 
 
 def _mean_variance(d: ExpFamilyDistribution) -> tuple[float, float]:
@@ -525,8 +480,8 @@ def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFuncti
         def log_fn(t):
             if t == 0.0:
                 return 0.0
-            return _log_positive(
-                oracle.mgf_numeric(d.pdf, d.support, t, square_center=center), t)
+            m = oracle.mgf_numeric(d.pdf, d.support, t, square_center=center)
+            return math.log(m) if m > 0.0 else -math.inf
 
         if d.family is Family.BETA:
             return MgfFunction(log_fn=log_fn, mean=mean)
@@ -545,9 +500,8 @@ def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> Cross
 
         h_alpha = -ln rate + (1/(1-alpha)) ln M_p(rate (1-alpha)),
 
-    valid when rate (1-alpha) is inside the MGF finiteness interval
-    (MgfDomainError otherwise).  The alpha -> 1 marker uses
-    -ln rate + rate E_p[X].
+    a divergence verdict when rate (1-alpha) lies outside the MGF finiteness
+    interval.  The alpha -> 1 marker uses -ln rate + rate E_p[X].
     """
     rate = float(rate)
     if not math.isfinite(rate):
@@ -558,9 +512,9 @@ def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> Cross
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
     if alpha.is_one:
-        return _special(-math.log(rate) + rate * mgf_p.derivative_at_zero())
+        return _special(-math.log(rate) + rate * mgf_p.mean)
     a = alpha.value
-    log_m = mgf_p.log(rate * (1.0 - a))  # raises MgfDomainError outside the interval
+    log_m = mgf_p.log(rate * (1.0 - a))
     if log_m == math.inf:
         return _diverged(alpha, Method.SPECIAL_CASE)
     return _special(-math.log(rate) + log_m / (1.0 - a))
@@ -581,7 +535,8 @@ def cross_entropy_q_gaussian(
 
     with sigma sqrt(pi/2) in place of sigma sqrt(2 pi) for the half-normal
     reference (whose mean is pinned at 0 and support to x > 0; the caller
-    is responsible for using a positive source there).
+    is responsible for using a positive source there), and a divergence
+    verdict when the MGF argument lies outside its finiteness interval.
     """
     variance = float(variance)
     if not (math.isfinite(variance) and math.isfinite(mean)):
@@ -596,7 +551,7 @@ def cross_entropy_q_gaussian(
     if half_normal:
         const -= math.log(2.0)
     if alpha.is_one:
-        return _special(const + mgf_square.derivative_at_zero() / (2.0 * variance))
+        return _special(const + mgf_square.mean / (2.0 * variance))
     a = alpha.value
     log_m = mgf_square.log((1.0 - a) / (2.0 * variance))
     if log_m == math.inf:

@@ -26,10 +26,6 @@ class OutOfDomainError(RenyiError, ValueError):
     """A natural parameter lies outside the family's natural domain."""
 
 
-class MgfDomainError(OutOfDomainError):
-    """Moment generating function evaluated outside its finiteness interval."""
-
-
 class DimensionMismatchError(RenyiError, ValueError):
     """Operands have incompatible alphabet sizes, shapes, or dimensions."""
 

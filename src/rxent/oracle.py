@@ -5,8 +5,10 @@ evaluation of its defining integral.  Infinite domains are folded onto a
 compact interval first (the tangent map x = tan u) so the adaptive rule
 sees the whole line; divergence of nonnegative integrands is detected by a
 window-doubling probe before the folded integral is attempted.  The
-adaptive rule is QUADPACK's, from ``scipy.integrate``, which is imported
-when the first integral runs.
+cross-entropy integrand is formed in log space and cut only where it
+leaves the double range, so a divergent integral reads as +inf, never as
+the finite integral of a truncated tail.  The adaptive rule is QUADPACK's,
+from ``scipy.integrate``, which is imported when the first integral runs.
 
 The routines here never call the closed forms they are used to check.
 """
@@ -202,6 +204,15 @@ def _nonnegative_integral(f, supp: SupportSpec, settings: QuadratureSettings,
     return value
 
 
+def _log_density(pdf: Callable[[float], float]) -> Callable[[float], float]:
+    """ln of a pdf, with ln 0 = -inf."""
+    def logpdf(x):
+        value = pdf(x)
+        return math.log(value) if value > 0.0 else -math.inf
+
+    return logpdf
+
+
 def cross_entropy_numeric(
     p_pdf: Callable[[float], float],
     q_pdf: Callable[[float], float],
@@ -221,65 +232,49 @@ def cross_entropy_numeric(
     diverges.  ``points`` are kinks of p or q, such as the location of a
     Laplace density, where the integral is split.
 
-    When both log-densities are supplied, the integrand is formed in log
-    space.  For alpha < 1 this matters: a reference density that underflows
-    to 0.0 in a tail where p is still representable would otherwise be
-    indistinguishable from a genuine zero of q (where the integrand really
-    is infinite).
+    The integrand is formed in log space; a density given only as a pdf is
+    read through its logarithm, with ln 0 = -inf.  For alpha < 1 this
+    matters: a reference density that underflows to 0.0 in a tail where p
+    is still representable would otherwise be indistinguishable from a
+    genuine zero of q (where the integrand really is infinite).  Away from
+    alpha = 1 the integrand is cut only where exp(ln p + (alpha - 1) ln q)
+    leaves the double range, never where p alone is small, so a reference
+    tail that outgrows the source is seen as the divergence it is.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no quadrature form for the alpha -> infinity limit")
-    use_logs = p_logpdf is not None and q_logpdf is not None
+    p_logpdf = p_logpdf or _log_density(p_pdf)
+    q_logpdf = q_logpdf or _log_density(q_pdf)
 
     if alpha.is_one:
-        if use_logs:
-            def integrand(x):
-                lp = p_logpdf(x)
-                if lp < _LOG_TINY:
-                    return 0.0
-                lq = q_logpdf(x)
-                if lq == -math.inf:
-                    return math.inf
-                return -math.exp(lp) * lq
-        else:
-            def integrand(x):
-                pv = p_pdf(x)
-                if pv < _TINY_DENSITY:
-                    return 0.0
-                qv = q_pdf(x)
-                if qv <= 0.0:
-                    return math.inf
-                return -pv * math.log(qv)
-
-        value, _ = integrate(integrand, supp, settings, points)
-        return value
-
-    a = alpha.value
-
-    if use_logs:
         def integrand(x):
             lp = p_logpdf(x)
             if lp < _LOG_TINY:
                 return 0.0
             lq = q_logpdf(x)
             if lq == -math.inf:
-                return math.inf if a < 1.0 else 0.0
-            z = lp + (a - 1.0) * lq
-            if z > _LOG_HUGE:
                 return math.inf
-            if z < _LOG_UNDERFLOW:
-                return 0.0
-            return math.exp(z)
-    else:
-        def integrand(x):
-            pv = p_pdf(x)
-            if pv < _TINY_DENSITY:
-                return 0.0
-            qv = q_pdf(x)
-            if qv <= 0.0:
-                return math.inf if a < 1.0 else 0.0
-            return math.exp(math.log(pv) + (a - 1.0) * math.log(qv))
+            return -math.exp(lp) * lq
+
+        value, _ = integrate(integrand, supp, settings, points)
+        return value
+
+    a = alpha.value
+
+    def integrand(x):
+        lp = p_logpdf(x)
+        if lp == -math.inf:
+            return 0.0
+        lq = q_logpdf(x)
+        if lq == -math.inf:
+            return math.inf if a < 1.0 else 0.0
+        z = lp + (a - 1.0) * lq
+        if z > _LOG_HUGE:
+            return math.inf
+        if z < _LOG_UNDERFLOW:
+            return 0.0
+        return math.exp(z)
 
     total = _nonnegative_integral(integrand, supp, settings, points)
     if math.isinf(total):

@@ -3,11 +3,12 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rxent import ExpFamilyDistribution, cross_entropy_closed
+from rxent import AlphaOrder, DiscreteDistribution, ExpFamilyDistribution, cross_entropy_closed
 from rxent.cli import (
     Command,
     OutputFormat,
@@ -198,6 +199,47 @@ class TestExpfamCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[2].split()[1]) < 1e-4
 
+    @pytest.mark.parametrize("pair", [
+        "--family exponential --p lambda=1 --q lambda=5",
+        "--family gaussian --p mu=0,var=1 --q mu=0,var=0.2",
+    ])
+    def test_divergent_oracle_reads_inf(self, pair):
+        # the reference tail outgrows the source at alpha = 0.7: both diverge
+        code, out, _ = run_cli(f"xent expfam {pair} --alpha 0.7 --oracle".split())
+        assert (code, out) == (2, "inf\noracle inf\ngap 0\n")
+
+
+def _mp_oracle(p, q, alpha, definition):
+    """The standard cross-entropy, or D_alpha(p || q) + H_alpha(p), in
+    40-digit mpmath.  q = 0 on the support of p sends the cross-entropy to
+    +inf for alpha <= 1 and D to +inf for alpha >= 1; other terms with
+    q = 0 add 0."""
+    with mp.workdps(40):
+        on = [(mp.mpf(a), mp.mpf(b)) for a, b in zip(p, q) if a > 0]
+        q_zero = any(b == 0 for _, b in on)
+        if alpha == "1":
+            ent = -mp.fsum(a * mp.log(a) for a, _ in on)
+            if q_zero:
+                return math.inf
+            xent = -mp.fsum(a * mp.log(b) for a, b in on)
+            return float(xent if definition == "standard" else
+                         mp.fsum(a * mp.log(a / b) for a, b in on) + ent)
+        if alpha == "inf":
+            top = max(b for _, b in on)
+            if definition == "standard":
+                return math.inf if top == 0 else float(-mp.log(top))
+            if q_zero:
+                return math.inf
+            return float(max(mp.log(a / b) for a, b in on) - mp.log(max(a for a, _ in on)))
+        r = mp.mpf(alpha)
+        if definition == "standard":
+            total = mp.fsum(a * b ** (r - 1) for a, b in on if b > 0)
+            return math.inf if (r < 1 and q_zero) or total == 0 else float(mp.log(total) / (1 - r))
+        total = mp.fsum(a ** r * b ** (1 - r) for a, b in on if b > 0)
+        if (r > 1 and q_zero) or total == 0:
+            return math.inf
+        return float(mp.log(total) / (r - 1) + mp.log(mp.fsum(a ** r for a, _ in on)) / (1 - r))
+
 
 class TestDiscreteCommand:
     def test_known_value(self, mass_files, capsys):
@@ -226,6 +268,28 @@ class TestDiscreteCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[2].split()[1]) < 1e-12
+
+    @pytest.mark.parametrize("definition", ["standard", "alternate"])
+    @pytest.mark.parametrize("alpha", ["0.01", "0.5", "1", "2.5", "inf"])
+    @pytest.mark.parametrize("p, q", [
+        ((0.5, 0.3, 0.2, 0.0), (0.1, 0.2, 0.3, 0.4)),
+        ((0.5, 0.5, 0.0), (0.5, 0.0, 0.5)),  # q = 0 on the support of p
+        ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.3, 0.7)),  # disjoint supports
+        ((0.5, 0.5), (1e-320, 1.0)),  # q^(alpha - 1) and p/q beyond the double range
+    ], ids=["full", "q-zero", "disjoint", "subnormal"])
+    def test_oracle_is_independent(self, monkeypatch, p, q, alpha, definition):
+        from rxent import cli, discrete
+
+        def refuse(*args):
+            raise AssertionError("the oracle must not call discrete.py")
+
+        for name in ("renyi_cross_entropy", "renyi_divergence", "renyi_entropy"):
+            monkeypatch.setattr(discrete, name, refuse)
+        got = cli._discrete_oracle(DiscreteDistribution(np.array(p)),
+                                   DiscreteDistribution(np.array(q)),
+                                   AlphaOrder.coerce(alpha), definition)
+        want = _mp_oracle(p, q, alpha, definition)
+        assert got == want if math.isinf(want) else abs(got - want) <= 1e-13 * max(1.0, want)
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(f"xent discrete --p {tmp_path}/no.csv --q {tmp_path}/no.csv --alpha 2".split())
@@ -276,6 +340,15 @@ class TestSpecialCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert_allclose(float(lines[0]), 0.6478744644493184, rtol=1e-9)
         assert float(lines[2].split()[1]) < 1e-6
+
+    def test_laplace_sweep_below_one_diverges(self):
+        # the Gaussian reference tail outgrows the Laplace source below 1
+        code, out, err = run_cli("sweep special q-gaussian --p-family laplace --p mu=0.2,b=0.8 "
+                                 "--mean -0.5 --var 1.5 --alphas 0.1:5:0.1".split())
+        rows = [line.split(",") for line in out.split()[1:]]
+        assert (code, err, len(rows)) == (2, "", 50)
+        assert [v for a, v in rows if float(a) < 1] == ["inf"] * 9
+        assert all(math.isfinite(float(v)) for a, v in rows if float(a) >= 1)
 
     def test_support_mismatch_rejected(self, capsys):
         code = main(
@@ -412,6 +485,19 @@ class TestOutputFormats:
         assert_allclose(payload["value"], math.log(5 / 6), rtol=1e-12)
         assert payload["gap"] < 1e-8
 
+    def test_json_gap_of_matching_infinities_is_zero(self, capsys):
+        # value and oracle both diverge: the gap is 0, and the output is
+        # strict JSON (no NaN constant)
+        def no_constants(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        code = main("xent expfam --family gaussian --p mu=0,var=1 --q mu=0,var=0.01 "
+                    "--alpha 0.5 --oracle --format json".split())
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert payload["value"] == payload["oracle"] == "inf"
+        assert payload["gap"] == 0.0
+
     def test_json_infinity_is_string(self, capsys):
         main(
             "xent expfam --family gaussian --p mu=0,var=4 --q mu=0,var=1 "
@@ -479,7 +565,7 @@ class TestOutputFormats:
 
         calls = iter([1.0, 2.0])
 
-        def fake(alpha, want_oracle, settings):
+        def fake(alpha, want_oracle):
             return next(calls), None
 
         monkeypatch.setitem(cli._PREPARERS, Command.XENT_DISCRETE, lambda opts: fake)
@@ -490,25 +576,6 @@ class TestOutputFormats:
 
 
 class TestEnvironment:
-    def test_quad_tol_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("XENT_QUAD_TOL", "1e-6")
-        code = main(
-            "xent expfam --family exponential --p lambda=2 --q lambda=3 "
-            "--alpha 2 --oracle".split()
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert float(lines[2].split()[1]) < 1e-4
-
-    def test_invalid_quad_tol(self, monkeypatch, capsys):
-        monkeypatch.setenv("XENT_QUAD_TOL", "fast")
-        code = main(
-            "xent expfam --family exponential --p lambda=2 --q lambda=3 "
-            "--alpha 2 --oracle".split()
-        )
-        assert code == 1
-        assert "XENT_QUAD_TOL" in capsys.readouterr().err
-
     def test_module_entry_point(self):
         import subprocess
         import sys

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rxent import (
@@ -13,7 +15,6 @@ from rxent import (
     InvalidAlphaError,
     InvalidParameterError,
     Method,
-    MgfDomainError,
     MgfFunction,
     cross_entropy_closed,
     cross_entropy_multivariate_gaussian,
@@ -339,38 +340,38 @@ class TestUniformSource:
 class TestMgfFunction:
     def test_must_be_one_at_zero(self):
         with pytest.raises(InvalidParameterError):
-            MgfFunction(lambda t: 2.0)
+            MgfFunction(lambda t: 1.0 + t, mean=1.0)
 
-    def test_domain_enforced(self):
+    def test_infinite_outside_the_interval(self):
         m = mgf_of(E.exponential(1.0))
-        with pytest.raises(MgfDomainError):
-            m(1.0)  # open upper endpoint at t = lambda
-        assert m(0.999) > 0
+        assert m.log(1.0) == math.inf  # open upper endpoint at t = lambda
+        assert m.log(3.5) == math.inf
+        assert math.isfinite(m.log(0.999))
 
     def test_known_values(self):
         m = mgf_of(E.exponential(2.0))
-        assert_allclose(m(-1.0), 2.0 / 3.0)
+        assert_allclose(m.log(-1.0), math.log(2.0 / 3.0))
         m = mgf_of(E.gaussian(1.0, 4.0))
-        assert_allclose(m(0.5), math.exp(1.0))
+        assert_allclose(m.log(0.5), 1.0)
 
-    def test_derivative_is_mean(self):
-        assert_allclose(mgf_of(E.gaussian(0.7, 2.0)).derivative_at_zero(), 0.7,
-                        atol=1e-7)
-        assert_allclose(mgf_of(E.exponential(2.0)).derivative_at_zero(), 0.5,
-                        atol=1e-7)
+    def test_declared_mean(self):
+        assert mgf_of(E.gaussian(0.7, 2.0)).mean == 0.7
+        assert mgf_of(E.exponential(2.0)).mean == 0.5
 
-    def test_one_sided_derivative(self):
+    def test_closed_upper_end(self):
         # centered-square MGF of an exponential-tail source lives on t <= 0
         m = mgf_of_centered_square(E.exponential(1.0), 0.0)
         assert m.contains(0.0) and not m.contains(1e-9)
-        assert_allclose(m.derivative_at_zero(), 2.0, rtol=1e-4)  # E[X^2] = 2
+        assert m.log(0.0) == 0.0 and m.log(1e-9) == math.inf
+        assert_allclose(m.mean, 2.0, rtol=1e-15)  # E[X^2] = 2
 
     def test_centered_square_gaussian_analytic(self):
         m = mgf_of_centered_square(E.gaussian(0.5, 2.0), 0.0)
         # E[exp(t X^2)] for X ~ N(mu, v): exp(mu^2 t / (1-2vt)) / sqrt(1-2vt)
         t = -0.3
         expected = math.exp(0.25 * t / (1 + 1.2)) / math.sqrt(1 + 1.2)
-        assert_allclose(m(t), expected, rtol=1e-12)
+        assert_allclose(m.log(t), math.log(expected), rtol=1e-12)
+        assert m.log(0.25) == math.inf  # the interval ends at 1/(2 v)
 
 
 class TestExponentialReference:
@@ -392,11 +393,6 @@ class TestExponentialReference:
         p = E.exponential(2.0)
         r = cross_entropy_q_exponential(mgf_of(p), 3.0, "one")
         assert_allclose(r.value, -math.log(3.0) + 3.0 / 2.0, rtol=1e-6)
-
-    def test_mgf_domain_violation(self):
-        # t = rate (1 - alpha) = 1.5 exceeds the Exponential(1) MGF bound
-        with pytest.raises(MgfDomainError):
-            cross_entropy_q_exponential(mgf_of(E.exponential(1.0)), 3.0, 0.5)
 
     def test_invalid_rate(self):
         with pytest.raises(InvalidParameterError):
@@ -444,6 +440,73 @@ class TestGaussianReference:
             cross_entropy_q_gaussian(mgf_of(E.gaussian(0, 1)), 0.0, 0.0, 2.0)
 
 
+REDUCERS_OUTSIDE_THE_INTERVAL = {
+    # at alpha = 0.5, rate (1 - alpha) = 1.5 lies beyond the Exponential(1) bound t < 1
+    "exponential": lambda a: cross_entropy_q_exponential(mgf_of(E.exponential(1.0)), 3.0, a),
+    # and (1 - alpha) / (2 var) = 1.25 beyond the N(0, 1) square bound t < 1/2
+    "gaussian": lambda a: cross_entropy_q_gaussian(
+        mgf_of_centered_square(E.gaussian(0.0, 1.0), 0.0), 0.0, 0.2, a),
+    # any t > 0 lies beyond the exponential-tail square bound t <= 0
+    "gaussian-laplace": lambda a: cross_entropy_q_gaussian(
+        mgf_of_centered_square(E.laplace(0.4, 1.0), -0.5), -0.5, 1.5, a),
+    "half-normal": lambda a: cross_entropy_q_gaussian(
+        mgf_of_centered_square(E.gamma(2.0, 0.5), 0.0), 0.0, 2.0, a, half_normal=True),
+}
+
+
+class TestReducersOutsideTheInterval:
+    """Beyond the MGF finiteness interval the defining integral diverges:
+    every reducer returns the verdict, +inf below alpha = 1."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCERS_OUTSIDE_THE_INTERVAL))
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.5])
+    def test_verdict_below_one(self, name, a):
+        r = REDUCERS_OUTSIDE_THE_INTERVAL[name](a)
+        assert r.diverged and r.value == math.inf and r.method is Method.SPECIAL_CASE
+
+    def test_open_end_of_the_interval(self):
+        # t = (1 - alpha) / (2 var) = 1/2 is where the N(0, 1) square MGF ends
+        m = mgf_of_centered_square(E.gaussian(0.0, 1.0), 0.0)
+        assert cross_entropy_q_gaussian(m, 0.0, 0.5, 0.5).diverged
+        assert cross_entropy_closed(E.gaussian(0.0, 1.0), E.gaussian(0.0, 0.5), 0.5).diverged
+
+
+def _same_outcome(special, closed):
+    assert special.diverged == closed.diverged
+    if closed.diverged:
+        assert special.value == closed.value
+    else:
+        assert abs(special.value - closed.value) <= 1e-9 * max(1.0, abs(closed.value))
+
+
+# the reducers divide ln M by 1 - alpha, which costs digits next to 1
+_ORDERS = st.floats(0.05, 8.0).filter(lambda a: abs(a - 1.0) > 1e-6)
+_EDGE_BAND = 1e-6  # inputs this close to the existence edge are skipped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=st.floats(0.2, 6.0), theta=st.floats(0.1, 5.0), rate=st.floats(0.05, 20.0),
+       a=_ORDERS)
+def test_q_exponential_matches_the_gamma_closed_form(k, theta, rate, a):
+    # Exponential(rate) is Gamma(1, 1/rate); both routes diverge once
+    # 1 + (alpha - 1) theta rate <= 0
+    assume(abs(1.0 + (a - 1.0) * theta * rate) > _EDGE_BAND)
+    p = E.gamma(k, theta)
+    _same_outcome(cross_entropy_q_exponential(mgf_of(p), rate, a),
+                  cross_entropy_closed(p, E.gamma(1.0, 1.0 / rate), a))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mu=st.floats(-5.0, 5.0), v=st.floats(0.05, 10.0), mean=st.floats(-5.0, 5.0),
+       var=st.floats(0.05, 10.0), a=_ORDERS)
+def test_q_gaussian_matches_the_gaussian_closed_form(mu, v, mean, var, a):
+    # both routes diverge once 1 + (alpha - 1) v / var <= 0
+    assume(abs(1.0 + (a - 1.0) * v / var) > _EDGE_BAND)
+    p = E.gaussian(mu, v)
+    _same_outcome(cross_entropy_q_gaussian(mgf_of_centered_square(p, mean), mean, var, a),
+                  cross_entropy_closed(p, E.gaussian(mean, var), a))
+
+
 def _mp_centered_square_mgf(d, center, tau):
     """E[exp(-tau (X - center)^2)] for a Laplace or exponential source in
     30-digit mpmath, from the erfc form of the completed square."""
@@ -486,8 +549,6 @@ class TestCenteredSquareClosedForms:
         want_log = float(mp.log(_mp_centered_square_mgf(d, center, tau)))
         got_log = m.log(-tau)
         assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log))
-        if want_log > -700.0:
-            assert_allclose(m(-tau), math.exp(want_log), rtol=1e-12 * max(1.0, abs(want_log)))
 
     @pytest.mark.parametrize("d, center, tau", [
         (E.exponential(2.5), 0.7, 0.3), (E.exponential(0.3), -1.5, 1.0),
@@ -513,7 +574,7 @@ class TestCenteredSquareClosedForms:
     @pytest.mark.parametrize("d", CLOSED_SQUARE_SOURCES + [E.gaussian(0.5, 2.0)], ids=repr)
     def test_exactly_one_at_zero(self, d):
         m = mgf_of_centered_square(d, 0.3)
-        assert m.log(0.0) == 0.0 and m(0.0) == 1.0
+        assert m.log(0.0) == 0.0
 
 
 def _mp_shannon(p, q_logpdf):
@@ -562,18 +623,20 @@ class TestDeclaredMoments:
         got = cross_entropy_q_exponential(mgf_of(p), rate, "one")
         assert abs(got.value - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
-    def test_hand_built_mgf_takes_central_difference(self):
-        m = MgfFunction(lambda t: math.exp(0.7 * t + t * t))
-        assert m.mean is None
-        assert_allclose(m.derivative_at_zero(), 0.7, atol=1e-8)
+    def test_hand_built_mgf_uses_its_declared_mean(self):
+        m = MgfFunction(lambda t: 0.7 * t + t * t, 0.7)
+        r = cross_entropy_q_exponential(m, 2.0, "one")
+        assert r.value == -math.log(2.0) + 2.0 * 0.7
 
-    def test_needs_exactly_one_function(self):
+    def test_one_form_with_a_mean(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(MgfFunction)] == [
+            "log_fn", "mean", "lower", "upper", "upper_closed"]
+        with pytest.raises(TypeError):
+            MgfFunction(log_fn=lambda t: 0.0)  # the mean is required
         with pytest.raises(InvalidParameterError):
-            MgfFunction()
-        with pytest.raises(InvalidParameterError):
-            MgfFunction(lambda t: 1.0, log_fn=lambda t: 0.0)
-        with pytest.raises(InvalidParameterError):
-            MgfFunction(log_fn=lambda t: 1.0 + t)
+            MgfFunction(log_fn=lambda t: 1.0 + t, mean=1.0)
 
 
 class TestQuadratureCalls:
@@ -631,8 +694,13 @@ class TestLogSpace:
         a = 0.5 + 1e-7
         got = cross_entropy_q_gaussian(mgf_of_centered_square(p, 3.0), 3.0, 0.5, a)
         assert_allclose(got.value, cross_entropy_closed(p, q, a).value, rtol=1e-9)
+        log_m = mgf_of_centered_square(p, 3.0).log((1.0 - a) / 1.0)
+        assert math.log(np.finfo(float).max) < log_m < math.inf
+
+    def test_mgf_argument_beyond_double_range_is_typed(self):
+        # rate (1 - alpha) = -2e308 overflows; M is finite there, so no verdict
         with pytest.raises(DoubleRangeError):
-            mgf_of_centered_square(p, 3.0)((1.0 - a) / 1.0)
+            cross_entropy_q_exponential(mgf_of(E.gamma(2.0, 1.0)), 1e308, 3.0)
 
     @pytest.mark.parametrize("a", [0.5, "one", 2.0])
     def test_result_beyond_double_range_is_typed(self, a):

@@ -134,9 +134,8 @@ class TestCrossEntropyNumeric:
         assert abs(value - (-math.log(3.0) + 1.5)) < 1e-9
 
     def test_log_density_route_matches(self):
-        # the raw-pdf route is only well defined for alpha > 1, where a
-        # q tail that underflows contributes nothing instead of poisoning
-        # the integrand
+        # pdfs alone are read through their logarithms; above alpha = 1 a q
+        # tail that underflows contributes nothing, so both routes agree
         p = ExpFamilyDistribution.gamma(2.5, 1.2)
         q = ExpFamilyDistribution.gamma(3.0, 0.8)
         for alpha in (AlphaOrder(1.5), AlphaOrder(3.0)):
@@ -162,6 +161,18 @@ class TestCrossEntropyNumeric:
         value = cross_entropy_numeric(
             p.pdf, q.pdf, LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
+        assert value == math.inf
+
+    @pytest.mark.parametrize("p, q", [
+        (ExpFamilyDistribution.exponential(1.0), ExpFamilyDistribution.exponential(5.0)),
+        (ExpFamilyDistribution.gaussian(0.0, 1.0), ExpFamilyDistribution.gaussian(0.0, 0.2)),
+    ], ids=["exponential", "gaussian"])
+    @pytest.mark.parametrize("logs", [True, False], ids=["logpdf", "pdf"])
+    def test_reference_tail_outgrowing_the_source_diverges(self, p, q, logs):
+        # at alpha = 0.7, p q^(alpha - 1) grows like exp(x / 2) or exp(x^2 / 4)
+        # where p alone is far below any density cut
+        extra = {"p_logpdf": p.logpdf, "q_logpdf": q.logpdf} if logs else {}
+        value = cross_entropy_numeric(p.pdf, q.pdf, p.support, AlphaOrder(0.7), **extra)
         assert value == math.inf
 
     def test_divergent_above_one_is_minus_inf(self):
