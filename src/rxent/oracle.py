@@ -4,13 +4,18 @@ Every closed form in this library is checked against direct numeric
 evaluation of its defining integral.  Infinite domains are folded onto a
 compact interval first (the tangent map x = tan u) so the adaptive rule
 sees the whole line; divergence of nonnegative integrands is detected by a
-window-doubling probe before the folded integral is attempted.  The
-cross-entropy integrand is formed in log space and cut only where it
-leaves the double range, so a divergent integral reads as +inf, never as
-the finite integral of a truncated tail.  The adaptive rule is QUADPACK's,
-from ``scipy.integrate``, which is imported when the first integral runs.
+window-doubling probe before the folded integral is attempted.  The probe
+keeps a running sum over the shells each doubling adds, so it integrates
+no region twice.  The cross-entropy integrand is formed in log space and
+cut only where it leaves the double range, so a divergent integral reads
+as +inf, never as the finite integral of a truncated tail.  The adaptive
+rule is QUADPACK's, from ``scipy.integrate``, which is imported when the
+first integral runs.  The bivariate Gaussian referee sums its integrand on
+a fixed grid, also from the densities' log forms.
 
-The routines here never call the closed forms they are used to check.
+The routines here never call the closed forms they are used to check; the
+module imports nothing from the package beyond the order type, the errors
+and the supports.
 """
 
 from __future__ import annotations
@@ -34,11 +39,13 @@ _LOG_TINY = math.log(_TINY_DENSITY)
 _LOG_HUGE = 700.0
 _LOG_UNDERFLOW = -745.0
 
-# Window-doubling probe: partial integrals over windows W, 2W, 4W, ...
-# An integral is declared divergent when the last _PROBE_RUN doublings all
-# grow the partial integral by more than _PROBE_GROWTH, or when a partial
-# overflows.  Slowly (logarithmically) divergent integrands can escape the
-# growth test; they then fail loudly in the folded integral instead.
+# Window-doubling probe: partial integrals over windows W, 2W, 4W, ...,
+# each the previous partial plus the integral over the shell the doubling
+# adds.  An integral is declared divergent when the last _PROBE_RUN
+# doublings all grow the partial integral by more than _PROBE_GROWTH, or
+# when a partial overflows.  Slowly (logarithmically) divergent integrands
+# can escape the growth test; they then fail loudly in the folded integral
+# instead.
 _PROBE_GROWTH = 1.01
 _PROBE_RUN = 5
 _PROBE_DOUBLINGS = 24
@@ -150,29 +157,40 @@ def integrate(
     return value, abserr
 
 
-def _probe_window(supp: SupportSpec, width: float) -> tuple[float, float]:
-    if supp.kind is SupportKind.POSITIVE_REALS:
-        return 0.0, width
-    return -width, width
+def _probe_shells(supp: SupportSpec, k: int) -> tuple[tuple[float, float], ...]:
+    """The intervals that doubling k adds to the probe window: the first
+    window [0, W] (or [-W, W]) at k = 0, then [W 2^(k-1), W 2^k], mirrored
+    on the line."""
+    width = _PROBE_START_WINDOW * 2.0 ** k
+    if k == 0:
+        return ((0.0 if supp.kind is SupportKind.POSITIVE_REALS else -width, width),)
+    shells = ((width / 2.0, width),)
+    if supp.kind is SupportKind.ALL_REALS:
+        shells = ((-width, -width / 2.0),) + shells
+    return shells
 
 
 def _diverges(f, supp: SupportSpec, settings: QuadratureSettings) -> bool:
     """Window-doubling divergence probe for a nonnegative integrand.
 
-    Only growth of the partial integrals and overflow count as evidence;
-    QUADPACK's own "probably divergent" flag is ignored here because it
-    also fires on wide compact windows of perfectly convergent tails.
+    The partial integral over [0, W 2^k] (or [-W 2^k, W 2^k] on the line)
+    is the previous partial plus the integral over the shells doubling k
+    adds, so no point of the last window is integrated twice.  Only growth
+    of the partial integrals and overflow count as evidence; QUADPACK's own
+    "probably divergent" flag is ignored here because it also fires on wide
+    compact windows of perfectly convergent tails.
     """
     if supp.kind is SupportKind.INTERVAL:
         return False  # compact: endpoint divergence surfaces as a quad warning
     loose = replace(settings, relative_tolerance=1e-8, absolute_tolerance=1e-12,
                     max_subdivisions=200)
+    partial = 0.0
     previous = None
     run = 0
     stable = 0
     for k in range(_PROBE_DOUBLINGS + 1):
-        a, b = _probe_window(supp, _PROBE_START_WINDOW * 2.0 ** k)
-        partial, _, _, _ = _quad_interval(f, a, b, loose)
+        for a, b in _probe_shells(supp, k):
+            partial += _quad_interval(f, a, b, loose)[0]
         if math.isnan(partial) or partial > _PROBE_OVERFLOW:
             return True
         if previous is not None and previous > 0.0:
@@ -357,27 +375,37 @@ def mgf_numeric(
     return _nonnegative_integral(integrand, supp, settings)
 
 
-def gaussian_pdf_2d(cov) -> Callable:
-    """Vectorized zero-mean bivariate normal density (for grid quadrature)."""
+def gaussian_log_form_2d(cov) -> tuple[float, np.ndarray]:
+    """(c, K) with ln N(x; 0, cov) = c - x^T K x / 2 for a 2x2 covariance:
+    K is its inverse and c = -ln(2 pi) - ln(det cov) / 2."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise InvalidParameterError(f"need a 2x2 covariance, got shape {cov.shape}")
-    det = float(np.linalg.det(cov))
-    if det <= 0:
+    (s00, s01), (s10, s11) = cov
+    det = s00 * s11 - s01 * s10
+    if not (det > 0.0 and s00 > 0.0):
         raise InvalidParameterError("covariance must be positive definite")
-    inv = np.linalg.inv(cov)
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
-
-    def pdf(x, y):
-        quad_form = inv[0, 0] * x * x + 2.0 * inv[0, 1] * x * y + inv[1, 1] * y * y
-        return norm * np.exp(-0.5 * quad_form)
-
-    return pdf
+    inverse = np.array([[s11, -s01], [-s10, s00]]) / det
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(det), inverse
 
 
 def _trapezoid(y: np.ndarray, step: float):
     """Trapezoid rule along the last axis of samples on a uniform grid."""
     return step * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+
+
+def _log_form_rows(c: float, k: np.ndarray, axis: np.ndarray) -> Callable:
+    """c - x^T k x / 2 at (x, y) = (axis[rows], axis), for a slice of rows;
+    the y-only part is formed once, not once per block."""
+    half_square = -0.5 * axis * axis
+    x_part = k[0, 0] * half_square
+    y_part = c + k[1, 1] * half_square
+    cross = -0.5 * (k[0, 1] + k[1, 0]) * axis
+
+    def block(rows: slice) -> np.ndarray:
+        return x_part[rows, None] + y_part[None, :] + cross[rows, None] * axis[None, :]
+
+    return block
 
 
 def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
@@ -386,28 +414,32 @@ def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
     Trapezoid rule over [-w, w]^2 with w = 12 standard deviations of the
     wider marginal and 1501 points per axis.  The inner rule runs over
     blocks of 64 rows, so the grid is never held whole.  Independent of the
-    matrix closed form: the densities are evaluated directly and the
-    defining integral is summed.
+    matrix closed form: the defining integral is summed point by point from
+    each density's own log form c - x^T K x / 2.  Away from alpha = 1 the
+    integrand p q^(alpha-1) is exp(c_p + (alpha-1) c_q - x^T (K_p +
+    (alpha-1) K_q) x / 2), one exp per point; at alpha = 1 it is p (-ln q).
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no grid form for the alpha -> infinity limit")
-    p_pdf = gaussian_pdf_2d(cov1)
-    q_pdf = gaussian_pdf_2d(cov2)
+    c_p, k_p = gaussian_log_form_2d(cov1)
+    c_q, k_q = gaussian_log_form_2d(cov2)
     scale = math.sqrt(max(np.max(np.diag(np.asarray(cov1, dtype=float))),
                           np.max(np.diag(np.asarray(cov2, dtype=float)))))
     w = _GRID_SD_MULTIPLE * scale
     axis, step = np.linspace(-w, w, _GRID_POINTS, retstep=True)
     a = alpha.value
+    if alpha.is_one:
+        log_integrand = _log_form_rows(c_p, k_p, axis)
+        minus_ln_q = _log_form_rows(-c_q, -k_q, axis)
+    else:
+        log_integrand = _log_form_rows(c_p + (a - 1.0) * c_q, k_p + (a - 1.0) * k_q, axis)
     inner = np.empty(_GRID_POINTS)
     for lo in range(0, _GRID_POINTS, _GRID_BLOCK_ROWS):
         rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-        p = p_pdf(axis[rows, None], axis[None, :])
-        q = q_pdf(axis[rows, None], axis[None, :])
+        vals = np.exp(log_integrand(rows))
         if alpha.is_one:
-            vals = np.where(p > 0, p * -np.log(np.maximum(q, 1e-320)), 0.0)
-        else:
-            vals = p * q ** (a - 1.0)
+            vals *= minus_ln_q(rows)
         inner[rows] = _trapezoid(vals, step)
     total = float(_trapezoid(inner, step))
     if alpha.is_one:

@@ -19,6 +19,13 @@ _ERFCX_SPLIT = 26.0
 # the Stirling tail below has truncation error under 1e-15 from here on
 _STIRLING_MIN = 10.0
 _STEP_ORDERS = 0.05  # |alpha - 1| below which ln Gamma differences are steps
+# -t from which ln M(a, a + b, t) is tried by its large-|t| expansion: there
+# e^t < 2e-22, so for a and b of order one both the dropped e^t part and the
+# expansion's smallest term are below double precision (for other a and b
+# the expansion checks both itself); below it the direct sum is short.  The
+# second constant is the log of the relative size that no longer counts.
+_KUMMER_ASYMPTOTIC = 50.0
+_LOG_DOUBLE_EPS = math.log(1e-17)
 
 
 def gammaln(x: float) -> float:
@@ -173,6 +180,28 @@ def erfcx(z: float) -> float:
     return 1.0 / (_SQRT_PI * f)
 
 
+def _log_kummer_asymptotic(a: float, b: float, t: float) -> float | None:
+    """ln M(a, a + b, t) for large -t from the expansion
+    M ~ Gamma(a + b) / Gamma(b) (-t)^-a sum_k (a)_k (1 - b)_k / k! (-t)^-k,
+    or None where it misses double precision: when a term stops falling
+    before it is negligible, or when the dropped part,
+    Gamma(a + b) / Gamma(a) e^t (-t)^-b to leading order, is not.
+    """
+    x = -t
+    log_x = math.log(x)
+    if not gammaln(b) - gammaln(a) + t + (a - b) * log_x <= _LOG_DOUBLE_EPS:
+        return None
+    rest, term, k = 0.0, 1.0, 0.0
+    while abs(term) > 1e-17 * abs(1.0 + rest):
+        ratio = (a + k) * (1.0 - b + k) / ((k + 1.0) * x)
+        if abs(ratio) >= 1.0:
+            return None
+        term *= ratio
+        rest += term
+        k += 1.0
+    return gammaln(a + b) - gammaln(b) - a * log_x + math.log1p(rest)
+
+
 def log_kummer(a: float, b: float, t: float) -> float:
     """ln M(a, a + b, t) of Kummer's confluent hypergeometric function, a, b > 0.
 
@@ -182,8 +211,14 @@ def log_kummer(a: float, b: float, t: float) -> float:
     and enter through log1p, so ln M keeps its relative precision as t -> 0.
     The t < 0 sum is rescaled as it grows (M itself is at most 1 there); for
     t > 0 the sum overflows, and the result is +inf, exactly where M exceeds
-    the double range.  The number of terms grows like |t|.
+    the double range.  The number of terms grows like |t|, so below t = -50
+    the large-|t| expansion is used wherever it reaches double precision;
+    its number of terms falls as -t grows.
     """
+    if t < -_KUMMER_ASYMPTOTIC:
+        log_m = _log_kummer_asymptotic(a, b, t)
+        if log_m is not None:
+            return log_m
     c = a + b
     p, s = (a, t) if t >= 0.0 else (b, -t)
     rest, term = 0.0, 1.0

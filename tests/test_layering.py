@@ -5,7 +5,8 @@ reach it only for the numeric MGF of Gamma and Beta sources; graph algorithms
 come from numpy, and the exponential-family representation does not depend
 on the referee it is checked against.  scipy is the referee's adaptive
 rule: no other module imports it, and ``oracle.py`` imports it only when
-the first integral runs.
+the first integral runs.  From the package the referee imports only the
+order type, the errors and the supports, never a closed form.
 """
 
 import ast
@@ -91,6 +92,15 @@ def test_oracle_imports_scipy_only_inside_functions():
         pending.extend(ast.iter_child_nodes(node))
     assert at_import and not any(_is_scipy(n) for n in at_import)
     assert any(_is_scipy(n) for n in imported_modules(path))
+
+
+def test_oracle_cannot_reach_a_closed_form():
+    """The referee imports only the order type, the errors and the supports,
+    so no closed form it checks can leak into its reference values."""
+    names = imported_modules(PACKAGE / "oracle.py")
+    assert "rxent" not in names  # the package itself loads every module
+    assert {n.split(".")[1] for n in names if n.startswith("rxent.")} <= {
+        "alpha", "errors", "support"}
 
 
 def test_closed_form_sweeps_load_no_scipy(tmp_path):

@@ -16,7 +16,7 @@ from rxent.oracle import (
     _nonnegative_integral,
     cross_entropy_grid2d_gaussian,
     cross_entropy_numeric,
-    gaussian_pdf_2d,
+    gaussian_log_form_2d,
     integrate,
     mgf_numeric,
     renyi_entropy_numeric,
@@ -116,6 +116,32 @@ class TestDivergenceProbe:
 
     def test_compact_interval_never_probed(self):
         assert not _diverges(lambda x: 1.0 / x, UNIT, DEFAULT_SETTINGS)
+
+    @pytest.mark.parametrize("f, supp, diverges", [
+        (lambda x: math.exp(-x), HALF, False),
+        (lambda x: 1.0 / (1.0 + x * x), LINE, False),
+        (lambda x: 1.0 / (1.0 + x), HALF, True),
+    ], ids=["exponential", "cauchy", "log-divergent"])
+    def test_each_point_integrated_once(self, monkeypatch, f, supp, diverges):
+        # the probe's intervals tile its last window: no region twice
+        from rxent import oracle
+
+        seen = []
+        real = oracle.quad
+
+        def spy(g, a, b, **options):
+            seen.append((a, b))
+            return real(g, a, b, **options)
+
+        monkeypatch.setattr(oracle, "quad", spy)
+        assert _diverges(f, supp, DEFAULT_SETTINGS) is diverges
+        # sorted, each interval starts where the one before it ends
+        tiles = sorted(seen)
+        assert all(a < b for a, b in tiles)
+        assert all(end == start for (_, end), (start, _) in zip(tiles, tiles[1:]))
+        width = tiles[-1][1]
+        assert math.log2(width) == int(math.log2(width))
+        assert tiles[0][0] == (0.0 if supp is HALF else -width)
 
 
 class TestCrossEntropyNumeric:
@@ -242,17 +268,20 @@ class TestMgfNumeric:
 class TestGrid2d:
     def test_pdf_normalization(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        pdf = gaussian_pdf_2d(cov)
+        c, k = gaussian_log_form_2d(cov)
         axis = np.linspace(-12, 12, 801)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        total = np.trapezoid(np.trapezoid(pdf(gx, gy), axis, axis=1), axis)
+        pdf = np.exp(c - 0.5 * (k[0, 0] * gx * gx + 2.0 * k[0, 1] * gx * gy + k[1, 1] * gy * gy))
+        total = np.trapezoid(np.trapezoid(pdf, axis, axis=1), axis)
         assert abs(total - 1.0) < 1e-8
 
     def test_needs_spd(self):
         with pytest.raises(InvalidParameterError):
-            gaussian_pdf_2d(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            gaussian_log_form_2d(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(InvalidParameterError):
-            gaussian_pdf_2d(np.eye(3))
+            gaussian_log_form_2d(-np.eye(2))
+        with pytest.raises(InvalidParameterError):
+            gaussian_log_form_2d(np.eye(3))
 
     def test_self_pair_value(self):
         cov = np.array([[1.0, 0.3], [0.3, 1.5]])

@@ -6,6 +6,7 @@ and Beta MGF arguments rate (1 - alpha) in [-21, 2.6].
 """
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -138,6 +139,20 @@ class TestKummer:
         with mp.workdps(30):
             want = float(mp.log(mp.hyp1f1(2.5, 6.0, t)))
         assert_allclose(log_kummer(2.5, 3.5, t), want, rtol=1e-16 * abs(t))
+
+    @pytest.mark.parametrize("a", [0.4, 2.0, 8.0])
+    @pytest.mark.parametrize("b", [0.4, 2.0, 8.0])
+    @pytest.mark.parametrize("t", [-30.0, -1e3, -1e5, -1e7])
+    def test_large_negative_argument_expansion(self, a, b, t):
+        with mp.workdps(30):
+            want = float(mp.hyp1f1(a, a + b, t))
+        assert_allclose(math.exp(log_kummer(a, b, t)), want, rtol=1e-13)
+
+    def test_large_negative_argument_is_fast(self):
+        # the direct sum takes about |t| terms; the expansion a handful
+        start = time.perf_counter()
+        log_kummer(2.0, 3.0, -1e7)
+        assert time.perf_counter() - start < 0.05
 
     def test_overflow_point(self):
         a, b = 2.0, 3.0
