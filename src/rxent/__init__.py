@@ -10,7 +10,8 @@ distribution against a reference distribution:
   power spectra) and finite-alphabet Markov sources (via a Perron
   eigenvalue);
 * numerically, through adaptive-quadrature oracles that validate every
-  closed form.
+  closed form; ``cross_entropy_numeric`` takes the two log-densities by
+  keyword, and with q = p it gives the order-alpha entropy.
 
 All values are in nats.  Divergent cases return ``inf`` (alpha < 1) or
 ``-inf`` (alpha > 1) instead of raising.
@@ -67,7 +68,7 @@ from .markov import (
     perron_eigenvalue,
     shannon_rate_slope,
 )
-from .oracle import QuadratureSettings, cross_entropy_numeric, renyi_entropy_numeric
+from .oracle import QuadratureSettings, cross_entropy_numeric
 from .support import SupportKind, SupportSpec
 
 __version__ = "0.1.0"
@@ -121,7 +122,6 @@ __all__ = [
     "renyi_cross_entropy",
     "renyi_divergence",
     "renyi_entropy",
-    "renyi_entropy_numeric",
     "shannon_cross_entropy",
     "shannon_entropy",
     "shannon_rate_slope",

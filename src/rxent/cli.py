@@ -28,7 +28,8 @@ own order-alpha formula, ``--alpha inf`` the min-entropy limit (discrete
 only); other floats within 1e-9 of 1 are rejected.  Sweep grid points that
 land on 1 are evaluated at the Shannon limit, so any grid may step through
 1.  ``--oracle`` adds an independent referee value and the gap between the
-two, which is 0 where both are the same infinity.
+two, which is 0 where both are the same infinity; the referee's inputs (for
+the continuous targets, the two log-densities) are built only then.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,15 +49,7 @@ from . import differential, discrete, gaussproc, markov, oracle
 from .alpha import AlphaOrder
 from .errors import InvalidParameterError, RenyiError
 from .expfam import ExpFamilyDistribution, Family
-from .support import SupportSpec, UNIT_INTERVAL
-
-
-class Command(Enum):
-    XENT_DISCRETE = "xent discrete"
-    XENT_EXPFAM = "xent expfam"
-    XENT_SPECIAL = "xent special"
-    RATE_MARKOV = "rate markov"
-    RATE_GAUSS = "rate gauss"
+from .support import SupportKind, SupportSpec, UNIT_INTERVAL
 
 
 class OutputFormat(Enum):
@@ -66,9 +60,9 @@ class OutputFormat(Enum):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """A fully parsed CLI invocation."""
+    """A fully parsed CLI invocation; ``command`` is "<group> <target>"."""
 
-    command: Command
+    command: str
     alphas: tuple[AlphaOrder, ...]
     sweep: bool
     oracle_check: bool
@@ -89,28 +83,20 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-_SCALAR_FAMILY_PARAMS = {
-    "gaussian": ("mu", "var"),
-    "exponential": ("lambda",),
-    "beta": ("a", "b"),
-    "gamma": ("k", "theta"),
-    "chi2": ("nu",),
-    "laplace": ("mu", "b"),
+# scalar family -> (parameter names, ExpFamilyDistribution constructor).  The
+# constructor is looked up by name when called, so a wrapper installed on the
+# class after import (the benchmark's tracer) sees the CLI's calls.
+_FAMILIES = {
+    "gaussian": (("mu", "var"), "gaussian"),
+    "exponential": (("lambda",), "exponential"),
+    "beta": (("a", "b"), "beta"),
+    "gamma": (("k", "theta"), "gamma"),
+    "chi2": (("nu",), "chi_squared"),
+    "laplace": (("mu", "b"), "laplace"),
 }
-
-_FAMILY_ALIASES = {
-    "gaussian": "gaussian",
-    "normal": "gaussian",
-    "exponential": "exponential",
-    "exp": "exponential",
-    "beta": "beta",
-    "gamma": "gamma",
-    "chi2": "chi2",
-    "chi_squared": "chi2",
-    "chisquared": "chi2",
-    "laplace": "laplace",
-    "mvgauss": "mvgauss",
-}
+_FAMILY_ALIASES = {"normal": "gaussian", "exp": "exponential",
+                   "chi_squared": "chi2", "chisquared": "chi2"}
+_PARAM_ALIASES = {"rate": "lambda", "scale": "b", "s": "b"}
 
 
 def _number(raw: str, what: str) -> float:
@@ -134,30 +120,14 @@ def _parse_kv(text: str) -> dict[str, float]:
 
 
 def _make_distribution(family: str, spec: str) -> ExpFamilyDistribution:
-    family = _FAMILY_ALIASES.get(family.lower())
-    if family is None or family == "mvgauss":
+    name = _FAMILY_ALIASES.get(family.lower(), family.lower())
+    if name not in _FAMILIES:
         raise UsageError(f"unknown scalar family {family!r}")
-    kv = _parse_kv(spec)
-    names = _SCALAR_FAMILY_PARAMS[family]
-    aliases = {"rate": "lambda", "scale": "b", "s": "b"}
-    kv = {aliases.get(k, k): v for k, v in kv.items()}
-    missing = [n for n in names if n not in kv]
-    extra = [k for k in kv if k not in names]
-    if missing or extra:
-        raise UsageError(
-            f"{family} takes parameters {','.join(names)}; got {spec!r}"
-        )
-    if family == "gaussian":
-        return ExpFamilyDistribution.gaussian(kv["mu"], kv["var"])
-    if family == "exponential":
-        return ExpFamilyDistribution.exponential(kv["lambda"])
-    if family == "beta":
-        return ExpFamilyDistribution.beta(kv["a"], kv["b"])
-    if family == "gamma":
-        return ExpFamilyDistribution.gamma(kv["k"], kv["theta"])
-    if family == "chi2":
-        return ExpFamilyDistribution.chi_squared(kv["nu"])
-    return ExpFamilyDistribution.laplace(kv["mu"], kv["b"])
+    names, constructor = _FAMILIES[name]
+    kv = {_PARAM_ALIASES.get(k, k): v for k, v in _parse_kv(spec).items()}
+    if set(kv) != set(names):
+        raise UsageError(f"{name} takes parameters {','.join(names)}; got {spec!r}")
+    return getattr(ExpFamilyDistribution, constructor)(*(kv[n] for n in names))
 
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
@@ -282,12 +252,10 @@ def _add_gauss_opts(sp):
                     help="matrix order for the --oracle finite-n check")
 
 
-_TARGET_BUILDERS = {
-    "discrete": (_add_discrete_opts, Command.XENT_DISCRETE),
-    "expfam": (_add_expfam_opts, Command.XENT_EXPFAM),
-    "special": (_add_special_opts, Command.XENT_SPECIAL),
-    "markov": (_add_markov_opts, Command.RATE_MARKOV),
-    "gauss": (_add_gauss_opts, Command.RATE_GAUSS),
+_GROUPS = {
+    "xent": "cross-entropy of a single pair",
+    "rate": "asymptotic cross-entropy rates",
+    "sweep": "evaluate over an alpha grid",
 }
 
 
@@ -297,35 +265,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rxent", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="group", required=True)
-
-    xent = top.add_parser("xent", help="cross-entropy of a single pair")
-    xsub = xent.add_subparsers(dest="target", required=True)
-    for name in ("discrete", "expfam", "special"):
-        sp = xsub.add_parser(name)
-        _TARGET_BUILDERS[name][0](sp)
-        _add_common(sp, sweep=False)
-
-    rate = top.add_parser("rate", help="asymptotic cross-entropy rates")
-    rsub = rate.add_subparsers(dest="target", required=True)
-    for name in ("markov", "gauss"):
-        sp = rsub.add_parser(name)
-        _TARGET_BUILDERS[name][0](sp)
-        _add_common(sp, sweep=False)
-
-    sweep = top.add_parser("sweep", help="evaluate over an alpha grid")
-    ssub = sweep.add_subparsers(dest="target", required=True)
-    for name, (builder, _) in _TARGET_BUILDERS.items():
-        sp = ssub.add_parser(name)
-        builder(sp)
-        _add_common(sp, sweep=True)
-
+    groups = {name: top.add_parser(name, help=text).add_subparsers(dest="target", required=True)
+              for name, text in _GROUPS.items()}
+    for name, target in _TARGETS.items():
+        for group in (target.group, "sweep"):
+            sp = groups[group].add_parser(name)
+            target.add_options(sp)
+            _add_common(sp, sweep=group == "sweep")
     return parser
 
 
 def parse_args(argv) -> JobSpec:
     ns = build_parser().parse_args(argv)
     sweep = ns.group == "sweep"
-    command = _TARGET_BUILDERS[ns.target][1]
+    command = f"{_TARGETS[ns.target].group} {ns.target}"
     if sweep:
         alphas = _parse_alpha_grid(ns.alphas)
         if ns.oracle:
@@ -401,32 +354,22 @@ def _prepare_discrete(opts):
     return evaluate
 
 
-def _with_numeric_oracle(value_at, densities, kinks=()):
+def _with_numeric_oracle(value_at, log_densities, kinks=()):
     """An evaluator whose oracle is the quadrature cross-entropy.
 
-    ``densities()`` returns (support, (p pdf, p logpdf), (q pdf, q logpdf)).
-    It runs once, after the first value, with or without ``--oracle``:
-    building the reference also rejects parameters the value accepts (a
-    non-finite rate or variance), and the first error a bad input raises
-    stays the value's own.  ``kinks`` are points where the quadrature
-    splits the integral.
+    ``log_densities()`` returns (support, p logpdf, q logpdf); it runs only
+    under ``--oracle``, after the value.  ``kinks`` are points where the
+    quadrature splits the integral.
     """
-    reference = functools.cache(densities)
-
     def evaluate(alpha, want_oracle):
         value = value_at(alpha)
-        supp, (p_pdf, p_logpdf), (q_pdf, q_logpdf) = reference()
         if not want_oracle:
             return value, None
-        return value, oracle.cross_entropy_numeric(p_pdf, q_pdf, supp, alpha,
-                                                   p_logpdf=p_logpdf, q_logpdf=q_logpdf,
-                                                   points=kinks)
+        supp, p_logpdf, q_logpdf = log_densities()
+        return value, oracle.cross_entropy_numeric(supp, alpha, p_logpdf=p_logpdf,
+                                                   q_logpdf=q_logpdf, points=kinks)
 
     return evaluate
-
-
-def _densities(d: ExpFamilyDistribution):
-    return d.pdf, d.logpdf
 
 
 def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
@@ -436,7 +379,7 @@ def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
 
 
 def _prepare_expfam(opts):
-    if _FAMILY_ALIASES.get(opts["family"].lower()) == "mvgauss":
+    if opts["family"].lower() == "mvgauss":
         cov1 = _read_matrix(opts["p"])
         cov2 = _read_matrix(opts["q"])
 
@@ -456,34 +399,27 @@ def _prepare_expfam(opts):
               else differential.cross_entropy_closed)
     return _with_numeric_oracle(
         lambda alpha: engine(f1, f2, alpha).value,
-        lambda: (f1.support, _densities(f1), _densities(f2)), _kinks(f1))
+        lambda: (f1.support, f1.logpdf, f2.logpdf), _kinks(f1))
 
 
-def _uniform_pdf(supp: SupportSpec):
-    density = 1.0 / supp.length
-
-    def pdf(x):
-        return density if supp.lower < x < supp.upper else 0.0
+def _uniform_logpdf(supp: SupportSpec):
+    log_density = math.log(1.0 / supp.length)
 
     def logpdf(x):
-        return math.log(density) if supp.lower < x < supp.upper else -math.inf
+        return log_density if supp.lower < x < supp.upper else -math.inf
 
-    return pdf, logpdf
+    return logpdf
 
 
-def _half_normal_pdf(variance: float):
+def _half_normal_logpdf(variance: float):
     log_norm = 0.5 * (math.log(2.0) - math.log(math.pi) - math.log(variance))
-
-    def pdf(x):
-        lp = logpdf(x)
-        return math.exp(lp) if lp > -math.inf else 0.0
 
     def logpdf(x):
         if x < 0:
             return -math.inf
         return log_norm - x * x / (2.0 * variance)
 
-    return pdf, logpdf
+    return logpdf
 
 
 def _require(opts, key, variant):
@@ -499,50 +435,43 @@ def _prepare_special(opts):
         supp = SupportSpec.interval(opts["lower"], opts["upper"])
         return _with_numeric_oracle(
             lambda alpha: differential.cross_entropy_q_uniform(supp),
-            lambda: (supp, _uniform_pdf(supp), _uniform_pdf(supp)))
+            lambda: (supp, _uniform_logpdf(supp), _uniform_logpdf(supp)))
 
     if variant == "p-uniform":
         q = _make_distribution("beta", _require(opts, "q", variant))
         return _with_numeric_oracle(
             lambda alpha: differential.cross_entropy_p_uniform(UNIT_INTERVAL, q, alpha).value,
-            lambda: (UNIT_INTERVAL, _uniform_pdf(UNIT_INTERVAL), _densities(q)))
+            lambda: (UNIT_INTERVAL, _uniform_logpdf(UNIT_INTERVAL), q.logpdf))
 
     p = _make_distribution(_require(opts, "p_family", variant), _require(opts, "p", variant))
-    source = _densities(p)
-
     if variant == "q-exponential":
         rate = _require(opts, "rate", variant)
-        if p.support.kind.value == "all_reals":
-            raise InvalidParameterError(
-                "the exponential reference needs a source supported on x > 0"
-            )
+    else:
+        variance = _require(opts, "var", variant)
+    if variant != "q-gaussian" and p.support.kind is SupportKind.ALL_REALS:
+        raise InvalidParameterError(
+            f"the {variant.removeprefix('q-')} reference needs a source supported on x > 0"
+        )
+
+    if variant == "q-exponential":
         mgf = differential.mgf_of(p)
         return _with_numeric_oracle(
             lambda alpha: differential.cross_entropy_q_exponential(mgf, rate, alpha).value,
-            lambda: (p.support, source,
-                     _densities(ExpFamilyDistribution.exponential(rate))))
+            lambda: (p.support, p.logpdf, ExpFamilyDistribution.exponential(rate).logpdf))
 
-    variance = _require(opts, "var", variant)
-    if variant == "q-gaussian":
-        mean = opts["mean"]
-        mgf = differential.mgf_of_centered_square(p, mean)
-        return _with_numeric_oracle(
-            lambda alpha: differential.cross_entropy_q_gaussian(mgf, mean, variance,
-                                                                alpha).value,
-            lambda: (p.support, source,
-                     _densities(ExpFamilyDistribution.gaussian(mean, variance))),
-            _kinks(p))
+    half_normal = variant == "q-half-normal"
+    mean = 0.0 if half_normal else opts["mean"]
+    mgf = differential.mgf_of_centered_square(p, mean)
 
-    # q-half-normal
-    if p.support.kind.value == "all_reals":
-        raise InvalidParameterError(
-            "the half-normal reference needs a source supported on x > 0"
-        )
-    mgf = differential.mgf_of_centered_square(p, 0.0)
+    def log_densities():
+        q_logpdf = (_half_normal_logpdf(variance) if half_normal
+                    else ExpFamilyDistribution.gaussian(mean, variance).logpdf)
+        return p.support, p.logpdf, q_logpdf
+
     return _with_numeric_oracle(
-        lambda alpha: differential.cross_entropy_q_gaussian(mgf, 0.0, variance, alpha,
-                                                            half_normal=True).value,
-        lambda: (p.support, source, _half_normal_pdf(variance)))
+        lambda alpha: differential.cross_entropy_q_gaussian(mgf, mean, variance, alpha,
+                                                            half_normal=half_normal).value,
+        log_densities, _kinks(p))
 
 
 def _prepare_markov(opts):
@@ -577,14 +506,21 @@ def _prepare_gauss(opts):
     return evaluate
 
 
-# Each preparer reads, builds and validates a command's inputs once and
-# returns evaluate(alpha, want_oracle) -> (value, oracle value).
-_PREPARERS = {
-    Command.XENT_DISCRETE: _prepare_discrete,
-    Command.XENT_EXPFAM: _prepare_expfam,
-    Command.XENT_SPECIAL: _prepare_special,
-    Command.RATE_MARKOV: _prepare_markov,
-    Command.RATE_GAUSS: _prepare_gauss,
+class _Target(NamedTuple):
+    group: str
+    add_options: Callable
+    prepare: Callable
+
+
+# Each target's command group, option builder and preparer.  A preparer
+# reads, builds and validates the inputs once and returns
+# evaluate(alpha, want_oracle) -> (value, oracle value).
+_TARGETS = {
+    "discrete": _Target("xent", _add_discrete_opts, _prepare_discrete),
+    "expfam": _Target("xent", _add_expfam_opts, _prepare_expfam),
+    "special": _Target("xent", _add_special_opts, _prepare_special),
+    "markov": _Target("rate", _add_markov_opts, _prepare_markov),
+    "gauss": _Target("rate", _add_gauss_opts, _prepare_gauss),
 }
 
 
@@ -616,7 +552,7 @@ def _render(job: JobSpec, rows) -> str:
     if job.sweep:
         if fmt is OutputFormat.JSON:
             payload = [
-                {"command": job.command.value, "alpha": _json_number(a.value),
+                {"command": job.command, "alpha": _json_number(a.value),
                  "value": _json_number(v), "oracle": None, "gap": None}
                 for a, v, _ in rows
             ]
@@ -633,7 +569,7 @@ def _render(job: JobSpec, rows) -> str:
         gap = 0.0 if value == oracle_value else abs(value - oracle_value)
     if fmt is OutputFormat.JSON:
         payload = {
-            "command": job.command.value,
+            "command": job.command,
             "alpha": _json_number(alpha.value),
             "value": _json_number(value),
             "oracle": _json_number(oracle_value),
@@ -655,7 +591,7 @@ def _render(job: JobSpec, rows) -> str:
 
 def run(job: JobSpec) -> tuple[int, str]:
     """Evaluate a job and return (exit_code, rendered_output)."""
-    evaluate = _PREPARERS[job.command](job.options)
+    evaluate = _TARGETS[job.command.split()[1]].prepare(job.options)
     rows = []
     for alpha in job.alphas:
         value, oracle_value = evaluate(alpha, job.oracle_check)

@@ -480,7 +480,7 @@ def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFuncti
         def log_fn(t):
             if t == 0.0:
                 return 0.0
-            m = oracle.mgf_numeric(d.pdf, d.support, t, square_center=center)
+            m = oracle.mgf_numeric(d.support, t, square_center=center, logpdf=d.logpdf)
             return math.log(m) if m > 0.0 else -math.inf
 
         if d.family is Family.BETA:

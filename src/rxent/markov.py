@@ -308,17 +308,6 @@ def scaled_power(matrix: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return result, log_scale
 
 
-def _reachable(matrix: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States reachable from the support of ``start`` (itself included)."""
-    pattern = matrix > 0
-    seen = start > 0
-    while True:
-        nxt = seen | pattern[seen].any(axis=0)
-        if np.array_equal(nxt, seen):
-            return seen
-        seen = nxt
-
-
 def finite_n_cross_entropy(p_src: MarkovSource, q_src: MarkovSource, alpha, n: int) -> float:
     """Exact length-n block cross-entropy per symbol.
 
@@ -338,7 +327,7 @@ def finite_n_cross_entropy(p_src: MarkovSource, q_src: MarkovSource, alpha, n: i
     weighted = build_weighted(p_src, q_src, alpha)
     if weighted.start.sum() <= 0.0:
         return math.inf  # all start mass on reference-impossible states
-    keep = _reachable(weighted.entries, weighted.start)
+    keep = _closure(weighted.entries > 0)[weighted.start > 0].any(axis=0)
     power, log_scale = scaled_power(weighted.entries[np.ix_(keep, keep)], n - 1)
     total = float(weighted.start[keep] @ power.sum(axis=1))
     if total <= 0.0:

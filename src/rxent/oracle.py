@@ -6,12 +6,15 @@ compact interval first (the tangent map x = tan u) so the adaptive rule
 sees the whole line; divergence of nonnegative integrands is detected by a
 window-doubling probe before the folded integral is attempted.  The probe
 keeps a running sum over the shells each doubling adds, so it integrates
-no region twice.  The cross-entropy integrand is formed in log space and
+no region twice.  Densities enter only as logarithms, passed by keyword
+(``p_logpdf=``, ``q_logpdf=``, ``logpdf=``), so a pdf cannot be read as a
+log by position.  The cross-entropy integrand is formed in log space and
 cut only where it leaves the double range, so a divergent integral reads
-as +inf, never as the finite integral of a truncated tail.  The adaptive
-rule is QUADPACK's, from ``scipy.integrate``, which is imported when the
-first integral runs.  The bivariate Gaussian referee sums its integrand on
-a fixed grid, also from the densities' log forms.
+as +inf, never as the finite integral of a truncated tail; the order-alpha
+entropy is the cross-entropy of p against itself.  The adaptive rule is
+QUADPACK's, from ``scipy.integrate``, which is imported when the first
+integral runs.  The bivariate Gaussian referee sums its integrand on a
+fixed grid, also from the densities' log forms.
 
 The routines here never call the closed forms they are used to check; the
 module imports nothing from the package beyond the order type, the errors
@@ -31,10 +34,9 @@ from .alpha import AlphaOrder
 from .errors import InvalidAlphaError, InvalidParameterError, NonConvergenceError
 from .support import SupportKind, SupportSpec
 
-# Below this density value a factor of |ln q| ~ 1e3 cannot matter at any
-# tolerance used here, and evaluating logs would overflow to -inf.
-_TINY_DENSITY = 1e-290
-_LOG_TINY = math.log(_TINY_DENSITY)
+# ln of a density below which a factor of |ln q| ~ 1e3 cannot matter at
+# any tolerance used here
+_LOG_TINY = math.log(1e-290)
 # exp() bounds of a double
 _LOG_HUGE = 700.0
 _LOG_UNDERFLOW = -745.0
@@ -222,48 +224,36 @@ def _nonnegative_integral(f, supp: SupportSpec, settings: QuadratureSettings,
     return value
 
 
-def _log_density(pdf: Callable[[float], float]) -> Callable[[float], float]:
-    """ln of a pdf, with ln 0 = -inf."""
-    def logpdf(x):
-        value = pdf(x)
-        return math.log(value) if value > 0.0 else -math.inf
-
-    return logpdf
-
-
 def cross_entropy_numeric(
-    p_pdf: Callable[[float], float],
-    q_pdf: Callable[[float], float],
     supp: SupportSpec,
     alpha,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     *,
-    p_logpdf: Callable[[float], float] | None = None,
-    q_logpdf: Callable[[float], float] | None = None,
+    p_logpdf: Callable[[float], float],
+    q_logpdf: Callable[[float], float],
     points=(),
 ) -> float:
     """Order-alpha differential cross-entropy by direct quadrature.
 
     Evaluates (1/(1-alpha)) ln integral of p q^(alpha-1) over the common
     support; at the alpha -> 1 marker it evaluates -integral of p ln q.
-    Returns +inf (alpha < 1) or -inf (alpha > 1) when the defining integral
-    diverges.  ``points`` are kinks of p or q, such as the location of a
-    Laplace density, where the integral is split.
+    With q = p this is the order-alpha entropy of p.  Returns +inf
+    (alpha < 1) or -inf (alpha > 1) when the defining integral diverges.
+    ``points`` are kinks of p or q, such as the location of a Laplace
+    density, where the integral is split.
 
-    The integrand is formed in log space; a density given only as a pdf is
-    read through its logarithm, with ln 0 = -inf.  For alpha < 1 this
-    matters: a reference density that underflows to 0.0 in a tail where p
-    is still representable would otherwise be indistinguishable from a
-    genuine zero of q (where the integrand really is infinite).  Away from
-    alpha = 1 the integrand is cut only where exp(ln p + (alpha - 1) ln q)
-    leaves the double range, never where p alone is small, so a reference
-    tail that outgrows the source is seen as the divergence it is.
+    The densities come as logarithms, with ln 0 = -inf, and the integrand
+    is formed in log space.  For alpha < 1 this matters: a reference
+    density that underflows to 0.0 in a tail where p is still
+    representable would otherwise be indistinguishable from a genuine zero
+    of q (where the integrand really is infinite).  Away from alpha = 1 the
+    integrand is cut only where exp(ln p + (alpha - 1) ln q) leaves the
+    double range, never where p alone is small, so a reference tail that
+    outgrows the source is seen as the divergence it is.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no quadrature form for the alpha -> infinity limit")
-    p_logpdf = p_logpdf or _log_density(p_pdf)
-    q_logpdf = q_logpdf or _log_density(q_pdf)
 
     if alpha.is_one:
         def integrand(x):
@@ -302,71 +292,36 @@ def cross_entropy_numeric(
     return math.log(total) / (1.0 - a)
 
 
-def renyi_entropy_numeric(
-    pdf: Callable[[float], float],
-    supp: SupportSpec,
-    alpha,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Order-alpha differential entropy (1/(1-alpha)) ln integral f^alpha."""
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
-        raise InvalidAlphaError("no quadrature form for the alpha -> infinity limit")
-    if alpha.is_one:
-        def integrand(x):
-            fv = pdf(x)
-            if fv < _TINY_DENSITY:
-                return 0.0
-            return -fv * math.log(fv)
-
-        value, _ = integrate(integrand, supp, settings)
-        return value
-
-    a = alpha.value
-
-    def integrand(x):
-        fv = pdf(x)
-        if fv <= 0.0:
-            return 0.0
-        return math.exp(a * math.log(fv))
-
-    total = _nonnegative_integral(integrand, supp, settings)
-    if math.isinf(total):
-        return math.inf if a < 1.0 else -math.inf
-    if total <= 0.0:
-        raise NonConvergenceError("entropy integral evaluated to a nonpositive value")
-    return math.log(total) / (1.0 - a)
-
-
 def mgf_numeric(
-    pdf: Callable[[float], float],
     supp: SupportSpec,
     t: float,
     square_center: float | None = None,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
+    *,
+    logpdf: Callable[[float], float],
 ) -> float:
     """E[exp(t X)] by quadrature, or E[exp(t (X - c)^2)] when a center is given.
 
-    Returns +inf when the integral diverges.  On a bounded interval, and for
-    t <= 0 when the exponent t X or t (X - c)^2 is nonpositive on the whole
-    support, the integrand is bounded by a multiple of the density: the
-    integral is finite and goes straight to quadrature, without the
-    divergence probe.
+    X has the log-density ``logpdf`` (ln 0 = -inf).  Returns +inf when the
+    integral diverges.  On a bounded interval, and for t <= 0 when the
+    exponent t X or t (X - c)^2 is nonpositive on the whole support, the
+    integrand is bounded by a multiple of the density: the integral is
+    finite and goes straight to quadrature, without the divergence probe.
     """
     t = float(t)
     bounded = supp.kind is SupportKind.INTERVAL or (
         t <= 0.0 and (square_center is not None or supp.kind is SupportKind.POSITIVE_REALS))
 
     def integrand(x):
-        pv = pdf(x)
-        if pv == 0.0:
+        lp = logpdf(x)
+        if lp == -math.inf:
             return 0.0
         if square_center is None:
-            z = math.log(pv) + t * x
+            z = lp + t * x
         else:
             d = x - square_center
-            z = math.log(pv) + t * d * d
-        if z > 700.0:
+            z = lp + t * d * d
+        if z > _LOG_HUGE:
             return math.inf
         return math.exp(z)
 

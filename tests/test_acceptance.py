@@ -108,7 +108,7 @@ ORACLE_SETTINGS = QuadratureSettings(relative_tolerance=1e-8,
 
 
 def quad_value(f1, f2, alpha, settings=ORACLE_SETTINGS):
-    return cross_entropy_numeric(f1.pdf, f2.pdf, f1.support, alpha, settings,
+    return cross_entropy_numeric(f1.support, alpha, settings,
                                  p_logpdf=f1.logpdf, q_logpdf=f2.logpdf)
 
 
@@ -226,9 +226,6 @@ def test_criterion_05_special_case_reducers_match_quadrature():
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (2.0, 5.0)):
         assert cross_entropy_q_uniform(SupportSpec.interval(lo, hi)) == math.log(hi - lo)
 
-    def uniform_pdf(x):
-        return 1.0 if 0.0 < x < 1.0 else 0.0
-
     def uniform_logpdf(x):
         return 0.0 if 0.0 < x < 1.0 else -math.inf
 
@@ -241,8 +238,7 @@ def test_criterion_05_special_case_reducers_match_quadrature():
         (E.beta(2.0, 5.0), 1.5),
     ]:
         value = cross_entropy_p_uniform(UNIT_INTERVAL, q, a).value
-        numeric = cross_entropy_numeric(uniform_pdf, q.pdf, UNIT_INTERVAL,
-                                        AlphaOrder(a), ORACLE_SETTINGS,
+        numeric = cross_entropy_numeric(UNIT_INTERVAL, AlphaOrder(a), ORACLE_SETTINGS,
                                         p_logpdf=uniform_logpdf, q_logpdf=q.logpdf)
         assert abs(value - numeric) <= 1e-6, (q, a)
 
@@ -286,12 +282,7 @@ def test_criterion_05_special_case_reducers_match_quadrature():
         def hn_logpdf(x, _ln=log_norm, _v=var):
             return _ln - x * x / (2.0 * _v) if x > 0 else -math.inf
 
-        def hn_pdf(x, _f=hn_logpdf):
-            lp = _f(x)
-            return math.exp(lp) if lp > -math.inf else 0.0
-
-        numeric = cross_entropy_numeric(p.pdf, hn_pdf, POSITIVE_REALS,
-                                        AlphaOrder(a), ORACLE_SETTINGS,
+        numeric = cross_entropy_numeric(POSITIVE_REALS, AlphaOrder(a), ORACLE_SETTINGS,
                                         p_logpdf=p.logpdf, q_logpdf=hn_logpdf)
         assert abs(value - numeric) <= 1e-6, (p, var, a)
 

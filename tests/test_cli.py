@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from rxent import AlphaOrder, DiscreteDistribution, ExpFamilyDistribution, cross_entropy_closed
 from rxent.cli import (
-    Command,
     OutputFormat,
     UsageError,
     _parse_alpha_grid,
@@ -45,7 +44,7 @@ class TestParsing:
             "xent expfam --family gaussian --p mu=0,var=1 --q mu=1,var=2 "
             "--alpha 2".split()
         )
-        assert job.command is Command.XENT_EXPFAM
+        assert job.command == "xent expfam"
         assert len(job.alphas) == 1 and job.alphas[0].value == 2.0
         assert not job.sweep and not job.oracle_check and not job.bits
         assert job.output_format is OutputFormat.PLAIN
@@ -57,7 +56,7 @@ class TestParsing:
             "rate markov --p P.csv --q Q.csv --alpha 2 --finite-n 4000 "
             "--oracle".split()
         )
-        assert job.command is Command.RATE_MARKOV
+        assert job.command == "rate markov"
         assert job.oracle_check
         assert job.options["finite_n"] == 4000
 
@@ -160,6 +159,21 @@ class TestExpfamCommand:
         assert capsys.readouterr().out == first
         main("xent expfam --family exp --p rate=2 --q rate=3 --alpha 2".split())
         assert capsys.readouterr().out.strip() == format(math.log(5 / 6), ".12g")
+        main("xent expfam --family chi2 --p nu=3 --q nu=5 --alpha 2".split())
+        first = capsys.readouterr().out
+        for alias in ("chi_squared", "chisquared", "CHI2"):
+            main(f"xent expfam --family {alias} --p nu=3 --q nu=5 --alpha 2".split())
+            assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("argv, name", [
+        ("xent expfam --family foo --p mu=0,var=1 --q mu=0,var=1 --alpha 2", "foo"),
+        ("xent special q-gaussian --p-family foo --p mu=0,var=1 --var 1 --alpha 2", "foo"),
+        ("xent special q-gaussian --p-family mvgauss --p mu=0,var=1 --var 1 --alpha 2",
+         "mvgauss"),
+    ], ids=["family", "p-family", "p-family-mvgauss"])
+    def test_unknown_family_names_the_input(self, argv, name):
+        code, out, err = run_cli(argv.split())
+        assert (code, out, err) == (1, "", f"usage error: unknown scalar family {name!r}\n")
 
     def test_divergence_exits_two(self, capsys):
         code = main(
@@ -177,10 +191,15 @@ class TestExpfamCommand:
         # 12 printed digits bound the round-trip precision
         assert_allclose(bits, nats / math.log(2), rtol=1e-10)
 
-    def test_bad_parameter_name(self, capsys):
-        code = main("xent expfam --family gaussian --p mu=0,sigma=1 --q mu=0,var=1 --alpha 2".split())
+    @pytest.mark.parametrize("family, spec, names", [
+        ("gaussian", "mu=0,sigma=1", "mu,var"),
+        ("gamma", "k=2", "k,theta"),
+    ], ids=["unknown", "missing"])
+    def test_bad_parameter_name(self, family, spec, names):
+        code, _, err = run_cli(f"xent expfam --family {family} --p {spec} --q {spec} "
+                               "--alpha 2".split())
         assert code == 1
-        assert "usage error" in capsys.readouterr().err
+        assert err == f"usage error: {family} takes parameters {names}; got {spec!r}\n"
 
     def test_invalid_parameter_value(self, capsys):
         code = main("xent expfam --family gaussian --p mu=0,var=-1 --q mu=0,var=1 --alpha 2".split())
@@ -568,7 +587,8 @@ class TestOutputFormats:
         def fake(alpha, want_oracle):
             return next(calls), None
 
-        monkeypatch.setitem(cli._PREPARERS, Command.XENT_DISCRETE, lambda opts: fake)
+        monkeypatch.setitem(cli._TARGETS, "discrete",
+                            cli._TARGETS["discrete"]._replace(prepare=lambda opts: fake))
         job = parse_args("sweep discrete --p a --q b --alphas 2:3:1".split())
         code, text = cli.run(job)
         assert code == 0
@@ -691,6 +711,19 @@ class TestSweepParsesOnce:
         alone = run_cli(single.format(**names).split())
         assert swept == alone
         assert swept[0] == 1 and message in swept[2]
+
+
+@pytest.mark.parametrize("target", ["discrete", "expfam", "special", "markov", "gauss"])
+def test_json_command_is_group_and_target(sweep_inputs, target):
+    single, opts, grid = sweep_inputs[target]
+    expected = {"discrete": "xent discrete", "expfam": "xent expfam",
+                "special": "xent special", "markov": "rate markov",
+                "gauss": "rate gauss"}[target]
+    _, one, _ = run_cli(f"{single} {opts} --alpha 2 --format json".split())
+    assert json.loads(one)["command"] == expected
+    _, swept, _ = run_cli(f"sweep {target} {opts} --alphas {grid} --format json".split())
+    rows = json.loads(swept)
+    assert rows and all(row["command"] == expected for row in rows)
 
 
 class TestMalformedNumbers:

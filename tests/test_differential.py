@@ -133,8 +133,7 @@ class TestQuadratureAgreement:
         f1, f2 = pair
         closed = cross_entropy_closed(f1, f2, 2.0)
         numeric = cross_entropy_numeric(
-            f1.pdf, f2.pdf, f1.support, AlphaOrder(2.0),
-            p_logpdf=f1.logpdf, q_logpdf=f2.logpdf,
+            f1.support, AlphaOrder(2.0), p_logpdf=f1.logpdf, q_logpdf=f2.logpdf,
         )
         assert_allclose(numeric, closed.value, rtol=1e-8, atol=1e-10)
 
@@ -319,8 +318,7 @@ class TestUniformSource:
         for a in (0.7, 2.0, 3.0):
             r = cross_entropy_p_uniform(UNIT_INTERVAL, q, a)
             numeric = cross_entropy_numeric(
-                lambda x: 1.0 if 0 < x < 1 else 0.0, q.pdf, UNIT_INTERVAL,
-                AlphaOrder(a), loose,
+                UNIT_INTERVAL, AlphaOrder(a), loose,
                 p_logpdf=lambda x: 0.0 if 0 < x < 1 else -math.inf,
                 q_logpdf=q.logpdf,
             )

@@ -19,7 +19,6 @@ from rxent.oracle import (
     gaussian_log_form_2d,
     integrate,
     mgf_numeric,
-    renyi_entropy_numeric,
 )
 from rxent.support import ALL_REALS, POSITIVE_REALS, SupportSpec, UNIT_INTERVAL
 
@@ -145,39 +144,44 @@ class TestDivergenceProbe:
 
 
 class TestCrossEntropyNumeric:
-    def test_matches_power_integral(self):
-        p = ExpFamilyDistribution.gaussian(0.0, 1.0)
-        value = cross_entropy_numeric(p.pdf, p.pdf, LINE, AlphaOrder(2.0))
-        assert abs(value - 0.5 * math.log(4 * math.pi)) < 1e-9
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.0, "one"])
+    def test_matches_power_integral(self, a):
+        # against itself the cross-entropy is the order-alpha entropy,
+        # h_alpha = (1/2) ln(2 pi v) + ln(alpha) / (2 (alpha - 1)), which
+        # is (1/2) ln(2 pi e v) at alpha = 1
+        v = 1.7
+        p = ExpFamilyDistribution.gaussian(0.4, v)
+        alpha = AlphaOrder.coerce(a)
+        if alpha.is_one:
+            exact = 0.5 * math.log(2 * math.pi * math.e * v)
+        else:
+            exact = 0.5 * math.log(2 * math.pi * v) + math.log(a) / (2 * (a - 1))
+        value = cross_entropy_numeric(LINE, alpha, p_logpdf=p.logpdf, q_logpdf=p.logpdf)
+        assert abs(value - exact) < 1e-9
 
     def test_shannon_marker(self):
         p = ExpFamilyDistribution.exponential(2.0)
         q = ExpFamilyDistribution.exponential(3.0)
         # -E_p[ln q] = -ln 3 + 3 E[X] = -ln 3 + 3/2
         value = cross_entropy_numeric(
-            p.pdf, q.pdf, HALF, AlphaOrder.one(), p_logpdf=p.logpdf, q_logpdf=q.logpdf
+            HALF, AlphaOrder.one(), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
         assert abs(value - (-math.log(3.0) + 1.5)) < 1e-9
 
-    def test_log_density_route_matches(self):
-        # pdfs alone are read through their logarithms; above alpha = 1 a q
-        # tail that underflows contributes nothing, so both routes agree
-        p = ExpFamilyDistribution.gamma(2.5, 1.2)
-        q = ExpFamilyDistribution.gamma(3.0, 0.8)
-        for alpha in (AlphaOrder(1.5), AlphaOrder(3.0)):
-            plain = cross_entropy_numeric(p.pdf, q.pdf, HALF, alpha)
-            logged = cross_entropy_numeric(
-                p.pdf, q.pdf, HALF, alpha, p_logpdf=p.logpdf, q_logpdf=q.logpdf
-            )
-            assert abs(plain - logged) < 1e-9
+    def test_pdf_by_position_is_a_type_error(self):
+        p = ExpFamilyDistribution.gaussian(0.0, 1.0)
+        with pytest.raises(TypeError):
+            cross_entropy_numeric(p.pdf, p.pdf, LINE, AlphaOrder(2.0))
+        with pytest.raises(TypeError):
+            mgf_numeric(p.pdf, LINE, -0.5)
 
     def test_log_densities_cure_tail_underflow(self):
-        # at alpha < 1 the raw-pdf route mistakes q's tail underflow for a
-        # hard zero and reports divergence; the log route must not
+        # at alpha < 1 a q tail that underflows as a pdf would read as a hard
+        # zero and report divergence; the log-density route must not
         p = ExpFamilyDistribution.gaussian(0.3, 1.2)
         q = ExpFamilyDistribution.gaussian(-0.4, 0.8)
         value = cross_entropy_numeric(
-            p.pdf, q.pdf, LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
+            LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
         assert math.isfinite(value)
 
@@ -185,7 +189,7 @@ class TestCrossEntropyNumeric:
         p = ExpFamilyDistribution.gaussian(0.0, 2.0)
         q = ExpFamilyDistribution.gaussian(0.0, 0.5)
         value = cross_entropy_numeric(
-            p.pdf, q.pdf, LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
+            LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
         assert value == math.inf
 
@@ -193,55 +197,33 @@ class TestCrossEntropyNumeric:
         (ExpFamilyDistribution.exponential(1.0), ExpFamilyDistribution.exponential(5.0)),
         (ExpFamilyDistribution.gaussian(0.0, 1.0), ExpFamilyDistribution.gaussian(0.0, 0.2)),
     ], ids=["exponential", "gaussian"])
-    @pytest.mark.parametrize("logs", [True, False], ids=["logpdf", "pdf"])
-    def test_reference_tail_outgrowing_the_source_diverges(self, p, q, logs):
+    def test_reference_tail_outgrowing_the_source_diverges(self, p, q):
         # at alpha = 0.7, p q^(alpha - 1) grows like exp(x / 2) or exp(x^2 / 4)
         # where p alone is far below any density cut
-        extra = {"p_logpdf": p.logpdf, "q_logpdf": q.logpdf} if logs else {}
-        value = cross_entropy_numeric(p.pdf, q.pdf, p.support, AlphaOrder(0.7), **extra)
+        value = cross_entropy_numeric(p.support, AlphaOrder(0.7),
+                                      p_logpdf=p.logpdf, q_logpdf=q.logpdf)
         assert value == math.inf
 
     def test_divergent_above_one_is_minus_inf(self):
         p = ExpFamilyDistribution.beta(0.5, 2.0)
         q = ExpFamilyDistribution.beta(0.3, 2.0)
         value = cross_entropy_numeric(
-            p.pdf, q.pdf, UNIT, AlphaOrder(3.0), p_logpdf=p.logpdf, q_logpdf=q.logpdf
+            UNIT, AlphaOrder(3.0), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
         assert value == -math.inf
 
     def test_hard_zero_of_reference(self):
         p = ExpFamilyDistribution.gaussian(0.0, 1.0)
         q = ExpFamilyDistribution.exponential(1.0)  # zero on x < 0
-
-        def q_pdf(x):
-            return q.pdf(x)
-
         value = cross_entropy_numeric(
-            p.pdf, q_pdf, LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
+            LINE, AlphaOrder(0.5), p_logpdf=p.logpdf, q_logpdf=q.logpdf
         )
         assert value == math.inf
 
     def test_alpha_inf_rejected(self):
         p = ExpFamilyDistribution.gaussian(0.0, 1.0)
         with pytest.raises(InvalidAlphaError):
-            cross_entropy_numeric(p.pdf, p.pdf, LINE, AlphaOrder.inf())
-
-
-class TestRenyiEntropyNumeric:
-    def test_gaussian_orders(self):
-        v = 1.7
-        p = ExpFamilyDistribution.gaussian(0.4, v)
-        # h_alpha = (1/2) ln(2 pi v) + ln(alpha)/(2 (alpha - 1))
-        for a in (0.5, 2.0, 3.0):
-            exact = 0.5 * math.log(2 * math.pi * v) + math.log(a) / (2 * (a - 1))
-            value = renyi_entropy_numeric(p.pdf, LINE, AlphaOrder(a))
-            assert abs(value - exact) < 1e-9
-
-    def test_shannon(self):
-        p = ExpFamilyDistribution.gaussian(-1.0, 2.0)
-        exact = 0.5 * math.log(2 * math.pi * math.e * 2.0)
-        value = renyi_entropy_numeric(p.pdf, LINE, AlphaOrder.one())
-        assert abs(value - exact) < 1e-9
+            cross_entropy_numeric(LINE, AlphaOrder.inf(), p_logpdf=p.logpdf, q_logpdf=p.logpdf)
 
 
 class TestMgfNumeric:
@@ -249,11 +231,11 @@ class TestMgfNumeric:
         p = ExpFamilyDistribution.exponential(2.0)
         for t in (-1.0, -0.5, 0.0, 1.0):
             exact = 2.0 / (2.0 - t)
-            assert abs(mgf_numeric(p.pdf, HALF, t) - exact) < 1e-9
+            assert abs(mgf_numeric(HALF, t, logpdf=p.logpdf) - exact) < 1e-9
 
     def test_divergent_mgf(self):
         p = ExpFamilyDistribution.exponential(1.0)
-        assert mgf_numeric(p.pdf, HALF, 2.0) == math.inf
+        assert mgf_numeric(HALF, 2.0, logpdf=p.logpdf) == math.inf
 
     def test_centered_square_gaussian(self):
         p = ExpFamilyDistribution.gaussian(1.0, 2.0)
@@ -261,7 +243,7 @@ class TestMgfNumeric:
         c, t = 0.5, -0.3
         d2, v = (1.0 - c) ** 2, 2.0
         exact = math.exp(d2 * t / (1 - 2 * v * t)) / math.sqrt(1 - 2 * v * t)
-        value = mgf_numeric(p.pdf, LINE, t, square_center=c)
+        value = mgf_numeric(LINE, t, square_center=c, logpdf=p.logpdf)
         assert abs(value - exact) < 1e-9
 
 
