@@ -106,8 +106,8 @@ def _number(raw: str, what: str) -> float:
         raise UsageError(f"cannot parse number {raw!r} for {what}") from None
 
 
-def _parse_kv(text: str) -> dict[str, float]:
-    out = {}
+def _parse_kv(text: str) -> list[tuple[str, float]]:
+    out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -115,7 +115,7 @@ def _parse_kv(text: str) -> dict[str, float]:
         if "=" not in part:
             raise UsageError(f"expected key=value, got {part!r}")
         key, _, raw = part.partition("=")
-        out[key.strip()] = _number(raw, repr(key.strip()))
+        out.append((key.strip(), _number(raw, repr(key.strip()))))
     return out
 
 
@@ -124,7 +124,10 @@ def _make_distribution(family: str, spec: str) -> ExpFamilyDistribution:
     if name not in _FAMILIES:
         raise UsageError(f"unknown scalar family {family!r}")
     names, constructor = _FAMILIES[name]
-    kv = {_PARAM_ALIASES.get(k, k): v for k, v in _parse_kv(spec).items()}
+    pairs = [(_PARAM_ALIASES.get(k, k), v) for k, v in _parse_kv(spec)]
+    kv = dict(pairs)
+    if len(kv) < len(pairs):  # a key repeated, or given under two aliases
+        raise UsageError(f"{name} takes each of {','.join(names)} once; got {spec!r}")
     if set(kv) != set(names):
         raise UsageError(f"{name} takes parameters {','.join(names)}; got {spec!r}")
     return getattr(ExpFamilyDistribution, constructor)(*(kv[n] for n in names))

@@ -19,12 +19,12 @@ as n grows.  Each log-determinant is the sum of the logs of the one-step
 prediction errors of the Levinson-Durbin recursion, so no n x n matrix is
 formed.
 
-Each spec keeps the spectral density it has evaluated on every uniform grid
-size in a private per-size store (``_psd_grid``).  The 4096-point
-construction check fills the first level, and every trapezoid level of the
-spectral rate reads from the store, so a spec evaluated at many orders
-computes its density once per grid size.  The grid cap of 2^17 points bounds
-the store at about 2 MB per spec.
+The trapezoid levels of the spectral rate are nested: level 0 is the
+4096-point uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point
+grid.  Each spec keeps, per level, its density there, the minimum and the
+sum of the logs (``_levels``), so an order adds only log1p(t f/g) over the
+new nodes to running sums.  The grid cap of 2^17 points bounds the store at
+about 1 MB per spec.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class StationaryGaussianSpec:
     autocov: np.ndarray
     psd_fn: Callable[[np.ndarray], np.ndarray] | None = None
     autocov_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    _grids: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _levels: list[tuple] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         r = np.asarray(self.autocov, dtype=float)
@@ -83,11 +83,9 @@ class StationaryGaussianSpec:
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "autocov", r)
-        vals = _psd_grid(self, _SPECTRAL_GRID)
-        if np.min(vals) <= _PSD_FLOOR:
-            raise NonpositivePsdError(
-                f"spectral density dips to {np.min(vals):.3e} on the check grid"
-            )
+        low = _level(self, 0)[1]
+        if low <= _PSD_FLOOR:
+            raise NonpositivePsdError(f"spectral density dips to {low:.3e} on the check grid")
         n_check = min(_VALIDATION_TOEPLITZ, max(2, 2 * r.size))
         cholesky_lower(toeplitz_cov(self, n_check, _validate=False),
                        name="Toeplitz covariance")
@@ -139,14 +137,17 @@ def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
     return r[0] + 2.0 * acc
 
 
-def _psd_grid(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
-    """psd on the n-point uniform grid over [0, 2 pi), computed once per spec
-    and grid size."""
-    vals = spec._grids.get(n)
-    if vals is None:
-        vals = psd(spec, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-        spec._grids[n] = vals
-    return vals
+def _level(spec: StationaryGaussianSpec, j: int) -> tuple[np.ndarray, float, float]:
+    """psd on level j of the nested grids over [0, 2 pi) (the 4096-point grid
+    for j = 0, else the odd nodes of the 4096 2^j-point grid), its minimum
+    and the sum of its logs, computed once per spec and level."""
+    levels = spec._levels
+    while len(levels) <= j:
+        nodes = np.linspace(0.0, 2.0 * math.pi, _SPECTRAL_GRID << len(levels), endpoint=False)
+        vals = psd(spec, nodes[1::2] if levels else nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a low min is rejected
+            levels.append((vals, float(np.min(vals)), float(np.log(vals).sum())))
+    return levels[j]
 
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
@@ -179,8 +180,9 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha) -
     The mean is the trapezoid rule on a uniform grid over [0, 2 pi), doubled
     until two successive refinements agree to 1e-10 / max(1, pi |t| / 5)
     (spectral accuracy for smooth densities), so the value's stopping error
-    is at most 5e-11 and 8e-11 / |t|.  Returns +inf when h = g + t f is not
-    strictly positive (possible only for alpha < 1).
+    is at most 5e-11 and 8e-11 / |t|.  Each doubling adds the sums over the
+    new nodes of the nested levels only.  Returns +inf when h = g + t f is
+    not strictly positive (possible only for alpha < 1).
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
@@ -188,22 +190,24 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha) -
     t = alpha.value - 1.0
     tolerance = _SPECTRAL_TOLERANCE / max(1.0, 0.2 * math.pi * abs(t))
     previous = None
-    n = _SPECTRAL_GRID
+    log_g = log1p_sum = 0.0  # sums over the nodes of levels 0..j
+    n, j = _SPECTRAL_GRID, 0
     while n <= _SPECTRAL_GRID_MAX:
-        f = _psd_grid(x, n)
-        g = _psd_grid(y, n)
-        if np.min(g) <= _PSD_FLOOR or np.min(f) <= _PSD_FLOOR:
+        (f, f_min, _), (g, g_min, g_log_sum) = _level(x, j), _level(y, j)
+        if g_min <= _PSD_FLOOR or f_min <= _PSD_FLOOR:
             raise NonpositivePsdError("spectral density not strictly positive on grid")
         ratio = f / g
         if np.min(1.0 + t * ratio) <= 0.0:
             return math.inf
         # periodic integrand: the uniform-node mean is the trapezoid rule
         # and converges spectrally fast
-        mean = float(np.mean(np.log(g))) + log1p_slope_sum(t, ratio) / n
+        log_g += g_log_sum
+        log1p_sum += log1p_slope_sum(t, ratio)
+        mean = log_g / n + log1p_sum / n
         if previous is not None and abs(mean - previous) <= tolerance:
             break
         previous = mean
-        n *= 2
+        n, j = 2 * n, j + 1
     else:
         raise NonConvergenceError(
             f"spectral integral did not stabilize below {tolerance:.3g}"

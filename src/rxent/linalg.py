@@ -54,10 +54,12 @@ def toeplitz_logdet(first_column, name: str = "matrix") -> float:
     if not error > 0.0:
         raise NotPositiveDefiniteError(f"{name} is not positive definite")
     logdet = math.log(error)
-    # coef[1..k-1] predicts x_t from x_{t-1}, ..., x_{t-k+1}
+    # coef[1..k-1] predicts x_t from x_{t-1}, ..., x_{t-k+1}; those lags,
+    # r[k-1], ..., r[1], are the contiguous slice rev[n-k:n-1] of reversed r
     coef = np.zeros(n)
+    rev = r[::-1].copy()
     for k in range(1, n):
-        kappa = (r[k] - coef[1:k] @ r[k - 1:0:-1]) / error
+        kappa = (r[k] - coef[1:k] @ rev[n - k:n - 1]) / error
         coef[1:k] -= kappa * coef[k - 1:0:-1]
         coef[k] = kappa
         error *= (1.0 - kappa) * (1.0 + kappa)

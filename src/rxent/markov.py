@@ -22,7 +22,10 @@ The block-entropy slope n H_n - (n-1) H_{n-1} is kept as its referee.
 
 Class eigenvalues come from LAPACK (``numpy.linalg.eig``).  The classes
 come from the boolean reachability closure of I + pattern, taken by
-repeated squaring in float matrix products.  Matrix powers (the finite-n
+repeated squaring in float matrix products.  The classes the start reaches
+depend only on P and the positivity patterns of R and s, so each source
+keeps them for the last patterns it met, and a sweep classifies again only
+where t changes sign or Q^t underflows.  Matrix powers (the finite-n
 blocks and the slope's state occupation) are taken by binary powering with
 scaling, O(K^3 log n) work.
 """
@@ -30,7 +33,7 @@ scaling, O(K^3 log n) work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +61,7 @@ class MarkovSource:
 
     transition: np.ndarray
     initial: DiscreteDistribution
+    _plan: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
@@ -223,6 +227,25 @@ def perron_eigenvalue(matrix: np.ndarray) -> float:
     return perron_eigenpair(matrix)[0]
 
 
+def _class_plan(p_src: MarkovSource, weighted: np.ndarray, start: np.ndarray):
+    """The states the start reaches and, for each reachable self-communicating
+    class of R in class order, (index set, block index, closed), from the
+    source's one-entry memo keyed by the positivity patterns of R and s."""
+    key = (weighted > 0).tobytes() + (start > 0).tobytes()
+    if key not in p_src._plan:
+        structure = classify(weighted)
+        reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
+        # a closed class is one no source move leaves: P 1 = 1 on its block
+        leaves = ((p_src.transition > 0)
+                  & (structure.labels[:, None] != structure.labels)).any(axis=1)
+        cycling = [np.asarray(structure.classes[ci]) for ci in np.flatnonzero(reachable)
+                   if structure.self_communicating[ci]]
+        p_src._plan.clear()
+        p_src._plan[key] = (np.flatnonzero(reachable[structure.labels]),
+                            [(idx, np.ix_(idx, idx), not leaves[idx].any()) for idx in cycling])
+    return p_src._plan[key]
+
+
 def _absorption_weights(p, start, states, closed: list) -> np.ndarray:
     """Probability that the chain P from ``start`` ends in each class of
     ``closed``, with the fundamental matrix (I - P_TT)^-1 of the transient
@@ -256,22 +279,16 @@ def cross_entropy_rate(p_src: MarkovSource, q_src: MarkovSource, alpha) -> float
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(q)
         d = np.where(p > 0, p * (log_q if t == 0.0 else np.expm1(t * log_q) / t), 0.0)
-    structure = classify(weighted)
-    reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
-    states = np.flatnonzero(reachable[structure.labels])
+    states, classes = _class_plan(p_src, weighted, start)
     if np.isneginf(d[states]).any():
         return math.inf  # the source makes a move the reference forbids
-    # a closed class is one no source move leaves: P 1 = 1 on its block
-    leaves = ((p > 0) & (structure.labels[:, None] != structure.labels)).any(axis=1)
     rates, blocks = [], []
-    for ci in np.flatnonzero(reachable):
-        idx = np.asarray(structure.classes[ci])
-        is_closed = not leaves[idx].any()
-        if not structure.self_communicating[ci] or not (is_closed or t != 0.0):
+    for idx, block, is_closed in classes:
+        if not (is_closed or t != 0.0):
             continue
-        lam, u = perron_eigenpair(weighted[np.ix_(idx, idx)].T)
+        lam, u = perron_eigenpair(weighted[block].T)
         # a closed class has lambda = 1 + t slope; another one only lambda
-        slope = float(u @ d[np.ix_(idx, idx)].sum(axis=1)) if is_closed else math.inf
+        slope = float(u @ d[block].sum(axis=1)) if is_closed else math.inf
         rates.append(-log1p_slope(t, slope) if abs(t * slope) < 0.5 else -math.log(lam) / t)
         blocks.append(idx)
     if not rates:

@@ -201,6 +201,16 @@ class TestExpfamCommand:
         assert code == 1
         assert err == f"usage error: {family} takes parameters {names}; got {spec!r}\n"
 
+    @pytest.mark.parametrize("family, p, q, names", [
+        ("gaussian", "mu=0,mu=5,var=1", "mu=5,var=1", "mu,var"),
+        ("exponential", "lambda=1,rate=2", "rate=2", "lambda"),
+    ], ids=["repeated", "aliased"])
+    def test_parameter_named_twice(self, family, p, q, names):
+        code, out, err = run_cli(f"xent expfam --family {family} --p {p} --q {q} "
+                                 "--alpha 2".split())
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {family} takes each of {names} once; got {p!r}\n"
+
     def test_invalid_parameter_value(self, capsys):
         code = main("xent expfam --family gaussian --p mu=0,var=-1 --q mu=0,var=1 --alpha 2".split())
         assert code == 1
@@ -679,6 +689,37 @@ class TestSweepParsesOnce:
                              "--alphas 0.5:2:0.25".split())
         assert code == 0
         assert sorted(reads) == sorted([p, q, str(init), str(init)])
+
+    def test_markov_sweep_classifies_at_most_twice(self, tmp_path, monkeypatch):
+        from rxent import markov
+
+        calls = []
+        original = markov.classify
+        monkeypatch.setattr(markov, "classify", lambda m: calls.append(m.shape) or original(m))
+        p, q = tmp_path / "P.csv", tmp_path / "Q.csv"
+        p.write_text("0.5,0.5,0\n0,0.7,0.3\n0,0.4,0.6\n")
+        q.write_text("0.2,0.3,0.5\n0.3,0.3,0.4\n0.1,0.8,0.1\n")
+        code, out, _ = run_cli(f"sweep markov --p {p} --q {q} --alphas 0.1:5:0.1".split())
+        assert code == 0 and len(out.splitlines()) == 1 + 50
+        assert 1 <= len(calls) <= 2
+
+    def test_gauss_sweep_evaluates_each_level_once(self, sweep_inputs, monkeypatch):
+        from rxent import gaussproc
+
+        calls = {}
+        original = gaussproc.psd
+
+        def counting(spec, w):
+            key = (id(spec), float(w[0]), np.size(w))
+            calls[key] = calls.get(key, 0) + 1
+            return original(spec, w)
+
+        monkeypatch.setattr(gaussproc, "psd", counting)
+        _, opts, _ = sweep_inputs["gauss"]
+        code, out, _ = run_cli(f"sweep gauss {opts} --alphas 1.05:3.5:0.05".split())
+        assert code == 0 and len(out.splitlines()) == 1 + 50
+        assert calls and set(calls.values()) == {1}  # once per spec and level
+        assert len({spec for spec, _, _ in calls}) == 2
 
     def test_one_parser_per_process(self):
         from rxent import cli

@@ -9,6 +9,7 @@ from rxent import (
     ExpFamilyDistribution,
     InvalidAlphaError,
     InvalidParameterError,
+    NonConvergenceError,
     NonpositivePsdError,
     NotPositiveDefiniteError,
     StationaryGaussianSpec,
@@ -255,17 +256,18 @@ class TestSpectralGridStore:
         for a in orders + orders[::-1]:
             value = rate_spectral(reused, y, a)
             assert value == rate_spectral(make(), y, a)
-            assert value == reference_rate_spectral(make(), y, a)
+            # the levels' sums are added in another order than one mean
+            assert value == pytest.approx(reference_rate_spectral(make(), y, a), rel=1e-15)
         assert math.isinf(rate_spectral(reused, y, edge - 1e-3))
         assert math.isfinite(rate_spectral(reused, y, edge + 1e-3))
 
-    def test_psd_once_per_spec_and_grid_size(self, monkeypatch):
+    def test_psd_once_per_spec_and_level(self, monkeypatch):
         from rxent import gaussproc
 
         calls = {}
 
         def counting(spec, w):
-            key = (id(spec), np.size(w))
+            key = (id(spec), float(w[0]), np.size(w))
             calls[key] = calls.get(key, 0) + 1
             return psd(spec, w)
 
@@ -275,4 +277,66 @@ class TestSpectralGridStore:
             rate_spectral(x, y, a)
             rate_spectral(y, x, a)
         assert calls and set(calls.values()) == {1}
-        assert {size for _, size in calls} >= {4096, 8192}
+        # level 0 holds the 4096-point grid, level 1 its 4096 odd neighbours
+        assert {(start, size) for _, start, size in calls} >= {(0.0, 4096),
+                                                               (math.pi / 4096, 4096)}
+
+
+def full_grid_rate(x, y, a, n):
+    """The trapezoid rate on the n-point grid, every node evaluated afresh."""
+    w = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    f, g = psd(x, w), psd(y, w)
+    t = 0.0 if a == "one" else a - 1.0
+    body = f / g if t == 0.0 else np.log1p(t * f / g) / t
+    return 0.5 * (math.log(2.0 * math.pi) + float(np.mean(np.log(g) + body)))
+
+
+class TestNestedGrid:
+    PAIRS = {
+        "ar1-white": (lambda: S.ar1(0.5, 2.0), lambda: S.white_noise(1.0)),
+        "csv-ar1": (lambda: S.from_autocovariance([2.0, 0.8, 0.3]), lambda: S.ar1(-0.4)),
+        "ar1-ar1": (lambda: S.ar1(0.7), lambda: S.ar1(-0.3, 1.5)),
+        # a sharp peak: 3 or 4 levels, and +inf at 0.9
+        "sharp-white": (lambda: S.ar1(0.998), lambda: S.white_noise(1.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    @pytest.mark.parametrize("a", [0.9, "one", 1.5, 3.0, 6.0])
+    def test_matches_full_grid_at_accepted_level(self, kind, a):
+        make_x, make_y = self.PAIRS[kind]
+        x, y = make_x(), make_y()
+        value = rate_spectral(x, y, a)
+        levels = len(x._levels)  # the accepted level is the last one built
+        if value == math.inf:
+            assert (kind, a) == ("sharp-white", 0.9)
+            return
+        assert levels == len(y._levels) >= (3 if kind == "sharp-white" else 2)
+        expected = full_grid_rate(make_x(), make_y(), a, 4096 << (levels - 1))
+        assert value == pytest.approx(expected, rel=1e-15)
+
+    def test_levels_are_the_full_grid_bit_for_bit(self, monkeypatch):
+        from rxent import gaussproc
+
+        nodes = []
+        monkeypatch.setattr(gaussproc, "psd", lambda spec, w: nodes.append(w) or psd(spec, w))
+        x = S.ar1(0.9)
+        for j in range(4):
+            gaussproc._level(x, j)
+        assert [w.size for w in nodes] == [4096, 4096, 8192, 16384]
+        full = np.linspace(0.0, 2.0 * math.pi, 4096 << 3, endpoint=False)
+        assert np.array_equal(np.sort(np.concatenate(nodes)), full)
+
+    def test_divergence_between_coarse_nodes(self):
+        # f peaks at 1.5 on the first odd node of level 1, between two level-0
+        # nodes; 1 + t f first fails to be positive there
+        peak = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)[1]
+        x = S(np.array([1.0]), psd_fn=lambda w: 1.0 + 0.5 * np.cos(w - peak))
+        a = 1.0 - 1.0 / 1.5
+        assert 1.0 + (a - 1.0) * 1.5 <= 0.0
+        assert rate_spectral(x, S.white_noise(1.0), a) == math.inf
+        assert math.isfinite(rate_spectral(x, S.white_noise(1.0), a + 1e-3))
+
+    def test_nonconvergence_message_unchanged(self):
+        with pytest.raises(NonConvergenceError) as info:
+            rate_spectral(S.ar1(0.6), S.white_noise(1.0), 0.75)
+        assert str(info.value) == "spectral integral did not stabilize below 1e-10"

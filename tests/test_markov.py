@@ -240,6 +240,75 @@ class TestRate:
             cross_entropy_rate(p, p, AlphaOrder.inf())
 
 
+def rate_outcome(p_src, q_src, a):
+    """The rate, or the type and message of the error it raises."""
+    try:
+        return cross_entropy_rate(p_src, q_src, a)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def fresh(src):
+    return MarkovSource.of(src.transition.copy(), src.initial.probs.copy())
+
+
+class TestClassPlanMemo:
+    """A source reused across orders and references gives, bit for bit, the
+    outcome of a fresh evaluation on newly built sources."""
+
+    def check_sweep(self, p, refs, orders):
+        seen = []
+        for a in orders:
+            for q in refs:
+                got = rate_outcome(p, q, a)
+                assert got == rate_outcome(fresh(p), fresh(q), a), (a, got)
+                seen.append(got)
+        return seen
+
+    def test_reference_zeros_on_the_source_support(self):
+        # t < 0 is refused, t = 0 keeps the source pattern (0^0 = 1) and
+        # t > 0 drops the transition 0 -> 2, so the pattern changes with t
+        p = MarkovSource.of(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]))
+        q = MarkovSource.of(np.array([[0.6, 0.4, 0.0], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]))
+        orders = [0.5, "one", 2.0, "one", 0.5, 3.0, 1.5, "one", 0.8, 2.0]
+        seen = self.check_sweep(p, [q], orders)
+        assert seen[0][0] is ZeroMassError and seen[1] == math.inf
+        assert math.isfinite(seen[2]) and math.isfinite(seen[5])
+
+    def test_underflowing_reference_keeps_the_degenerate_verdict(self):
+        p = MarkovSource.of(np.array([[0.2, 0.8], [0.5, 0.5]]))
+        q = MarkovSource.of(np.array([[0.6, 0.4], [0.3, 0.7]]))
+        seen = self.check_sweep(p, [q], [0.5, "one", 2.0, 1000.0, 1100.0, 1000.0, 1100.0, 0.3])
+        assert_allclose(seen[3], 0.357369, rtol=1e-6)
+        assert seen[4] == (DegenerateRateError,
+                           "no reachable class has a cycle; the weighted products vanish")
+
+    def test_two_references_alternate(self):
+        # a reducible source against a positive reference and one with a
+        # zero on the source's support: the two patterns alternate
+        p = MarkovSource.of(np.array([[0.5, 0.5, 0.0], [0.0, 0.7, 0.3], [0.0, 0.4, 0.6]]))
+        dense = MarkovSource.of(np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.1, 0.8, 0.1]]))
+        sparse = MarkovSource.of(np.array([[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]))
+        seen = self.check_sweep(p, [dense, sparse], [0.4, "one", 1.5, 2.0, 4.0, 0.7, "one"])
+        assert seen[1][0] is ZeroMassError and seen[3] == math.inf
+        assert all(math.isfinite(v) for v in seen[4:10])
+
+    def test_sweep_classifies_once_per_pattern(self, monkeypatch):
+        from rxent import markov
+
+        calls = []
+        monkeypatch.setattr(markov, "classify", lambda m: calls.append(m.shape) or classify(m))
+        p = MarkovSource.of(np.array([[0.2, 0.8], [0.5, 0.5]]))
+        q = MarkovSource.of(np.array([[0.6, 0.4], [0.3, 0.7]]))
+        for a in [0.25, 0.5, "one", 2.0, 100.0]:
+            cross_entropy_rate(p, q, a)
+        assert calls == [(2, 2)]
+        with pytest.raises(DegenerateRateError):  # Q^t underflows: a new pattern
+            cross_entropy_rate(p, q, 1100.0)
+        cross_entropy_rate(p, q, 2.0)  # the memo holds the last pattern only
+        assert len(calls) == 3
+
+
 class TestShannonSlope:
     def test_matches_stationary_formula(self):
         p = MarkovSource.of(P_CHAIN)
