@@ -44,7 +44,6 @@ from .discrete import (
     shannon_entropy,
 )
 from .errors import (
-    AlphaNearOneError,
     DegenerateRateError,
     DimensionMismatchError,
     DoubleRangeError,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaOrder",
-    "AlphaNearOneError",
     "CrossEntropyResult",
     "DegenerateRateError",
     "DimensionMismatchError",

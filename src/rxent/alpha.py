@@ -1,39 +1,26 @@
 """Order parameter for Renyi information measures.
 
-An order is either a finite positive float different from 1, or one of two
-explicit limit markers: ``AlphaOrder.one()`` for the alpha -> 1 (Shannon)
-limit and ``AlphaOrder.inf()`` for the alpha -> infinity limit.  Every
-target computes the marker from its own order-alpha formula at
-t = alpha - 1 = 0, and keeps its digits right up to it.  Finite floats
-within 1e-9 of 1 are still rejected: the special-case reducers priced
-through a moment generating function divide ln M by 1 - alpha, which loses
-all precision there.
+An order is a finite positive float, or the explicit limit marker
+``AlphaOrder.inf()`` for the alpha -> infinity limit.  The order 1 is the
+Shannon limit; ``AlphaOrder.one()`` names it and equals ``AlphaOrder(1.0)``.
+Every target computes it from its own order-alpha formula at
+t = alpha - 1 = 0, and keeps its digits right up to it, so any float next
+to 1 is a valid order too.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import AlphaNearOneError, InvalidAlphaError
-
-NEAR_ONE_WINDOW = 1e-9
-
-_ONE_SENTINEL = object()
-_INF_SENTINEL = object()
+from .errors import InvalidAlphaError
 
 
 class AlphaOrder:
-    """Validated Renyi order: finite alpha in (0,1) or (1,inf), or a marker."""
+    """Validated Renyi order: finite alpha > 0, or the infinity marker."""
 
     __slots__ = ("_value",)
 
-    def __init__(self, value: float, _marker: object = None):
-        if _marker is _ONE_SENTINEL:
-            object.__setattr__(self, "_value", 1.0)
-            return
-        if _marker is _INF_SENTINEL:
-            object.__setattr__(self, "_value", math.inf)
-            return
+    def __init__(self, value: float):
         value = float(value)
         if math.isnan(value):
             raise InvalidAlphaError("alpha must not be NaN")
@@ -43,12 +30,6 @@ class AlphaOrder:
             raise InvalidAlphaError(
                 "alpha=inf is a limit, not a finite order; use AlphaOrder.inf()"
             )
-        if abs(value - 1.0) <= NEAR_ONE_WINDOW:
-            raise AlphaNearOneError(
-                f"alpha={value} is within {NEAR_ONE_WINDOW} of 1, where the "
-                "1/(1-alpha) prefactor is numerically meaningless; use "
-                "AlphaOrder.one() for the Shannon limit"
-            )
         object.__setattr__(self, "_value", value)
 
     def __setattr__(self, name, value):
@@ -56,20 +37,22 @@ class AlphaOrder:
 
     @classmethod
     def one(cls) -> "AlphaOrder":
-        """Marker for the alpha -> 1 (Shannon) limit."""
-        return cls(1.0, _marker=_ONE_SENTINEL)
+        """The order 1: the alpha -> 1 (Shannon) limit."""
+        return cls(1.0)
 
     @classmethod
     def inf(cls) -> "AlphaOrder":
-        """Marker for the alpha -> infinity limit."""
-        return cls(math.inf, _marker=_INF_SENTINEL)
+        """Marker for the alpha -> infinity limit, built without validation."""
+        order = object.__new__(cls)
+        object.__setattr__(order, "_value", math.inf)
+        return order
 
     @classmethod
     def coerce(cls, value) -> "AlphaOrder":
         """Build an AlphaOrder from a float, string, or existing instance.
 
-        Strings "1", "one", and "shannon" map to the alpha -> 1 marker;
-        "inf", "infinity", and "oo" map to the alpha -> infinity marker.
+        Strings "one" and "shannon" name the order 1; "inf", "infinity",
+        and "oo" map to the alpha -> infinity marker.
         An infinite float also maps to the infinity marker.  Everything else
         goes through the finite-order validation.
         """
@@ -77,7 +60,7 @@ class AlphaOrder:
             return value
         if isinstance(value, str):
             token = value.strip().lower()
-            if token in ("1", "1.0", "one", "shannon"):
+            if token in ("one", "shannon"):
                 return cls.one()
             if token in ("inf", "infinity", "oo"):
                 return cls.inf()
@@ -92,7 +75,7 @@ class AlphaOrder:
 
     @property
     def value(self) -> float:
-        """Numeric order: the finite alpha, or 1.0 / inf for the markers."""
+        """Numeric order: the finite alpha, or inf for the marker."""
         return self._value
 
     @property

@@ -23,13 +23,14 @@ its grid; a value that does not parse as a number is a usage error.
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
 with status 2; usage and computation errors exit with status 1.  Orders:
-``--alpha 1`` selects the Shannon limit, which every target takes from its
-own order-alpha formula, ``--alpha inf`` the min-entropy limit (discrete
-only); other floats within 1e-9 of 1 are rejected.  Sweep grid points that
-land on 1 are evaluated at the Shannon limit, so any grid may step through
-1.  ``--oracle`` adds an independent referee value and the gap between the
-two, which is 0 where both are the same infinity; the referee's inputs (for
-the continuous targets, the two log-densities) are built only then.
+``--alpha 1`` is the Shannon limit, which every target takes from its own
+order-alpha formula, so floats next to 1 are valid orders too;
+``--alpha inf`` is the min-entropy limit (discrete only).  Sweep grid
+points within rounding of 1 are evaluated at 1, so any grid may step
+through it.  ``--oracle`` adds an independent referee value and the gap
+between the two, which is 0 where both are the same infinity; the
+referee's inputs (for the continuous targets, the two log-densities) are
+built only then.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from . import differential, discrete, gaussproc, markov, oracle
 from .alpha import AlphaOrder
 from .errors import InvalidParameterError, RenyiError
 from .expfam import ExpFamilyDistribution, Family
-from .support import SupportKind, SupportSpec, UNIT_INTERVAL
+from .support import SupportSpec, UNIT_INTERVAL
 
 
 class OutputFormat(Enum):
@@ -451,10 +452,6 @@ def _prepare_special(opts):
         rate = _require(opts, "rate", variant)
     else:
         variance = _require(opts, "var", variant)
-    if variant != "q-gaussian" and p.support.kind is SupportKind.ALL_REALS:
-        raise InvalidParameterError(
-            f"the {variant.removeprefix('q-')} reference needs a source supported on x > 0"
-        )
 
     if variant == "q-exponential":
         mgf = differential.mgf_of(p)

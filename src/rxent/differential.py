@@ -21,8 +21,9 @@ flag the same divergences; keeping both routes makes each an internal check
 of the other, with direct quadrature of the defining integral as the final
 referee.  Special-case reducers (uniform source or reference, exponential or
 Gaussian reference via moment generating functions) and the zero-mean
-multivariate Gaussian form round out the module.  The reducers work with
-ln M and, at the alpha -> 1 marker, with the moment each MGF declares.
+multivariate Gaussian form round out the module.  The MGF reducers work
+with the cumulant quotient Q(s) = ln M(s) / s, whose value at s = 0 is the
+mean, so each is one formula, a constant plus c Q(s), through alpha = 1.
 Every MGF built here is a closed form except the centered square of a Gamma
 or Beta source, which is integrated by ``oracle.mgf_numeric``.
 
@@ -76,9 +77,9 @@ from .specfun import (
     gammaln_slope,
     log1p_slope,
     log1p_slope_sum,
-    log_kummer,
+    log_kummer_slope,
 )
-from .support import SupportSpec
+from .support import SupportKind, SupportSpec
 
 
 class Method(Enum):
@@ -316,102 +317,68 @@ _LOG_PI = math.log(math.pi)
 
 @dataclass(frozen=True)
 class MgfFunction:
-    """A moment generating function M(t) = E[exp(t X)], in log form.
+    """A moment generating function M(s) = E[exp(s Z)], as its cumulant
+    quotient Q(s) = ln M(s) / s.
 
-    ``log_fn`` returns ln M(t) on the finiteness interval (lower, upper),
-    which holds its upper end when ``upper_closed`` is set; ``mean`` is the
-    first moment M'(0), which the reducers read at the alpha -> 1 marker.
-    The reducers go through ``log``, so ln M never passes through exp.
-    Outside the interval M is infinite and ``log`` returns +inf.  Inside it
-    a non-finite ln M is an overflow, not a divergence, and raises
-    DoubleRangeError.  The constructor spot-checks M(0) = 1.
+    ``quotient_fn`` returns Q on the finiteness interval (lower, upper),
+    which holds its upper end when ``upper_closed`` is set, and its limit
+    Q(0) = E[Z] at s = 0: ln M = s Q cannot express an M(0) other than 1.
+    Z is the source X, or (X - center)^2 when ``center`` is set, and
+    ``support`` is the support of X; the reducers check both.
     """
 
-    log_fn: Callable[[float], float]
-    mean: float
+    quotient_fn: Callable[[float], float]
+    support: SupportSpec
+    center: float | None = None
     lower: float = -math.inf
     upper: float = math.inf
     upper_closed: bool = False
 
-    def __post_init__(self):
-        at_zero = self.log_fn(0.0)
-        if not math.isclose(at_zero, 0.0, abs_tol=1e-8):
-            raise InvalidParameterError(f"an MGF must satisfy M(0) = 1, got ln M(0) = {at_zero!r}")
+    def contains(self, s: float) -> bool:
+        return self.lower < s and (s < self.upper or (self.upper_closed and s == self.upper))
 
-    def contains(self, t: float) -> bool:
-        return self.lower < t and (t < self.upper or (self.upper_closed and t == self.upper))
-
-    def log(self, t: float) -> float:
-        """ln M(t); +inf outside the finiteness interval."""
-        t = float(t)
-        if not math.isfinite(t):
-            raise DoubleRangeError(f"MGF argument {t} exceeds the double range")
-        if not self.contains(t):
-            return math.inf
-        log_m = float(self.log_fn(t))
-        if not math.isfinite(log_m):
-            raise DoubleRangeError(f"ln M({t:g}) = {log_m} exceeds the double range")
-        return log_m
+    def quotient(self, s: float) -> float:
+        """Q(s); +inf / s outside the finiteness interval, where ln M = +inf,
+        and DoubleRangeError where Q overflows inside it."""
+        s = float(s)
+        if not math.isfinite(s):
+            raise DoubleRangeError(f"MGF argument {s} exceeds the double range")
+        if not self.contains(s):
+            return math.copysign(math.inf, s)
+        q = float(self.quotient_fn(s))
+        if not math.isfinite(q):
+            raise DoubleRangeError(f"ln M({s:g}) = {s * q} exceeds the double range")
+        return q
 
 
-def _mean_variance(d: ExpFamilyDistribution) -> tuple[float, float]:
-    """Mean and variance of a scalar family member."""
+def _gamma_shape(d: ExpFamilyDistribution) -> tuple[float, float, float]:
+    """(k, theta, 1 / theta) of an exponential, Gamma or chi-squared member."""
     if d.family is Family.EXPONENTIAL:
-        mean = 1.0 / d.params[0]
-        return mean, mean * mean
+        return 1.0, 1.0 / d.params[0], d.params[0]
     if d.family is Family.GAMMA:
-        k, theta = d.params
-        return k * theta, k * theta * theta
-    if d.family is Family.CHI_SQUARED:
-        nu, = d.params
-        return nu, 2.0 * nu
-    if d.family is Family.GAUSSIAN:
-        mu, v = d.params
-        return mu, v
-    if d.family is Family.LAPLACE_EQUAL_MEAN:
-        mu, s = d.params
-        return mu, 2.0 * s * s
-    if d.family is Family.BETA:
-        a, b = d.params
-        n = a + b
-        return a / n, a * b / (n * n * (n + 1.0))
-    raise InvalidParameterError(f"no scalar MGF for family {d.family}")
-
-
-def _log1p_product(u: float, v: float) -> float:
-    """ln(1 + u v) for u v > -1 and v > 0, also where the product overflows."""
-    uv = u * v
-    return math.log1p(uv) if uv < math.inf else math.log(u) + math.log(v)
+        return d.params[0], d.params[1], 1.0 / d.params[1]
+    return d.params[0] / 2.0, 2.0, 0.5
 
 
 def mgf_of(d: ExpFamilyDistribution) -> MgfFunction:
-    """Moment generating function E[exp(t X)] of a family member, in log form."""
-    mean = _mean_variance(d)[0]
+    """Moment generating function E[exp(s X)] of a scalar family member,
+    as its cumulant quotient: log1p slopes, and Kummer's series for Beta."""
     if d.family in (Family.EXPONENTIAL, Family.GAMMA, Family.CHI_SQUARED):
-        # Gamma(k, theta): M(t) = (1 - theta t)^(-k) for t < 1/theta
-        if d.family is Family.EXPONENTIAL:
-            (lam,), k = d.params, 1.0
-            theta, upper = 1.0 / lam, lam
-        elif d.family is Family.GAMMA:
-            k, theta = d.params
-            upper = 1.0 / theta
-        else:
-            k, theta, upper = d.params[0] / 2.0, 2.0, 0.5
-        return MgfFunction(log_fn=lambda t: -k * _log1p_product(-t, theta), upper=upper,
-                           mean=mean)
+        # Gamma(k, theta): ln M(s) = -k ln(1 - theta s) for s < 1/theta
+        k, theta, upper = _gamma_shape(d)
+        return MgfFunction(lambda s: -k * log1p_slope(s, -theta), d.support, upper=upper)
     if d.family is Family.GAUSSIAN:
         mu, v = d.params
-        return MgfFunction(log_fn=lambda t: mu * t + 0.5 * v * t * t, mean=mean)
+        return MgfFunction(lambda s: mu + 0.5 * v * s, d.support)
     if d.family is Family.LAPLACE_EQUAL_MEAN:
-        mu, s = d.params
-        return MgfFunction(
-            log_fn=lambda t: mu * t - math.log1p(-(s * t) ** 2),
-            lower=-1.0 / s,
-            upper=1.0 / s,
-            mean=mean,
-        )
-    a, b = d.params  # Beta, the last scalar family: M(t) = 1F1(a; a + b; t)
-    return MgfFunction(log_fn=lambda t: log_kummer(a, b, t), mean=mean)
+        # ln M(s) = mu s - ln(1 - b^2 s^2) for |s| < 1/b
+        mu, b = d.params
+        return MgfFunction(lambda s: mu - log1p_slope(s, -b * b * s), d.support,
+                           lower=-1.0 / b, upper=1.0 / b)
+    if d.family is not Family.BETA:
+        raise InvalidParameterError(f"no scalar MGF for family {d.family}")
+    a, b = d.params  # M(s) = 1F1(a; a + b; s)
+    return MgfFunction(lambda s: log_kummer_slope(a, b, s), d.support)
 
 
 def _log_half_line(kappa: float, e: float, tau: float) -> float:
@@ -433,63 +400,110 @@ def _log_half_line(kappa: float, e: float, tau: float) -> float:
     return head + kappa * (0.25 * kappa / tau + e) + math.log(math.erfc(z))
 
 
-def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFunction:
-    """MGF of Y = (X - center)^2 for X ~ d, in log form.
+# |s| E[Y] up to which a centered square takes its moment series: the first
+# term left out is of relative order (s E[Y])^5, below double precision,
+# while ln M(s) / s from the erfcx form would lose digits next to M = 1
+_SERIES_REACH = 1e-4
 
-    Closed forms for Gaussian, Laplace and exponential sources (with
-    tau = -t, erfcx sums for the last two).  Gamma and Beta sources go
-    through ``oracle.mgf_numeric``; the density integrates to 1, so M(0) = 1
-    exactly without quadrature.  The finiteness interval follows the tail:
-    bounded support gives the whole line, exponential tails give t <= 0.
-    The declared mean is E[Y] = Var X + (E[X] - center)^2.
+
+def _square_quotient(mean: float, ratio: float, lag: int, shift: float,
+                     log_mgf: Callable[[float], float]) -> Callable[[float], float]:
+    """Q(s) of Y = (V + shift)^2, E[Y] = ``mean``, from ln M_Y, for a V whose
+    raw moments are E[V^j] = j! ratio^(j / lag) where lag divides j, else 0.
+
+    Above |s| E[Y] = 1e-4, ln M(s) / s.  Up to there, which only orders next
+    to 1 reach, log1p(s R) / s with M - 1 = s R summed to s^5 from the
+    moments E[Y^n] = (2n)! e_2n, e_k = E[(V + shift)^k] / k! = shift^k / k!
+    + ratio e_(k - lag): the cumulant series to the fifth, E[Y] at s = 0.
+    """
+    def quotient(s):
+        if abs(s) * mean > _SERIES_REACH:
+            return log_mgf(s) / s
+        if s == 0.0:
+            return mean
+        e, power = [1.0], 1.0
+        for k in range(1, 11):
+            power *= shift / k
+            e.append(power + (ratio * e[k - lag] if k >= lag else 0.0))
+        return log1p_slope(s, sum(math.factorial(2 * n) / math.factorial(n) * e[2 * n]
+                                  * s ** (n - 1) for n in range(1, 6)))
+
+    return quotient
+
+
+def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFunction:
+    """MGF of Y = (X - center)^2 for X ~ d, as its cumulant quotient.
+
+    Closed forms for Gaussian, Laplace and exponential sources: a log1p
+    slope for the first, and for the other two (with tau = -s) erfcx sums
+    above |s| E[Y] = 1e-4 and the moment series below.  Gamma and Beta
+    sources take one quadrature per order through ``oracle.mgf_numeric``,
+    and none at s = 0, where Q is the closed-form E[Y] = Var X +
+    (E[X] - center)^2.  The finiteness interval follows the tail: bounded
+    support gives the whole line, exponential tails give s <= 0.
     """
     center = float(center)
     if not math.isfinite(center):
         raise InvalidParameterError(f"the squared deviation needs a finite center, got {center}")
     if d.family is Family.MV_GAUSSIAN_ZERO_MEAN:
         raise InvalidParameterError("centered-square MGF is for scalar families")
-    mean_x, var_x = _mean_variance(d)
-    mean = var_x + (mean_x - center) * (mean_x - center)
     if d.family is Family.GAUSSIAN:
         mu, v = d.params
         delta = mu - center
 
-        def log_fn(t):
-            return delta * t / (1.0 - 2.0 * v * t) * delta - 0.5 * math.log1p(-2.0 * v * t)
+        def quotient_fn(s):
+            return delta / (1.0 - 2.0 * v * s) * delta - 0.5 * log1p_slope(s, -2.0 * v)
 
-        return MgfFunction(log_fn=log_fn, upper=0.5 / v, mean=mean)
+        return MgfFunction(quotient_fn, d.support, center, upper=0.5 / v)
 
     if d.family is Family.LAPLACE_EQUAL_MEAN:
-        mu, s = d.params
-        delta, rate, log_norm = mu - center, 1.0 / s, math.log(2.0) + math.log(s)
+        mu, b = d.params
+        delta, rate, log_norm = mu - center, 1.0 / b, math.log(2.0) + math.log(b)
 
-        def log_fn(t):
-            if t == 0.0:
-                return 0.0
-            return np.logaddexp(_log_half_line(rate, delta, -t),
-                                _log_half_line(rate, -delta, -t)) - log_norm
+        def log_mgf(s):
+            return np.logaddexp(_log_half_line(rate, delta, -s),
+                                _log_half_line(rate, -delta, -s)) - log_norm
+
+        # X - center = delta + Z with E[Z^j] = j! b^j for even j, 0 for odd j
+        quotient_fn = _square_quotient(2.0 * b * b + delta * delta, b * b, 2, delta, log_mgf)
     elif d.family is Family.EXPONENTIAL:
         lam, = d.params
-        log_lam = math.log(lam)
 
-        def log_fn(t):
-            if t == 0.0:
-                return 0.0
-            return log_lam + _log_half_line(lam, -center, -t)
+        def log_mgf(s):
+            return math.log(lam) + _log_half_line(lam, -center, -s)
+
+        theta = 1.0 / lam  # E[X^j] = j! theta^j
+        quotient_fn = _square_quotient(theta * theta + (theta - center) * (theta - center),
+                                       theta, 1, -center, log_mgf)
     else:
-        def log_fn(t):
-            if t == 0.0:
-                return 0.0
-            m = oracle.mgf_numeric(d.support, t, square_center=center, logpdf=d.logpdf)
-            return math.log(m) if m > 0.0 else -math.inf
+        if d.family is Family.BETA:
+            a, b = d.params
+            n = a + b
+            mean_x, var_x = a / n, a * b / (n * n * (n + 1.0))
+        else:
+            k, theta, _ = _gamma_shape(d)
+            mean_x, var_x = k * theta, k * theta * theta
+        mean = var_x + (mean_x - center) * (mean_x - center)
+
+        def quotient_fn(s):
+            return oracle.mgf_numeric(d.support, s, center, logpdf=d.logpdf, mean=mean)
 
         if d.family is Family.BETA:
-            return MgfFunction(log_fn=log_fn, mean=mean)
-    return MgfFunction(log_fn=log_fn, upper=0.0, upper_closed=True, mean=mean)
+            return MgfFunction(quotient_fn, d.support, center)
+    return MgfFunction(quotient_fn, d.support, center, upper=0.0, upper_closed=True)
 
 
-def _special(value: float) -> CrossEntropyResult:
-    """A reducer value; one beyond the double range is an error, not a verdict."""
+def _require_half_line(mgf: MgfFunction, reference: str) -> None:
+    if mgf.support.kind is SupportKind.ALL_REALS or mgf.support.lower < 0.0:
+        raise InvalidParameterError(f"the {reference} reference needs a source supported on x > 0")
+
+
+def _special(alpha: AlphaOrder, q: float, value: float) -> CrossEntropyResult:
+    """A reducer value const + c Q(s): the divergence verdict where Q(s) is
+    infinite (s outside the MGF finiteness interval), and an error where
+    the value exceeds the double range."""
+    if math.isinf(q):
+        return _diverged(alpha, Method.SPECIAL_CASE)
     if not math.isfinite(value):
         raise DoubleRangeError(f"cross-entropy {value} exceeds the double range")
     return CrossEntropyResult(float(value), Method.SPECIAL_CASE)
@@ -498,11 +512,18 @@ def _special(value: float) -> CrossEntropyResult:
 def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> CrossEntropyResult:
     """Cross-entropy of a positive source p against an Exponential(rate).
 
-        h_alpha = -ln rate + (1/(1-alpha)) ln M_p(rate (1-alpha)),
+    ``mgf_p`` must be the MGF of X under the source.  With s = rate (1 - alpha),
 
-    a divergence verdict when rate (1-alpha) lies outside the MGF finiteness
-    interval.  The alpha -> 1 marker uses -ln rate + rate E_p[X].
+        h_alpha = -ln rate + (1/(1-alpha)) ln M_p(s) = -ln rate + rate Q_p(s),
+
+    one formula for every order: at alpha = 1, Q_p(0) = E_p[X] gives the
+    Shannon value.  A divergence verdict where s lies outside the MGF
+    finiteness interval.
     """
+    _require_half_line(mgf_p, "exponential")
+    if mgf_p.center is not None:
+        raise InvalidParameterError(
+            "the exponential reference needs the MGF of X, not of a centered square")
     rate = float(rate)
     if not math.isfinite(rate):
         raise InvalidParameterError(f"exponential reference needs a finite rate, got {rate}")
@@ -511,13 +532,8 @@ def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> Cross
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    if alpha.is_one:
-        return _special(-math.log(rate) + rate * mgf_p.mean)
-    a = alpha.value
-    log_m = mgf_p.log(rate * (1.0 - a))
-    if log_m == math.inf:
-        return _diverged(alpha, Method.SPECIAL_CASE)
-    return _special(-math.log(rate) + log_m / (1.0 - a))
+    q = mgf_p.quotient(rate * (1.0 - alpha.value))
+    return _special(alpha, q, -math.log(rate) + rate * q)
 
 
 def cross_entropy_q_gaussian(
@@ -530,30 +546,32 @@ def cross_entropy_q_gaussian(
     """Cross-entropy against a Gaussian (or half-normal) reference.
 
     ``mgf_square`` must be the MGF of Y = (X - mean)^2 under the source.
+    With s = (1 - alpha) / (2 sigma^2),
 
-        h_alpha = ln(sigma sqrt(2 pi)) + (1/(1-alpha)) ln M_Y((1-alpha)/(2 sigma^2))
+        h_alpha = ln(sigma sqrt(2 pi)) + (1/(1-alpha)) ln M_Y(s)
+                = ln(sigma sqrt(2 pi)) + Q_Y(s) / (2 sigma^2),
 
     with sigma sqrt(pi/2) in place of sigma sqrt(2 pi) for the half-normal
-    reference (whose mean is pinned at 0 and support to x > 0; the caller
-    is responsible for using a positive source there), and a divergence
-    verdict when the MGF argument lies outside its finiteness interval.
+    reference, whose mean is pinned at 0 and which needs a source on x > 0.
+    At alpha = 1, Q_Y(0) = E[Y] gives the Shannon value; a divergence
+    verdict where s lies outside the MGF finiteness interval.
     """
+    reference = "half-normal" if half_normal else "Gaussian"
+    if half_normal:
+        _require_half_line(mgf_square, reference)
     variance = float(variance)
     if not (math.isfinite(variance) and math.isfinite(mean)):
         raise InvalidParameterError(
             f"reference mean and variance must be finite, got {mean} and {variance}")
     if variance <= 0:
         raise InvalidParameterError(f"reference variance must be positive, got {variance}")
+    if mgf_square.center != mean or (half_normal and mean != 0.0):
+        raise InvalidParameterError(
+            f"the {reference} reference needs the MGF of (X - {0.0 if half_normal else mean})^2, "
+            f"got center {mgf_square.center}")
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    const = 0.5 * (LOG_2PI + math.log(variance))
-    if half_normal:
-        const -= math.log(2.0)
-    if alpha.is_one:
-        return _special(const + mgf_square.mean / (2.0 * variance))
-    a = alpha.value
-    log_m = mgf_square.log((1.0 - a) / (2.0 * variance))
-    if log_m == math.inf:
-        return _diverged(alpha, Method.SPECIAL_CASE)
-    return _special(const + log_m / (1.0 - a))
+    const = 0.5 * (LOG_2PI + math.log(variance)) - (math.log(2.0) if half_normal else 0.0)
+    q = mgf_square.quotient((1.0 - alpha.value) / (2.0 * variance))
+    return _special(alpha, q, const + q / (2.0 * variance))

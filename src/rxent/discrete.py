@@ -51,7 +51,10 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, size: int) -> "DiscreteDistribution":
-        return cls(np.full(int(size), 1.0 / int(size)))
+        size = int(size)
+        if size < 1:
+            raise InvalidParameterError("need a nonempty 1-D probability vector")
+        return cls(np.full(size, 1.0 / size))
 
     @property
     def alphabet_size(self) -> int:

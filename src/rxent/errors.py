@@ -18,10 +18,6 @@ class InvalidAlphaError(RenyiError, ValueError):
     """Order parameter outside (0, 1) or (1, inf), or unsupported for an op."""
 
 
-class AlphaNearOneError(InvalidAlphaError):
-    """Finite order within 1e-9 of 1; the alpha -> 1 limit needs its marker."""
-
-
 class OutOfDomainError(RenyiError, ValueError):
     """A natural parameter lies outside the family's natural domain."""
 

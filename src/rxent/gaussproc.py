@@ -87,8 +87,7 @@ class StationaryGaussianSpec:
         if low <= _PSD_FLOOR:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e} on the check grid")
         n_check = min(_VALIDATION_TOEPLITZ, max(2, 2 * r.size))
-        cholesky_lower(toeplitz_cov(self, n_check, _validate=False),
-                       name="Toeplitz covariance")
+        toeplitz_cov(self, n_check)
 
     @classmethod
     def white_noise(cls, variance: float) -> "StationaryGaussianSpec":
@@ -161,15 +160,15 @@ def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
     return first
 
 
-def toeplitz_cov(spec: StationaryGaussianSpec, n: int, _validate: bool = True) -> np.ndarray:
-    """The n x n Toeplitz covariance of the first n lags."""
+def toeplitz_cov(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
+    """The n x n Toeplitz covariance of the first n lags, checked positive
+    definite by its Cholesky factor."""
     n = int(n)
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     lags = np.arange(n)
     cov = autocov_lags(spec, n)[np.abs(lags[:, None] - lags[None, :])]
-    if _validate:
-        cholesky_lower(cov, name="Toeplitz covariance")
+    cholesky_lower(cov, name="Toeplitz covariance")
     return cov
 
 

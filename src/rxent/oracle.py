@@ -40,6 +40,7 @@ _LOG_TINY = math.log(1e-290)
 # exp() bounds of a double
 _LOG_HUGE = 700.0
 _LOG_UNDERFLOW = -745.0
+_LOG_2 = math.log(2.0)
 
 # Window-doubling probe: partial integrals over windows W, 2W, 4W, ...,
 # each the previous partial plus the integral over the shell the doubling
@@ -294,40 +295,42 @@ def cross_entropy_numeric(
 
 def mgf_numeric(
     supp: SupportSpec,
-    t: float,
-    square_center: float | None = None,
+    s: float,
+    center: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     *,
     logpdf: Callable[[float], float],
+    mean: float,
 ) -> float:
-    """E[exp(t X)] by quadrature, or E[exp(t (X - c)^2)] when a center is given.
+    """Cumulant quotient ln E[exp(s Y)] / s of Y = (X - center)^2 by quadrature.
 
-    X has the log-density ``logpdf`` (ln 0 = -inf).  Returns +inf when the
-    integral diverges.  On a bounded interval, and for t <= 0 when the
-    exponent t X or t (X - c)^2 is nonpositive on the whole support, the
-    integrand is bounded by a multiple of the density: the integral is
-    finite and goes straight to quadrature, without the divergence probe.
+    X has the log-density ``logpdf`` (ln 0 = -inf) and Y the mean ``mean``,
+    the value at s = 0, which takes no quadrature.  s > 0 needs a bounded
+    support.  Where s E[Y] >= -ln 2, so that M >= 1/2, the integrand is
+    p expm1(s Y) / s, whose integral m gives log1p(s m) / s without the
+    cancellation of ln M next to M = 1; elsewhere it is p exp(s Y), and
+    the quotient ln M / s.
     """
-    t = float(t)
-    bounded = supp.kind is SupportKind.INTERVAL or (
-        t <= 0.0 and (square_center is not None or supp.kind is SupportKind.POSITIVE_REALS))
+    s = float(s)
+    if s == 0.0:
+        return mean
+    if s > 0.0 and supp.kind is not SupportKind.INTERVAL:
+        raise InvalidParameterError("E[exp(s Y)] with s > 0 needs a bounded support")
+    near_one = s * mean >= -_LOG_2
 
     def integrand(x):
         lp = logpdf(x)
         if lp == -math.inf:
             return 0.0
-        if square_center is None:
-            z = lp + t * x
-        else:
-            d = x - square_center
-            z = lp + t * d * d
-        if z > _LOG_HUGE:
+        y = s * (x - center) * (x - center)
+        if y > _LOG_HUGE:
             return math.inf
-        return math.exp(z)
+        return math.exp(lp) * math.expm1(y) / s if near_one else math.exp(lp + y)
 
-    if bounded:
-        return integrate(integrand, supp, settings)[0]
-    return _nonnegative_integral(integrand, supp, settings)
+    m = integrate(integrand, supp, settings)[0]
+    if near_one:
+        return math.log1p(s * m) / s
+    return (math.log(m) if m > 0.0 else -math.inf) / s
 
 
 def gaussian_log_form_2d(cov) -> tuple[float, np.ndarray]:

@@ -130,10 +130,14 @@ def betaln_slope(a: float, b: float, ca: float, cb: float, t: float) -> float:
 
 
 def log1p_slope(t: float, u: float) -> float:
-    """ln(1 + t u) / t, and its limit u at t = 0; -inf / t where 1 + t u <= 0."""
+    """ln(1 + t u) / t, and its limit u at t = 0; -inf / t where 1 + t u <= 0,
+    and (ln|t| + ln|u|) / t where the product t u overflows."""
     if t == 0.0:
         return u
-    return math.log1p(t * u) / t if t * u > -1.0 else -math.copysign(math.inf, t)
+    tu = t * u
+    if tu == math.inf:
+        return (math.log(abs(t)) + math.log(abs(u))) / t
+    return math.log1p(tu) / t if tu > -1.0 else -math.copysign(math.inf, t)
 
 
 def log1p_slope_sum(t: float, u: np.ndarray) -> float:
@@ -202,37 +206,36 @@ def _log_kummer_asymptotic(a: float, b: float, t: float) -> float | None:
     return gammaln(a + b) - gammaln(b) - a * log_x + math.log1p(rest)
 
 
-def log_kummer(a: float, b: float, t: float) -> float:
-    """ln M(a, a + b, t) of Kummer's confluent hypergeometric function, a, b > 0.
+def log_kummer_slope(a: float, b: float, t: float) -> float:
+    """ln M(a, a + b, t) / t of Kummer's confluent hypergeometric function,
+    a, b > 0, and its limit a / (a + b) at t = 0.
 
-    Kummer's series for t >= 0 and, for t < 0, the transformation
-    M(a, a + b, t) = e^t M(b, a + b, -t): every term is positive, so the sum
-    does not cancel.  The terms after the leading 1 are summed on their own
-    and enter through log1p, so ln M keeps its relative precision as t -> 0.
-    The t < 0 sum is rescaled as it grows (M itself is at most 1 there); for
-    t > 0 the sum overflows, and the result is +inf, exactly where M exceeds
-    the double range.  The number of terms grows like |t|, so below t = -50
-    the large-|t| expansion is used wherever it reaches double precision;
-    its number of terms falls as -t grows.
+    From t = -1 up, Kummer's series with its first factor of t divided out,
+    M = 1 + t R with R = sum_n t^(n-1) (a)_n / ((a + b)_n n!), gives
+    log1p(t R) / t, exact as t -> 0; on [-1, 0) the terms of R alternate
+    but shrink from the first on.  Below -1, M(a, a + b, t) =
+    e^t M(b, a + b, -t) makes every term positive and the quotient 1 minus
+    that of M(b, a + b, -t), whose sum is rescaled as it grows.  For t > 0
+    the sum overflows to +inf exactly where (M - 1) / t exceeds the double
+    range.  The number of terms grows like |t|, so below t = -50 the
+    large-|t| expansion is used wherever it reaches double precision.
     """
     if t < -_KUMMER_ASYMPTOTIC:
         log_m = _log_kummer_asymptotic(a, b, t)
         if log_m is not None:
-            return log_m
+            return log_m / t
     c = a + b
-    p, s = (a, t) if t >= 0.0 else (b, -t)
-    rest, term = 0.0, 1.0
-    log_scale = 0.0
-    n = 0.0
+    p, s = (a, t) if t >= -1.0 else (b, -t)
+    rest, term, log_scale, n = 0.0, p / c, 0.0, 0.0
     # terms grow while n < s, then fall off
-    while (n <= s or term > 1e-17 * rest) and rest < math.inf:
-        term *= s * (p + n) / ((c + n) * (n + 1.0))
+    while (n < s or abs(term) > 1e-17 * rest) and rest < math.inf:
         rest += term
         n += 1.0
-        if t < 0.0 and rest > 1e300:  # the leading 1 is below rounding from here on
+        term *= s * (p + n) / ((c + n) * (n + 1.0))
+        if rest > 1e300 and t < -1.0:  # the leading 1 is below rounding from here on
             rest, term, log_scale = rest * 1e-300, term * 1e-300, log_scale + _LOG_1E300
-    log_m = math.log1p(rest) if log_scale == 0.0 else log_scale + math.log(rest)
-    return log_m if t >= 0.0 else t + log_m
+    q = log1p_slope(s, rest) if log_scale == 0.0 else (log_scale + math.log(s * rest)) / s
+    return q if t >= -1.0 else 1.0 - q
 
 
 def logsumexp(terms: np.ndarray) -> float:

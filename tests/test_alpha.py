@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rxent import AlphaOrder
-from rxent.errors import AlphaNearOneError, InvalidAlphaError
+from rxent.errors import InvalidAlphaError
 
 
 class TestConstruction:
@@ -23,17 +23,16 @@ class TestConstruction:
         with pytest.raises(InvalidAlphaError):
             AlphaOrder(math.inf)
 
-    def test_rejects_near_one_window(self):
-        for bad in (1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 9e-10):
-            with pytest.raises(AlphaNearOneError):
-                AlphaOrder(bad)
-        # just outside the window is accepted
-        assert AlphaOrder(1.0 + 1.1e-9).is_finite_order
-        assert AlphaOrder(1.0 - 1.1e-9).is_finite_order
+    def test_orders_next_to_one_are_valid(self):
+        # the targets keep their digits through alpha = 1, so no window
+        # around it is rejected
+        for near in (1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 9e-10, 1.0 + 1e-15):
+            a = AlphaOrder(near)
+            assert a.value == near and a.is_finite_order
 
-    def test_near_one_error_is_invalid_alpha(self):
-        with pytest.raises(InvalidAlphaError):
-            AlphaOrder(1.0)
+    def test_one_is_the_shannon_order(self):
+        assert AlphaOrder(1.0) == AlphaOrder.one()
+        assert AlphaOrder(1).is_one and not AlphaOrder(1.0).is_finite_order
 
     def test_immutable(self):
         a = AlphaOrder(2.0)
@@ -80,9 +79,9 @@ class TestCoerce:
         with pytest.raises(InvalidAlphaError):
             AlphaOrder.coerce("two")
 
-    def test_near_one_string_rejected(self):
-        with pytest.raises(AlphaNearOneError):
-            AlphaOrder.coerce("1.0000000001")
+    def test_near_one_string_accepted(self):
+        assert AlphaOrder.coerce("1.0000000001").value == 1.0000000001
+        assert AlphaOrder.coerce("1.0") == AlphaOrder.one()
 
 
 class TestEquality:
@@ -91,12 +90,12 @@ class TestEquality:
         assert AlphaOrder(2.0) != AlphaOrder(3.0)
         assert AlphaOrder.one() == AlphaOrder.one()
         assert AlphaOrder.inf() == AlphaOrder.inf()
-        assert len({AlphaOrder(2.0), AlphaOrder(2.0), AlphaOrder.one()}) == 2
+        assert len({AlphaOrder(2.0), AlphaOrder(2.0), AlphaOrder.one(), AlphaOrder(1.0)}) == 2
 
     def test_not_equal_to_float(self):
         assert AlphaOrder(2.0) != 2.0
 
     def test_repr(self):
         assert repr(AlphaOrder(2.0)) == "AlphaOrder(2.0)"
-        assert repr(AlphaOrder.one()) == "AlphaOrder.one()"
+        assert repr(AlphaOrder.one()) == repr(AlphaOrder(1.0)) == "AlphaOrder.one()"
         assert repr(AlphaOrder.inf()) == "AlphaOrder.inf()"

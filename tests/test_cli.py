@@ -387,6 +387,25 @@ class TestSpecialCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant, option", [("q-exponential", "--rate 1"),
+                                                 ("q-half-normal", "--var 1")])
+    def test_support_mismatch_message(self, variant, option):
+        # the reducer checks the support its MGF records, in the CLI's words
+        code, out, err = run_cli(f"xent special {variant} --p-family laplace --p mu=0,b=1 "
+                                 f"{option} --alpha 2".split())
+        reference = variant.removeprefix("q-")
+        assert (code, out) == (1, "")
+        assert err == f"error: the {reference} reference needs a source supported on x > 0\n"
+
+    def test_order_next_to_one(self):
+        # 5e-10 from 1 is a valid order, within 1e-9 of the Shannon value
+        argv = ("xent special q-gaussian --p-family gamma --p k=2.5,theta=0.7 --mean 0.5 "
+                "--var 2 --alpha").split()
+        code, near, err = run_cli(argv + ["1.0000000005"])
+        assert (code, err) == (0, "")
+        shannon = float(run_cli(argv + ["1"])[1])
+        assert abs(float(near) - shannon) <= 1e-9
+
     def test_missing_variant_option(self, capsys):
         code = main("xent special q-exponential --p-family exponential --p rate=2 --alpha 2".split())
         assert code == 1
@@ -454,6 +473,15 @@ class TestMarkovCommand:
         init.write_text("1.0,0.0\n")
         code = main(f"rate markov --p {p} --q {q} --p-init {init} --alpha 2".split())
         assert code == 0
+
+    def test_empty_transition_file_is_an_error(self, chain_files, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, out, err = run_cli(f"rate markov --p {empty} --q {chain_files[1]} "
+                                 "--alpha 2".split())
+        assert (code, out) == (1, "")
+        assert "error: need a nonempty 1-D probability vector" in err
+        assert "Traceback" not in err
 
     def test_shannon_marker(self, chain_files, capsys):
         p, q = chain_files

@@ -337,41 +337,51 @@ class TestUniformSource:
             cross_entropy_p_uniform(UNIT_INTERVAL, E.gaussian(0, 1), 2.0)
 
 
+def _log_m(m, s):
+    """ln M(s) of an MGF from its cumulant quotient: s Q(s)."""
+    return s * m.quotient(s)
+
+
 class TestMgfFunction:
-    def test_must_be_one_at_zero(self):
-        with pytest.raises(InvalidParameterError):
-            MgfFunction(lambda t: 1.0 + t, mean=1.0)
+    def test_zero_at_zero_by_construction(self):
+        # ln M = s Q(s) cannot be anything but 0 at s = 0, whatever Q(0) is
+        m = MgfFunction(lambda s: 1.0 + s, POSITIVE_REALS)
+        assert _log_m(m, 0.0) == 0.0 and m.quotient(0.0) == 1.0
 
     def test_infinite_outside_the_interval(self):
         m = mgf_of(E.exponential(1.0))
-        assert m.log(1.0) == math.inf  # open upper endpoint at t = lambda
-        assert m.log(3.5) == math.inf
-        assert math.isfinite(m.log(0.999))
+        assert m.quotient(1.0) == math.inf  # open upper endpoint at s = lambda
+        assert _log_m(m, 3.5) == math.inf
+        assert math.isfinite(m.quotient(0.999))
+        laplace = mgf_of(E.laplace(0.0, 0.5))  # |s| < 2
+        assert laplace.quotient(-2.0) == -math.inf and _log_m(laplace, -2.0) == math.inf
 
     def test_known_values(self):
         m = mgf_of(E.exponential(2.0))
-        assert_allclose(m.log(-1.0), math.log(2.0 / 3.0))
+        assert_allclose(_log_m(m, -1.0), math.log(2.0 / 3.0))
         m = mgf_of(E.gaussian(1.0, 4.0))
-        assert_allclose(m.log(0.5), 1.0)
+        assert_allclose(_log_m(m, 0.5), 1.0)
 
-    def test_declared_mean(self):
-        assert mgf_of(E.gaussian(0.7, 2.0)).mean == 0.7
-        assert mgf_of(E.exponential(2.0)).mean == 0.5
+    def test_quotient_at_zero_is_the_mean(self):
+        assert mgf_of(E.gaussian(0.7, 2.0)).quotient(0.0) == 0.7
+        assert mgf_of(E.exponential(2.0)).quotient(0.0) == 0.5
+        assert mgf_of(E.laplace(-0.3, 2.0)).quotient(0.0) == -0.3
+        assert_allclose(mgf_of(E.beta(2.0, 3.0)).quotient(0.0), 0.4, rtol=1e-15)
 
     def test_closed_upper_end(self):
-        # centered-square MGF of an exponential-tail source lives on t <= 0
+        # centered-square MGF of an exponential-tail source lives on s <= 0
         m = mgf_of_centered_square(E.exponential(1.0), 0.0)
         assert m.contains(0.0) and not m.contains(1e-9)
-        assert m.log(0.0) == 0.0 and m.log(1e-9) == math.inf
-        assert_allclose(m.mean, 2.0, rtol=1e-15)  # E[X^2] = 2
+        assert m.quotient(1e-9) == math.inf
+        assert_allclose(m.quotient(0.0), 2.0, rtol=1e-15)  # E[X^2] = 2
 
     def test_centered_square_gaussian_analytic(self):
         m = mgf_of_centered_square(E.gaussian(0.5, 2.0), 0.0)
-        # E[exp(t X^2)] for X ~ N(mu, v): exp(mu^2 t / (1-2vt)) / sqrt(1-2vt)
-        t = -0.3
-        expected = math.exp(0.25 * t / (1 + 1.2)) / math.sqrt(1 + 1.2)
-        assert_allclose(m.log(t), math.log(expected), rtol=1e-12)
-        assert m.log(0.25) == math.inf  # the interval ends at 1/(2 v)
+        # E[exp(s X^2)] for X ~ N(mu, v): exp(mu^2 s / (1-2vs)) / sqrt(1-2vs)
+        s = -0.3
+        expected = math.exp(0.25 * s / (1 + 1.2)) / math.sqrt(1 + 1.2)
+        assert_allclose(_log_m(m, s), math.log(expected), rtol=1e-12)
+        assert m.quotient(0.25) == math.inf  # the interval ends at 1/(2 v)
 
 
 class TestExponentialReference:
@@ -440,6 +450,41 @@ class TestGaussianReference:
             cross_entropy_q_gaussian(mgf_of(E.gaussian(0, 1)), 0.0, 0.0, 2.0)
 
 
+class TestReducerPreconditions:
+    """The MGF records the source's support and, for a centered square, its
+    center; a reducer refuses an MGF that does not fit its reference
+    instead of pricing the wrong integral."""
+
+    def test_half_normal_needs_a_positive_source(self):
+        m = mgf_of_centered_square(E.gaussian(0, 1), 0)
+        with pytest.raises(InvalidParameterError,
+                           match="the half-normal reference needs a source supported on x > 0"):
+            cross_entropy_q_gaussian(m, 0, 1, 2.0, half_normal=True)
+
+    def test_gaussian_needs_the_square_about_its_mean(self):
+        m = mgf_of_centered_square(E.gaussian(0, 1), 0)
+        with pytest.raises(InvalidParameterError, match="center"):
+            cross_entropy_q_gaussian(m, 3.0, 1, 2.0)
+        # the square about 3 gives the value, (1/2) ln 4 pi + 9 / 4
+        right = cross_entropy_q_gaussian(mgf_of_centered_square(E.gaussian(0, 1), 3.0), 3.0, 1, 2.0)
+        assert_allclose(right.value, 0.5 * math.log(4 * math.pi) + 2.25, rtol=1e-14)
+
+    def test_exponential_needs_a_positive_source(self):
+        with pytest.raises(InvalidParameterError,
+                           match="the exponential reference needs a source supported on x > 0"):
+            cross_entropy_q_exponential(mgf_of(E.gaussian(0, 1)), 1.0, 2.0)
+
+    def test_mgf_kinds_are_not_interchangeable(self):
+        p = E.exponential(1.0)
+        with pytest.raises(InvalidParameterError):
+            cross_entropy_q_exponential(mgf_of_centered_square(p, 0.0), 1.0, 2.0)
+        with pytest.raises(InvalidParameterError):
+            cross_entropy_q_gaussian(mgf_of(p), 0.0, 1.0, 2.0)
+        with pytest.raises(InvalidParameterError):  # the half-normal is centered at 0
+            cross_entropy_q_gaussian(mgf_of_centered_square(p, 1.0), 1.0, 1.0, 2.0,
+                                     half_normal=True)
+
+
 REDUCERS_OUTSIDE_THE_INTERVAL = {
     # at alpha = 0.5, rate (1 - alpha) = 1.5 lies beyond the Exponential(1) bound t < 1
     "exponential": lambda a: cross_entropy_q_exponential(mgf_of(E.exponential(1.0)), 3.0, a),
@@ -479,8 +524,8 @@ def _same_outcome(special, closed):
         assert abs(special.value - closed.value) <= 1e-9 * max(1.0, abs(closed.value))
 
 
-# the reducers divide ln M by 1 - alpha, which costs digits next to 1
-_ORDERS = st.floats(0.05, 8.0).filter(lambda a: abs(a - 1.0) > 1e-6)
+# orders next to 1 included: the reducers keep their digits through it
+_ORDERS = st.floats(0.05, 8.0)
 _EDGE_BAND = 1e-6  # inputs this close to the existence edge are skipped
 
 
@@ -547,7 +592,7 @@ class TestCenteredSquareClosedForms:
     def test_matches_mpmath(self, d, tau, center):
         m = mgf_of_centered_square(d, center)
         want_log = float(mp.log(_mp_centered_square_mgf(d, center, tau)))
-        got_log = m.log(-tau)
+        got_log = _log_m(m, -tau)
         assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log))
 
     @pytest.mark.parametrize("d, center, tau", [
@@ -564,42 +609,48 @@ class TestCenteredSquareClosedForms:
     def test_negative_erfcx_argument(self, d, center):
         # tau = 1: z = sqrt(tau) (1/(2 s tau) - |mu - c|) or (lambda/(2 tau) - c) is -9.5
         want = float(mp.log(_mp_centered_square_mgf(d, center, 1.0)))
-        assert abs(mgf_of_centered_square(d, center).log(-1.0) - want) <= 1e-13 * abs(want)
+        assert abs(_log_m(mgf_of_centered_square(d, center), -1.0) - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("d", [E.exponential(1e300), E.laplace(0.0, 1e-300)], ids=repr)
     def test_erfcx_argument_beyond_double_range(self, d):
-        # z = rate / (2 sqrt(tau)) overflows; M = 1 - tau E[Y] + ... rounds to 1
-        assert mgf_of_centered_square(d, 0.0).log(-1e-20) == pytest.approx(0.0, abs=1e-300)
+        # z = rate / (2 sqrt(tau)) overflows; M = 1 - tau E[Y] + ... rounds to 1,
+        # and the moment series gives Q = E[Y] = 2 / rate^2 or 2 b^2, 0 here
+        m = mgf_of_centered_square(d, 0.0)
+        assert _log_m(m, -1e-20) == pytest.approx(0.0, abs=1e-300)
+        assert m.quotient(-1e-20) == pytest.approx(0.0, abs=1e-300)
 
     @pytest.mark.parametrize("d", CLOSED_SQUARE_SOURCES + [E.gaussian(0.5, 2.0)], ids=repr)
-    def test_exactly_one_at_zero(self, d):
+    def test_mean_at_zero(self, d):
+        # Q(0) = E[(X - c)^2] = Var X + (E X - c)^2
+        mean_x, var_x = {"exponential": lambda lam: (1 / lam, 1 / lam ** 2),
+                         "laplace": lambda mu, b: (mu, 2 * b * b),
+                         "gaussian": lambda mu, v: (mu, v)}[d.family.value](*d.params)
         m = mgf_of_centered_square(d, 0.3)
-        assert m.log(0.0) == 0.0
+        assert_allclose(m.quotient(0.0), var_x + (mean_x - 0.3) ** 2, rtol=1e-15)
+
+
+def _mp_density(p):
+    """(pdf, breakpoints) of a scalar member in mpmath, at the caller's precision."""
+    fam, prm = p.family.value, [mp.mpf(v) for v in p.params]
+    if fam == "beta":
+        a, b = prm
+        return (lambda x: x ** (a - 1) * (1 - x) ** (b - 1) / mp.beta(a, b)), [0, 1]
+    if fam in ("chi_squared", "gamma"):
+        k, th = (prm[0] / 2, mp.mpf(2)) if fam == "chi_squared" else prm
+        return (lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k)), [0, 1, mp.inf]
+    if fam == "exponential":
+        return (lambda x: prm[0] * mp.exp(-prm[0] * x)), [0, 1, mp.inf]
+    if fam == "gaussian":
+        mu, v = prm
+        return (lambda x: mp.npdf(x, mu, mp.sqrt(v))), [-mp.inf, mu, mp.inf]
+    mu, s = prm
+    return (lambda x: mp.exp(-abs(x - mu) / s) / (2 * s)), [-mp.inf, mu, mp.inf]
 
 
 def _mp_shannon(p, q_logpdf):
     """-integral of p ln q in 30-digit mpmath."""
     with mp.workdps(30):
-        fam, prm = p.family.value, [mp.mpf(v) for v in p.params]
-        if fam == "beta":
-            a, b = prm
-            pdf, pts = (lambda x: x ** (a - 1) * (1 - x) ** (b - 1) / mp.beta(a, b)), [0, 1]
-        elif fam == "chi_squared":
-            k, th = prm[0] / 2, mp.mpf(2)
-            pdf, pts = (lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k),
-                        [0, 1, mp.inf])
-        elif fam == "exponential":
-            pdf, pts = (lambda x: prm[0] * mp.exp(-prm[0] * x)), [0, 1, mp.inf]
-        elif fam == "gamma":
-            k, th = prm
-            pdf, pts = (lambda x: x ** (k - 1) * mp.exp(-x / th) / (mp.gamma(k) * th ** k),
-                        [0, 1, mp.inf])
-        elif fam == "gaussian":
-            mu, v = prm
-            pdf, pts = (lambda x: mp.npdf(x, mu, mp.sqrt(v))), [-mp.inf, mu, mp.inf]
-        else:
-            mu, s = prm
-            pdf, pts = (lambda x: mp.exp(-abs(x - mu) / s) / (2 * s)), [-mp.inf, mu, mp.inf]
+        pdf, pts = _mp_density(p)
         return mp.quad(lambda x: -pdf(x) * q_logpdf(x), pts)
 
 
@@ -623,20 +674,104 @@ class TestDeclaredMoments:
         got = cross_entropy_q_exponential(mgf_of(p), rate, "one")
         assert abs(got.value - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
 
-    def test_hand_built_mgf_uses_its_declared_mean(self):
-        m = MgfFunction(lambda t: 0.7 * t + t * t, 0.7)
+    def test_hand_built_quotient_at_one(self):
+        m = MgfFunction(lambda s: 0.7 + s, POSITIVE_REALS)
         r = cross_entropy_q_exponential(m, 2.0, "one")
         assert r.value == -math.log(2.0) + 2.0 * 0.7
 
-    def test_one_form_with_a_mean(self):
+    def test_one_form_without_a_mean(self):
         from dataclasses import fields
 
         assert [f.name for f in fields(MgfFunction)] == [
-            "log_fn", "mean", "lower", "upper", "upper_closed"]
+            "quotient_fn", "support", "center", "lower", "upper", "upper_closed"]
         with pytest.raises(TypeError):
-            MgfFunction(log_fn=lambda t: 0.0)  # the mean is required
-        with pytest.raises(InvalidParameterError):
-            MgfFunction(log_fn=lambda t: 1.0 + t, mean=1.0)
+            MgfFunction(quotient_fn=lambda s: 0.0)  # the support is required
+
+
+def _mp_quotient(d, center, s):
+    """Q(s) = ln E[exp(s Z)] / s, s != 0, in 30-digit mpmath for Z = X
+    (center None) or Z = (X - center)^2: closed forms where they exist,
+    else log1p of the defining integral of p expm1(s Z), over s."""
+    fam = d.family.value
+    if fam in ("exponential", "laplace") and center is not None:
+        return mp.log(_mp_centered_square_mgf(d, center, -s)) / s
+    with mp.workdps(30):
+        s, prm = mp.mpf(s), [mp.mpf(v) for v in d.params]
+        if center is None:
+            if fam == "gaussian":
+                return prm[0] + prm[1] * s / 2
+            if fam == "laplace":
+                return prm[0] - mp.log1p(-(prm[1] * s) ** 2) / s
+            if fam == "beta":
+                return mp.log(mp.hyp1f1(prm[0], prm[0] + prm[1], s)) / s
+            k, th = {"exponential": (1, 1 / prm[0]), "chi_squared": (prm[0] / 2, 2),
+                     "gamma": prm}[fam]
+            return -k * mp.log1p(-th * s) / s
+        c = mp.mpf(center)
+        if fam == "gaussian":
+            mu, v = prm
+            return (mu - c) ** 2 / (1 - 2 * v * s) - mp.log1p(-2 * v * s) / (2 * s)
+        pdf, pts = _mp_density(d)
+        pts = sorted(set(pts) | ({c} if pts[0] < c < pts[-1] else set()))
+        return mp.log1p(mp.quad(lambda x: pdf(x) * mp.expm1(s * (x - c) ** 2), pts)) / s
+
+
+# relative accuracy of Q promised per MGF, by (family, centered square?)
+_QUOTIENT_RTOL = {("exponential", True): 1e-10, ("laplace", True): 1e-10,
+                  ("gamma", True): 2e-9, ("chi_squared", True): 2e-9, ("beta", True): 2e-9}
+_SCALAR_MEMBERS = {
+    "beta": lambda draw: E.beta(draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0))),
+    "chi_squared": lambda draw: E.chi_squared(draw(st.floats(1.0, 8.0))),
+    "exponential": lambda draw: E.exponential(draw(st.floats(0.2, 5.0))),
+    "gamma": lambda draw: E.gamma(draw(st.floats(0.5, 5.0)), draw(st.floats(0.2, 3.0))),
+    "gaussian": lambda draw: E.gaussian(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 4.0))),
+    "laplace": lambda draw: E.laplace(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 3.0))),
+}
+
+
+@st.composite
+def quotient_cases(draw):
+    """A scalar member, an MGF of it or of a centered square, and an s in
+    its finiteness interval within [-1, 1], |s| from 1e-9 up."""
+    family = draw(st.sampled_from(sorted(_SCALAR_MEMBERS)))
+    d = _SCALAR_MEMBERS[family](draw)
+    center = draw(st.one_of(st.none(), st.floats(-1.0, 1.0)))
+    m = mgf_of(d) if center is None else mgf_of_centered_square(d, center)
+    sign = -1.0 if m.upper == 0.0 else draw(st.sampled_from([-1.0, 1.0]))
+    s = sign * 10.0 ** draw(st.floats(-9.0, 0.0))
+    return d, center, m, min(max(s, 0.9 * m.lower), 0.9 * m.upper)
+
+
+class TestQuotientAgainstMpmath:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(quotient_cases())
+    def test_every_constructor(self, case):
+        d, center, m, s = case
+        want = float(_mp_quotient(d, center, s))
+        rtol = _QUOTIENT_RTOL.get((d.family.value, center is not None), 1e-11)
+        # Q of X may pass through 0, so its error is measured against the spread of X
+        spread = 0.0 if center is not None else math.sqrt(mgf_of_centered_square(
+            d, m.quotient(0.0)).quotient(0.0))
+        assert abs(m.quotient(s) - want) <= rtol * max(abs(want), spread)
+
+    @pytest.mark.parametrize("d", [E.exponential(0.2), E.exponential(1.3), E.exponential(5.0),
+                                   E.laplace(0.3, 0.7), E.laplace(-1.0, 2.0)], ids=repr)
+    @pytest.mark.parametrize("center", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_both_sides_of_the_series_switch(self, d, center, side):
+        m = mgf_of_centered_square(d, center)
+        s = -side * 1e-4 / m.quotient(0.0)  # |s| E[Y] = 1e-4 is the switch
+        want = float(_mp_quotient(d, center, s))
+        assert abs(m.quotient(s) - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("d, center", [(E.gamma(2.5, 0.7), 0.5), (E.beta(2.0, 3.0), -1.0)],
+                             ids=repr)
+    @pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_both_sides_of_the_quadrature_switch(self, d, center, side):
+        m = mgf_of_centered_square(d, center)
+        s = -side * math.log(2.0) / m.quotient(0.0)  # s E[Y] = -ln 2 is the switch
+        want = float(_mp_quotient(d, center, s))
+        assert abs(m.quotient(s) - want) <= 2e-9 * want
 
 
 class TestQuadratureCalls:
@@ -658,19 +793,21 @@ class TestQuadratureCalls:
                                    E.exponential(1.7)], ids=repr)
     def test_closed_sources_never_integrate(self, quad_calls, p):
         m = mgf_of_centered_square(p, 0.25)
-        for t in (0.0, -1e-6, -0.5, -30.0):
-            m.log(t)
+        for s in (0.0, -1e-6, -0.5, -30.0):
+            m.quotient(s)
         for a in (1.5, 3.0, "one"):
             cross_entropy_q_gaussian(m, 0.25, 1.3, a)
-        half = mgf_of_centered_square(p, 0.0)
-        cross_entropy_q_gaussian(half, 0.0, 0.7, 2.0, half_normal=True)
+        if p.support == POSITIVE_REALS:  # the half-normal reference needs x > 0
+            half = mgf_of_centered_square(p, 0.0)
+            cross_entropy_q_gaussian(half, 0.0, 0.7, 2.0, half_normal=True)
         assert quad_calls == []
 
     def test_gamma_one_quadrature_per_evaluation(self, quad_calls):
         m = mgf_of_centered_square(E.gamma(2.5, 0.8), 0.25)
-        assert quad_calls == []  # M(0) = 1 needs no quadrature
-        for n, t in enumerate((-1e-6, -0.5, -30.0), start=1):
-            m.log(t)
+        m.quotient(0.0)
+        assert quad_calls == []  # Q(0) = E[Y] needs no quadrature
+        for n, s in enumerate((-1e-6, -0.5, -30.0), start=1):
+            m.quotient(s)
             assert len(quad_calls) == n
         cross_entropy_q_gaussian(m, 0.25, 1.3, 2.0)
         assert len(quad_calls) == 4
@@ -688,13 +825,25 @@ class TestLogSpace:
         assert_allclose(got.value, float(want), rtol=1e-14)
         assert not got.diverged
 
+    def test_huge_rate_times_scale_overflows(self):
+        # s theta = 1e309 overflows while ln M(s) = -2 ln(1 + 1e309) does not
+        got = cross_entropy_q_exponential(mgf_of(E.gamma(2.0, 10.0)), 1e308, 2.0)
+        with mp.workdps(30):
+            want = -mp.log(1e308) + 2 * mp.log1p(mp.mpf(1e308) * 10)
+        assert_allclose(got.value, float(want), rtol=1e-14)
+        # the same overflow in a closed form is a finite value, not a verdict
+        closed = cross_entropy_closed(E.exponential(1e-300), E.exponential(1.0), 1e10)
+        assert not closed.diverged
+        t = 1e10 - 1.0  # log1p(t 1e300) / t - ln 1
+        assert_allclose(closed.value, (math.log(t) + math.log(1e300)) / t, rtol=1e-14)
+
     def test_gaussian_square_near_end_of_interval(self):
         # t -> 1/(2 v) makes M overflow a double; the value is still finite
         p, q = E.gaussian(0.0, 1.0), E.gaussian(3.0, 0.5)
         a = 0.5 + 1e-7
         got = cross_entropy_q_gaussian(mgf_of_centered_square(p, 3.0), 3.0, 0.5, a)
         assert_allclose(got.value, cross_entropy_closed(p, q, a).value, rtol=1e-9)
-        log_m = mgf_of_centered_square(p, 3.0).log((1.0 - a) / 1.0)
+        log_m = _log_m(mgf_of_centered_square(p, 3.0), (1.0 - a) / 1.0)
         assert math.log(np.finfo(float).max) < log_m < math.inf
 
     def test_mgf_argument_beyond_double_range_is_typed(self):

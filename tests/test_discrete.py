@@ -38,6 +38,11 @@ class TestDistribution:
         assert u.alphabet_size == 4
         assert_allclose(u.probs, 0.25)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_uniform_needs_a_symbol(self, size):
+        with pytest.raises(InvalidParameterError, match="need a nonempty 1-D probability"):
+            DiscreteDistribution.uniform(size)
+
     def test_tolerates_rounding(self):
         masses = np.full(3, 1.0 / 3.0)
         DiscreteDistribution(masses)  # sums to 1 within 1e-12

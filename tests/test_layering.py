@@ -150,12 +150,11 @@ def test_closed_form_sweeps_load_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-# Functions that may fork on the alpha = 1 marker: the MGF reducers, which
-# read the declared mean there, and the referees, which have their own
-# alpha = 1 code.  Every other value gets its Shannon limit from its own
-# formula at t = alpha - 1 = 0.
+# Functions that may fork on the alpha = 1 marker: the referees, which have
+# their own alpha = 1 code.  Every other value, the MGF reducers included,
+# gets its Shannon limit from its own formula at t = alpha - 1 = 0.
 MARKER_FORKS = {
-    "differential.py": {"cross_entropy_q_exponential", "cross_entropy_q_gaussian"},
+    "differential.py": set(),
     "markov.py": {"finite_n_cross_entropy", "shannon_rate_slope"},
     "gaussproc.py": {"rate_finite_n"},
     "discrete.py": set(),

@@ -227,24 +227,40 @@ class TestCrossEntropyNumeric:
 
 
 class TestMgfNumeric:
-    def test_exponential_mgf(self):
-        p = ExpFamilyDistribution.exponential(2.0)
-        for t in (-1.0, -0.5, 0.0, 1.0):
-            exact = 2.0 / (2.0 - t)
-            assert abs(mgf_numeric(HALF, t, logpdf=p.logpdf) - exact) < 1e-9
+    @staticmethod
+    def _gaussian_square(mu, v, c, s):
+        """Q(s) of (X - c)^2 for X ~ N(mu, v), in closed form."""
+        return (mu - c) ** 2 / (1 - 2 * v * s) - 0.5 * math.log1p(-2 * v * s) / s
 
-    def test_divergent_mgf(self):
-        p = ExpFamilyDistribution.exponential(1.0)
-        assert mgf_numeric(HALF, 2.0, logpdf=p.logpdf) == math.inf
-
-    def test_centered_square_gaussian(self):
+    @pytest.mark.parametrize("s", [-1e-9, -0.05, -0.3, -2.0])
+    def test_centered_square_gaussian(self, s):
+        # -0.05 and -0.3 integrate p expm1(s Y) / s, -2.0 integrates p e^(s Y)
         p = ExpFamilyDistribution.gaussian(1.0, 2.0)
-        # E[exp(t (X - c)^2)] = exp(d^2 t / (1 - 2 v t)) / sqrt(1 - 2 v t)
-        c, t = 0.5, -0.3
-        d2, v = (1.0 - c) ** 2, 2.0
-        exact = math.exp(d2 * t / (1 - 2 * v * t)) / math.sqrt(1 - 2 * v * t)
-        value = mgf_numeric(LINE, t, square_center=c, logpdf=p.logpdf)
-        assert abs(value - exact) < 1e-9
+        c, mean = 0.5, 2.0 + 0.25
+        value = mgf_numeric(LINE, s, c, logpdf=p.logpdf, mean=mean)
+        assert value == pytest.approx(self._gaussian_square(1.0, 2.0, c, s), rel=1e-9)
+
+    def test_zero_order_is_the_mean_without_quadrature(self):
+        def never(x):
+            raise AssertionError("integrated")
+
+        assert mgf_numeric(LINE, 0.0, 0.5, logpdf=never, mean=2.25) == 2.25
+
+    def test_bounded_support_takes_positive_arguments(self):
+        # Beta(2, 3) centered at 0: Q(s) of X^2, from its moments by mpmath
+        import mpmath as mp
+
+        p = ExpFamilyDistribution.beta(2.0, 3.0)
+        with mp.workdps(30):
+            want = mp.log(mp.quad(lambda x: 12 * x * (1 - x) ** 2 * mp.exp(0.7 * x * x),
+                                  [0, 1])) / mp.mpf(0.7)
+        value = mgf_numeric(UNIT, 0.7, 0.0, logpdf=p.logpdf, mean=0.2)
+        assert value == pytest.approx(float(want), rel=1e-9)
+
+    def test_positive_argument_needs_a_bounded_support(self):
+        p = ExpFamilyDistribution.exponential(1.0)
+        with pytest.raises(InvalidParameterError):
+            mgf_numeric(HALF, 0.5, 0.0, logpdf=p.logpdf, mean=2.0)
 
 
 class TestGrid2d:

@@ -4,10 +4,11 @@ Every value is a function of t = alpha - 1 without a 1/(1 - alpha)
 cancellation, so t = 0 gives the Shannon value from the same code.  Checked
 here: values at 1 +/- 1e-8 stay within 5e-8 of the value at 1 (inputs are
 drawn with moderate log-densities, whose first derivative in t is small),
-the closed and natural routes agree through t = 0, masses with the accepted
-1e-12 of slack keep their Shannon value, and chains whose Shannon rate the
-block-entropy slope missed (periodic, or a forbidden move in a state the
-start never reaches) get it.
+and so do the MGF reducers for every source family they accept, also at
+1 +/- 1.01e-9 and 1 +/- 1e-12; the closed and natural routes agree through
+t = 0, masses with the accepted 1e-12 of slack keep their Shannon value,
+and chains whose Shannon rate the block-entropy slope missed (periodic, or
+a forbidden move in a state the start never reaches) get it.
 """
 
 import math
@@ -28,7 +29,11 @@ from rxent import (
     cross_entropy_multivariate_gaussian,
     cross_entropy_natural,
     cross_entropy_p_uniform,
+    cross_entropy_q_exponential,
+    cross_entropy_q_gaussian,
     cross_entropy_rate,
+    mgf_of,
+    mgf_of_centered_square,
     rate_spectral,
     renyi_cross_entropy,
     renyi_divergence,
@@ -38,6 +43,7 @@ from rxent.support import UNIT_INTERVAL
 
 ONE = AlphaOrder.one()
 NEAR = (1.0 + 1e-8, 1.0 - 1e-8)
+NEAR_ALL = NEAR + (1.0 + 1.01e-9, 1.0 - 1.01e-9, 1.0 + 1e-12, 1.0 - 1e-12)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -97,6 +103,7 @@ def _member(draw, family):
 
 
 FAMILIES = ["beta", "chi_squared", "exponential", "gamma", "gaussian", "laplace"]
+POSITIVE_FAMILIES = ["beta", "chi_squared", "exponential", "gamma"]
 
 
 @st.composite
@@ -177,6 +184,69 @@ class TestContinuityThroughOne:
     def test_gaussian_process(self, rho, v, w):
         x, y = S.ar1(rho, v), S.white_noise(w)
         _, gaps = _near_one(lambda a: rate_spectral(x, y, a))
+        assert max(gaps) <= 5e-8
+
+
+def _mean_variance(p):
+    """Mean and variance of a scalar member: its MGF quotients at 0."""
+    mean = mgf_of(p).quotient(0.0)
+    return mean, mgf_of_centered_square(p, mean).quotient(0.0)
+
+
+def _reducer_gaps(value_at, mgf):
+    """Gaps to the value at 1 over NEAR_ALL.  A centered square that is
+    finite only for s <= 0 (an exponential tail against a Gaussian
+    reference) makes every order below 1 the divergence verdict instead."""
+    at_one = value_at(ONE)
+    gaps = []
+    for a in NEAR_ALL:
+        if a < 1.0 and not mgf.contains(1e-300):
+            assert value_at(a) == math.inf
+        else:
+            gaps.append(abs(value_at(a) - at_one))
+    return gaps
+
+
+class TestReducersThroughOne:
+    """const + c Q(s), one formula through alpha = 1.  The reference scales
+    follow the source's, so that the slope in alpha (rate^2 Var X / 2, or
+    Var Y / (8 var^2) for Y the centered square) stays below about 3."""
+
+    @PROPERTY
+    @given(st.sampled_from(POSITIVE_FAMILIES), _unit(0.5, 2.0), st.data())
+    def test_q_exponential(self, family, u, data):
+        p = _member(data.draw, family)
+        m, rate = mgf_of(p), u / math.sqrt(_mean_variance(p)[1])
+        gaps = _reducer_gaps(lambda a: cross_entropy_q_exponential(m, rate, a).value, m)
+        assert max(gaps) <= 5e-8
+
+    @PROPERTY
+    @given(st.sampled_from(FAMILIES), _unit(-1.0, 1.0), _unit(1.0, 2.0), st.data())
+    def test_q_gaussian(self, family, shift, k, data):
+        p = _member(data.draw, family)
+        mean, var = _mean_variance(p)
+        center = mean + shift * math.sqrt(var)
+        m = mgf_of_centered_square(p, center)
+        gaps = _reducer_gaps(lambda a: cross_entropy_q_gaussian(m, center, k * var, a).value, m)
+        assert max(gaps) <= 5e-8
+
+    @PROPERTY
+    @given(st.sampled_from(POSITIVE_FAMILIES), _unit(1.0, 2.0), st.data())
+    def test_q_half_normal(self, family, k, data):
+        p = _member(data.draw, family)
+        m = mgf_of_centered_square(p, 0.0)
+        var = k * m.quotient(0.0)
+        gaps = _reducer_gaps(
+            lambda a: cross_entropy_q_gaussian(m, 0.0, var, a, half_normal=True).value, m)
+        assert max(gaps) <= 5e-8
+
+    @pytest.mark.parametrize("p", [E.gamma(2.5, 0.7), E.exponential(1.3), E.beta(2.0, 3.0)],
+                             ids=repr)
+    def test_sources_that_lost_digits_next_to_one(self, p):
+        # against N(0.5, 2), where ln M / (1 - alpha) was 8.6e-5 (Gamma),
+        # 5.8e-7 (exponential) and 1.1e-8 (Beta) off at 1 + 1.01e-9
+        m = mgf_of_centered_square(p, 0.5)
+        gaps = _reducer_gaps(lambda a: cross_entropy_q_gaussian(m, 0.5, 2.0, a).value, m)
         assert max(gaps) <= 5e-8
 
 

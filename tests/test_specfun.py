@@ -20,7 +20,7 @@ from rxent.differential import mgf_of
 from rxent.expfam import ExpFamilyDistribution as E
 from rxent.specfun import (
     betaln, betaln_slope, digamma, erfcx, gammaln, gammaln_slope, gammaln_step, log1p_slope,
-    log_kummer, logsumexp,
+    log_kummer_slope, logsumexp,
 )
 
 ARGS = [float(x) for x in np.geomspace(0.3, 60.0, 13)]
@@ -113,6 +113,18 @@ class TestSteps:
         assert log1p_slope(0.0, 0.37) == 0.37
         assert_allclose(log1p_slope(1e-9, 0.37), 0.37 * (1 - 0.5e-9 * 0.37), rtol=1e-15)
 
+    @pytest.mark.parametrize("t, u", [(1e10, 1e300), (-1e308, -10.0), (1e300, 1e300)])
+    def test_log1p_slope_where_the_product_overflows(self, t, u):
+        # 1 + t u is t u to double precision there, and its log is finite
+        with mp.workdps(30):
+            want = float(mp.log1p(mp.mpf(t) * u) / t)
+        assert_allclose(log1p_slope(t, u), want, rtol=1e-15)
+
+
+def log_kummer(a, b, t):
+    """ln M(a, a + b, t) from its quotient by t."""
+    return t * log_kummer_slope(a, b, t)
+
 
 class TestKummer:
     @pytest.mark.parametrize("a", [0.4, 1.3, 3.7, 8.0])
@@ -131,6 +143,17 @@ class TestKummer:
         with mp.workdps(40):
             want = float(mp.log(mp.hyp1f1(a, a + b, t)))
         assert_allclose(log_kummer(a, b, t), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(2.5, 3.5), (0.4, 8.0), (8.0, 0.4)])
+    @pytest.mark.parametrize("t", [0.0, 1e-20, -1e-20, 1e-12, -1e-12, -0.5, -1.0, -1.5])
+    def test_quotient_keeps_relative_precision(self, a, b, t):
+        # the first factor of t is divided out of the series, so the
+        # quotient has its limit a / (a + b) at t = 0 and no cancellation
+        # next to it; below t = -1, 1 minus the quotient of M(b, a + b, -t)
+        # costs up to a factor (b / a) of the last digit
+        with mp.workdps(40):
+            want = a / mp.mpf(a + b) if t == 0.0 else mp.log(mp.hyp1f1(a, a + b, t)) / t
+        assert_allclose(log_kummer_slope(a, b, t), float(want), rtol=1e-14)
 
     @pytest.mark.parametrize("t", [-800.0, -3000.0])
     def test_large_negative_argument(self, t):
@@ -155,19 +178,21 @@ class TestKummer:
         assert time.perf_counter() - start < 0.05
 
     def test_overflow_point(self):
+        # the series sums (M - 1) / t, which leaves the double range a
+        # factor t after M does; ln M stays exact up to there
         a, b = 2.0, 3.0
         with mp.workdps(30):
-            edge = mp.findroot(lambda t: mp.log(mp.hyp1f1(a, a + b, t))
-                               - mp.log(np.finfo(float).max), 726.0)
+            edge = mp.findroot(lambda t: mp.log(mp.hyp1f1(a, a + b, t) - 1) - mp.log(t)
+                               - mp.log(np.finfo(float).max), 732.0)
             below, above = float(edge * (1 - 1e-9)), float(edge * (1 + 1e-9))
             want = float(mp.log(mp.hyp1f1(a, a + b, below)))
         assert_allclose(log_kummer(a, b, below), want, rtol=1e-14)
         assert log_kummer(a, b, above) == math.inf
-        assert math.isfinite(hyp1f1(a, a + b, below)) and hyp1f1(a, a + b, above) == math.inf
+        assert hyp1f1(a, a + b, below) == math.inf  # M itself is past the range
         mgf = mgf_of(E.beta(a, b))
-        assert_allclose(mgf.log(below), want, rtol=1e-14)
+        assert_allclose(below * mgf.quotient(below), want, rtol=1e-14)
         with pytest.raises(DoubleRangeError):
-            mgf.log(above)
+            mgf.quotient(above)
 
 
 class TestErfcx:
