@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidAlphaError
+from .errors import InvalidAlphaError, RenyiError
 
 
 class AlphaOrder:
@@ -104,3 +104,15 @@ class AlphaOrder:
         if self.is_inf:
             return "AlphaOrder.inf()"
         return f"AlphaOrder({self._value!r})"
+
+
+def evaluate_orders(evaluate, alpha, *inputs):
+    """``evaluate(*inputs, orders)``, one pass over a list of AlphaOrder, at one
+    order (its result) or at a list, tuple or array of them (the list of
+    results); where that raises, at each order alone, so the earliest fails."""
+    if not (isinstance(alpha, (list, tuple)) or getattr(alpha, "ndim", 0)):  # one order
+        return evaluate(*inputs, [AlphaOrder.coerce(alpha)])[0]
+    try:
+        return evaluate(*inputs, [AlphaOrder.coerce(a) for a in alpha])
+    except RenyiError:
+        return [evaluate_orders(evaluate, a, *inputs) for a in alpha]

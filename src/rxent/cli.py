@@ -18,7 +18,9 @@ File formats (CSV)
 
 A command reads, parses and validates its inputs once (CSV files, family
 parameters, process specifications), then evaluates them at every order of
-its grid; a value that does not parse as a number is a usage error.
+its grid, which the markov, gauss and mvgauss targets take in one call; a
+value that does not parse as a number, or a file with none, is a usage
+error.
 
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
@@ -40,6 +42,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -136,9 +139,14 @@ def _make_distribution(family: str, spec: str) -> ExpFamilyDistribution:
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
     try:
-        return np.loadtxt(path, **kwargs)
+        with warnings.catch_warnings():  # numpy warns of an empty input, refused below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, **kwargs)
     except ValueError as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from None
+    if values.size == 0:
+        raise UsageError(f"{path} holds no numbers")
+    return values
 
 
 def _read_masses(path: str) -> discrete.DiscreteDistribution:
@@ -346,34 +354,25 @@ def _prepare_discrete(opts):
     p = _read_masses(opts["p"])
     q = _read_masses(opts["q"])
     definition = opts["definition"]
-
-    def evaluate(alpha, want_oracle):
-        if definition == "standard":
-            value = discrete.renyi_cross_entropy(p, q, alpha)
-        else:
-            value = discrete.alt_cross_entropy(p, q, alpha)
-        oracle_value = _discrete_oracle(p, q, alpha, definition) if want_oracle else None
-        return value, oracle_value
-
-    return evaluate
+    value_at = (discrete.renyi_cross_entropy if definition == "standard"
+                else discrete.alt_cross_entropy)
+    return (lambda alphas: [value_at(p, q, alpha) for alpha in alphas],
+            lambda alpha: _discrete_oracle(p, q, alpha, definition))
 
 
 def _with_numeric_oracle(value_at, log_densities, kinks=()):
-    """An evaluator whose oracle is the quadrature cross-entropy.
+    """Per-order values and the quadrature cross-entropy as the referee.
 
     ``log_densities()`` returns (support, p logpdf, q logpdf); it runs only
     under ``--oracle``, after the value.  ``kinks`` are points where the
     quadrature splits the integral.
     """
-    def evaluate(alpha, want_oracle):
-        value = value_at(alpha)
-        if not want_oracle:
-            return value, None
+    def referee(alpha):
         supp, p_logpdf, q_logpdf = log_densities()
-        return value, oracle.cross_entropy_numeric(supp, alpha, p_logpdf=p_logpdf,
-                                                   q_logpdf=q_logpdf, points=kinks)
+        return oracle.cross_entropy_numeric(supp, alpha, p_logpdf=p_logpdf,
+                                            q_logpdf=q_logpdf, points=kinks)
 
-    return evaluate
+    return (lambda alphas: [value_at(alpha) for alpha in alphas]), referee
 
 
 def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
@@ -387,16 +386,13 @@ def _prepare_expfam(opts):
         cov1 = _read_matrix(opts["p"])
         cov2 = _read_matrix(opts["q"])
 
-        def evaluate(alpha, want_oracle):
-            value = differential.cross_entropy_multivariate_gaussian(cov1, cov2, alpha).value
-            oracle_value = None
-            if want_oracle:
-                if cov1.shape[0] != 2:
-                    raise InvalidParameterError("the grid oracle is bivariate only")
-                oracle_value = oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
-            return value, oracle_value
+        def referee(alpha):
+            if cov1.shape[0] != 2:
+                raise InvalidParameterError("the grid oracle is bivariate only")
+            return oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
 
-        return evaluate
+        return (lambda alphas: [r.value for r in differential.cross_entropy_multivariate_gaussian(
+            cov1, cov2, alphas)], referee)
     f1 = _make_distribution(opts["family"], opts["p"])
     f2 = _make_distribution(opts["family"], opts["q"])
     engine = (differential.cross_entropy_natural if opts["method"] == "natural"
@@ -480,30 +476,19 @@ def _prepare_markov(opts):
     p = markov.MarkovSource.of(_read_matrix(opts["p"]), p_init)
     q = markov.MarkovSource.of(_read_matrix(opts["q"]), q_init)
 
-    def evaluate(alpha, want_oracle):
-        value = markov.cross_entropy_rate(p, q, alpha)
-        oracle_value = None
-        if want_oracle:
-            if alpha.is_one:
-                oracle_value = markov.shannon_rate_slope(p, q, max(2, opts["finite_n"]))
-            else:
-                oracle_value = markov.finite_n_cross_entropy(p, q, alpha, opts["finite_n"])
-        return value, oracle_value
+    def referee(alpha):
+        if alpha.is_one:
+            return markov.shannon_rate_slope(p, q, max(2, opts["finite_n"]))
+        return markov.finite_n_cross_entropy(p, q, alpha, opts["finite_n"])
 
-    return evaluate
+    return lambda alphas: markov.cross_entropy_rate(p, q, alphas), referee
 
 
 def _prepare_gauss(opts):
     x = _parse_process(opts["x"], "--x")
     y = _parse_process(opts["y"], "--y")
-
-    def evaluate(alpha, want_oracle):
-        value = gaussproc.rate_spectral(x, y, alpha)
-        oracle_value = (gaussproc.rate_finite_n(x, y, alpha, opts["finite_n"])
-                        if want_oracle else None)
-        return value, oracle_value
-
-    return evaluate
+    return (lambda alphas: gaussproc.rate_spectral(x, y, alphas),
+            lambda alpha: gaussproc.rate_finite_n(x, y, alpha, opts["finite_n"]))
 
 
 class _Target(NamedTuple):
@@ -514,7 +499,9 @@ class _Target(NamedTuple):
 
 # Each target's command group, option builder and preparer.  A preparer
 # reads, builds and validates the inputs once and returns
-# evaluate(alpha, want_oracle) -> (value, oracle value).
+# (values(alphas) -> one value per order, referee(alpha) -> the oracle
+# value).  The markov, gauss and mvgauss values take the whole grid in one
+# call; the other targets evaluate one order at a time.
 _TARGETS = {
     "discrete": _Target("xent", _add_discrete_opts, _prepare_discrete),
     "expfam": _Target("xent", _add_expfam_opts, _prepare_expfam),
@@ -591,10 +578,10 @@ def _render(job: JobSpec, rows) -> str:
 
 def run(job: JobSpec) -> tuple[int, str]:
     """Evaluate a job and return (exit_code, rendered_output)."""
-    evaluate = _TARGETS[job.command.split()[1]].prepare(job.options)
+    values, referee = _TARGETS[job.command.split()[1]].prepare(job.options)
     rows = []
-    for alpha in job.alphas:
-        value, oracle_value = evaluate(alpha, job.oracle_check)
+    for alpha, value in zip(job.alphas, values(job.alphas)):
+        oracle_value = referee(alpha) if job.oracle_check else None
         if job.bits:
             value = value / math.log(2)
             if oracle_value is not None:

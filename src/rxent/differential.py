@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import oracle
-from .alpha import AlphaOrder
+from .alpha import AlphaOrder, evaluate_orders
 from .errors import (
     DimensionMismatchError,
     DoubleRangeError,
@@ -231,7 +231,7 @@ def cross_entropy_closed(
     raise InvalidParameterError(f"no closed form for family {f1.family}")
 
 
-def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult:
+def cross_entropy_multivariate_gaussian(cov1, cov2, alpha):
     """Cross-entropy of zero-mean multivariate normals.
 
     With t = alpha - 1 and lambda_i the eigenvalues of cov1 cov2^-1,
@@ -241,8 +241,13 @@ def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult
 
     finite exactly when every 1 + t lambda_i is positive (always for
     alpha > 1).  At t = 0 the sum is (1/2) tr(cov2^-1 cov1), the Shannon
-    value.
+    value.  A sequence of orders gives the list of results, from one
+    eigen-decomposition and one (orders x n) log1p.
     """
+    return evaluate_orders(_multivariate_gaussian, alpha, cov1, cov2)
+
+
+def _multivariate_gaussian(cov1, cov2, orders: list) -> list:
     cov1 = as_symmetric_matrix(cov1, name="cov1")
     cov2 = as_symmetric_matrix(cov2, name="cov2")
     if cov1.shape != cov2.shape:
@@ -252,14 +257,15 @@ def cross_entropy_multivariate_gaussian(cov1, cov2, alpha) -> CrossEntropyResult
     n = cov1.shape[0]
     cholesky_lower(cov1, name="cov1")  # SPD check
     lam = relative_eigenvalues(cov1, cov2, name="cov2")
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
+    if any(alpha.is_inf for alpha in orders):
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    t = alpha.value - 1.0
-    if np.any(1.0 + t * lam <= 0.0):
-        return _diverged(alpha, Method.CLOSED_FORM)
-    value = 0.5 * (log1p_slope_sum(t, lam) + spd_logdet(cov2, name="cov2") + n * LOG_2PI)
-    return _finite(value, Method.CLOSED_FORM)
+    t = [alpha.value - 1.0 for alpha in orders]
+    low, high = float(lam.min(initial=0.0)), float(lam.max(initial=0.0))  # ends of 1 + t lambda
+    finite = [1.0 + u * (high if u < 0.0 else low) > 0.0 for u in t]
+    sums = iter(log1p_slope_sum([u for u, ok in zip(t, finite) if ok], lam))
+    logdet = spd_logdet(cov2, name="cov2")
+    return [_finite(0.5 * (next(sums) + logdet + n * LOG_2PI), Method.CLOSED_FORM) if ok
+            else _diverged(alpha, Method.CLOSED_FORM) for alpha, ok in zip(orders, finite)]
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> flo
         return (0.5 * log1p_slope(t, v / u)
                 + (u * y * (2.0 * x + t * y) - x * x * v) / (4.0 * u * (u + t * v)))
     if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN:  # A = (1/2) ln det(-2 eta)
-        return 0.5 * log1p_slope_sum(t, relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))
+        return 0.5 * log1p_slope_sum([t], relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))[0]
     raise InvalidParameterError(f"unknown family {eta1.family}")
 
 

@@ -24,7 +24,8 @@ The trapezoid levels of the spectral rate are nested: level 0 is the
 grid.  Each spec keeps, per level, its density there, the minimum and the
 sum of the logs (``_levels``), so an order adds only log1p(t f/g) over the
 new nodes to running sums.  The grid cap of 2^17 points bounds the store at
-about 1 MB per spec.
+about 1 MB per spec.  The orders of a sequence run the levels together,
+with one (orders x nodes) log1p per level.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha import AlphaOrder
+from .alpha import AlphaOrder, evaluate_orders
 from .errors import (
     InvalidAlphaError,
     InvalidParameterError,
@@ -172,7 +173,7 @@ def toeplitz_cov(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
     return cov
 
 
-def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha) -> float:
+def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
     """Cross-entropy rate (1/2) ln 2 pi + (1/2) mean[ln g + log1p(t f/g) / t]
     over the circle, t = alpha - 1; at t = 0 the mean is of ln g + f/g.
 
@@ -181,37 +182,47 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha) -
     (spectral accuracy for smooth densities), so the value's stopping error
     is at most 5e-11 and 8e-11 / |t|.  Each doubling adds the sums over the
     new nodes of the nested levels only.  Returns +inf when h = g + t f is
-    not strictly positive (possible only for alpha < 1).
+    not strictly positive (possible only for alpha < 1).  A sequence of
+    orders gives the list of rates.
     """
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
+    return evaluate_orders(_spectral_rates, alpha, x, y)
+
+
+def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders: list) -> list:
+    if any(alpha.is_inf for alpha in orders):
         raise InvalidAlphaError("Gaussian process rates need a finite order")
-    t = alpha.value - 1.0
-    tolerance = _SPECTRAL_TOLERANCE / max(1.0, 0.2 * math.pi * abs(t))
-    previous = None
-    log_g = log1p_sum = 0.0  # sums over the nodes of levels 0..j
-    n, j = _SPECTRAL_GRID, 0
-    while n <= _SPECTRAL_GRID_MAX:
+    ts = [alpha.value - 1.0 for alpha in orders]
+    tolerance = [_SPECTRAL_TOLERANCE / max(1.0, 0.2 * math.pi * abs(t)) for t in ts]
+    rates, previous, log1p_sum = [None] * len(ts), [None] * len(ts), [0.0] * len(ts)
+    log_g = 0.0  # sum of ln g over the nodes of levels 0..j
+    live, n, j = list(range(len(ts))), _SPECTRAL_GRID, 0
+    while live:
+        if n > _SPECTRAL_GRID_MAX:
+            raise NonConvergenceError(
+                f"spectral integral did not stabilize below {tolerance[live[0]]:.3g}"
+            )
         (f, f_min, _), (g, g_min, g_log_sum) = _level(x, j), _level(y, j)
         if g_min <= _PSD_FLOOR or f_min <= _PSD_FLOOR:
             raise NonpositivePsdError("spectral density not strictly positive on grid")
         ratio = f / g
-        if np.min(1.0 + t * ratio) <= 0.0:
-            return math.inf
+        ratio_max = float(ratio.max())
+        for i in live:  # for t < 0, min fl(1 + t r) is fl(1 + t max r); t >= 0 never diverges
+            if 1.0 + ts[i] * ratio_max <= 0.0:
+                rates[i] = math.inf
+        live = [i for i in live if rates[i] is None]
         # periodic integrand: the uniform-node mean is the trapezoid rule
         # and converges spectrally fast
         log_g += g_log_sum
-        log1p_sum += log1p_slope_sum(t, ratio)
-        mean = log_g / n + log1p_sum / n
-        if previous is not None and abs(mean - previous) <= tolerance:
-            break
-        previous = mean
+        for i, s in zip(live, log1p_slope_sum([ts[i] for i in live], ratio)):
+            log1p_sum[i] += s
+        for i in live:
+            mean = log_g / n + log1p_sum[i] / n
+            if previous[i] is not None and abs(mean - previous[i]) <= tolerance[i]:
+                rates[i] = 0.5 * (LOG_2PI + mean)
+            previous[i] = mean
+        live = [i for i in live if rates[i] is None]
         n, j = 2 * n, j + 1
-    else:
-        raise NonConvergenceError(
-            f"spectral integral did not stabilize below {tolerance:.3g}"
-        )
-    return 0.5 * (LOG_2PI + mean)
+    return rates
 
 
 def rate_finite_n(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha, n: int) -> float:

@@ -25,9 +25,11 @@ come from the boolean reachability closure of I + pattern, taken by
 repeated squaring in float matrix products.  The classes the start reaches
 depend only on P and the positivity patterns of R and s, so each source
 keeps them for the last patterns it met, and a sweep classifies again only
-where t changes sign or Q^t underflows.  Matrix powers (the finite-n
-blocks and the slope's state occupation) are taken by binary powering with
-scaling, O(K^3 log n) work.
+where t changes sign or Q^t underflows.  A sequence of orders is one
+stack of weights, grouped by zero pattern, with one batched eigen-solve
+per class and group.  Matrix powers (the finite-n blocks and the slope's
+state occupation) are taken by binary powering with scaling, O(K^3 log n)
+work.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alpha import AlphaOrder
+from .alpha import AlphaOrder, evaluate_orders
 from .discrete import DiscreteDistribution
 from .errors import (
     DegenerateRateError,
@@ -183,55 +185,62 @@ def classify(matrix: np.ndarray) -> ClassStructure:
     return ClassStructure(classes, self_comm, reach[np.ix_(reps, reps)], labels)
 
 
-def perron_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def _irreducible(pattern: np.ndarray) -> bool:
+    """Every state reaches every other, and a lone state loops."""
+    return bool(_closure(pattern).all()) and (pattern.shape[0] > 1 or bool(pattern[0, 0]))
+
+
+def perron_eigenpair(matrix: np.ndarray):
     """Perron eigenvalue and positive eigenvector of an irreducible
     nonnegative matrix, by LAPACK (``numpy.linalg.eig``).
 
     The Perron root is the eigenvalue of largest real part; its eigenvector
-    is taken in absolute value and scaled to sum to 1.  Raises
-    NotIrreducibleError when the positivity pattern has more than one class
-    (or a single degenerate state), NonConvergenceError when LAPACK fails
-    or the residual max|m v - lambda v| exceeds 1e-12 times the largest
-    row sum of m.
+    is taken in absolute value and scaled to sum to 1.  A stack (m, K, K)
+    gives arrays, from one batched solve and one irreducibility check on the
+    pattern all members share.  Raises NotIrreducibleError when the
+    positivity pattern (of a member) has more than one class (or a single
+    degenerate state), NonConvergenceError when LAPACK fails or the residual
+    max|m v - lambda v| exceeds 1e-12 times the largest row sum of m.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
-    if np.any(m < 0):
+    if (m < 0).any():
         raise InvalidParameterError("matrix entries must be nonnegative")
-    pattern = m > 0
-    # irreducible: every state reaches every other, and a lone state loops
-    if not _closure(pattern).all() or (m.shape[0] == 1 and not pattern[0, 0]):
-        raise NotIrreducibleError(
-            f"matrix has {len(classify(m).classes)} communication classes"
-        )
+    stack = m.reshape((-1,) + m.shape[-2:])
+    pattern = stack > 0
+    if not _irreducible(np.logical_and.reduce(pattern)):  # else no member is reducible
+        for member, member_pattern in zip(stack, pattern):
+            if not _irreducible(member_pattern):
+                raise NotIrreducibleError(
+                    f"matrix has {len(classify(member).classes)} communication classes"
+                )
     try:
-        values, vectors = np.linalg.eig(m)
+        values, vectors = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue solver failed: {exc}") from exc
-    top = int(np.argmax(values.real))
-    lam = float(values[top].real)
-    v = np.abs(vectors[:, top])
-    v /= v.sum()
-    residual = float(np.max(np.abs(m @ v - lam * v)))
-    bound = _RESIDUAL_FACTOR * float(m.sum(axis=1).max())
-    if residual > bound:
+    members, top = np.arange(len(stack)), np.argmax(values.real, axis=1)
+    lam = values[members, top].real
+    v = np.abs(vectors[members, :, top])
+    v /= v.sum(axis=1, keepdims=True)
+    residual = np.abs((stack @ v[:, :, None])[:, :, 0] - lam[:, None] * v).max(axis=1)
+    bad = residual > _RESIDUAL_FACTOR * stack.sum(axis=2).max(axis=1)
+    if bad.any():
         raise NonConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_FACTOR:g} "
+            f"eigenpair residual {residual[bad.argmax()]:.3e} exceeds {_RESIDUAL_FACTOR:g} "
             "* the largest row sum"
         )
-    return lam, v
+    return (float(lam[0]), v[0]) if m.ndim == 2 else (lam, v)
 
 
 def perron_eigenvalue(matrix: np.ndarray) -> float:
     return perron_eigenpair(matrix)[0]
 
 
-def _class_plan(p_src: MarkovSource, weighted: np.ndarray, start: np.ndarray):
+def _class_plan(p_src: MarkovSource, weighted: np.ndarray, start: np.ndarray, key: bytes):
     """The states the start reaches and, for each reachable self-communicating
-    class of R in class order, (index set, block index, closed), from the
-    source's one-entry memo keyed by the positivity patterns of R and s."""
-    key = (weighted > 0).tobytes() + (start > 0).tobytes()
+    class of R in class order, (index set, closed), from the source's
+    one-entry memo keyed by the positivity patterns of R and s (``key``)."""
     if key not in p_src._plan:
         structure = classify(weighted)
         reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
@@ -242,7 +251,7 @@ def _class_plan(p_src: MarkovSource, weighted: np.ndarray, start: np.ndarray):
                    if structure.self_communicating[ci]]
         p_src._plan.clear()
         p_src._plan[key] = (np.flatnonzero(reachable[structure.labels]),
-                            [(idx, np.ix_(idx, idx), not leaves[idx].any()) for idx in cycling])
+                            [(idx, not leaves[idx].any()) for idx in cycling])
     return p_src._plan[key]
 
 
@@ -261,41 +270,69 @@ def _absorption_weights(p, start, states, closed: list) -> np.ndarray:
     return weights / weights.sum()
 
 
-def cross_entropy_rate(p_src: MarkovSource, q_src: MarkovSource, alpha) -> float:
+def cross_entropy_rate(p_src: MarkovSource, q_src: MarkovSource, alpha):
     """Asymptotic per-symbol cross-entropy ln(lambda) / (1 - alpha).
 
     Each self-communicating class of R = P o Q^t (t = alpha - 1) that the
     start reaches has the rate -ln(lambda_C) / t (see the module docstring);
     the chain takes the largest lambda_C, and at t = 0 the
-    absorption-weighted mean of the closed classes.
+    absorption-weighted mean of the closed classes.  A sequence of orders
+    gives the list of rates, from one stack of weights (see the module
+    docstring).
     """
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
+    return evaluate_orders(_rates, alpha, p_src, q_src)
+
+
+def _powers(base: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """base^t for each t, the exponents as full arrays: numpy's power takes
+    sqrt or a square for an exponent 1/2 or 2 that it sees as one number,
+    so a broadcast t would round one order differently from many."""
+    return np.power(base, np.repeat(t, base.size).reshape(t.shape + base.shape))
+
+
+def _rates(p_src: MarkovSource, q_src: MarkovSource, orders: list) -> list:
+    if any(alpha.is_inf for alpha in orders):
         raise InvalidAlphaError("no rate form at the alpha -> infinity limit")
-    t = alpha.value - 1.0
-    built = build_weighted(p_src, q_src, alpha)
-    weighted, start = built.entries, built.start
+    t = np.array([alpha.value - 1.0 for alpha in orders])
+    _check_reference(p_src, q_src, float(t.min(initial=0.0)))  # only t < 0 matters
     p, q = p_src.transition, q_src.transition
+    weighted, start = p * _powers(q, t), p_src.initial.probs * _powers(q_src.initial.probs, t)
+    tk = t[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(q)
-        d = np.where(p > 0, p * (log_q if t == 0.0 else np.expm1(t * log_q) / t), 0.0)
-    states, classes = _class_plan(p_src, weighted, start)
-    if np.isneginf(d[states]).any():
-        return math.inf  # the source makes a move the reference forbids
-    rates, blocks = [], []
-    for idx, block, is_closed in classes:
-        if not (is_closed or t != 0.0):
-            continue
-        lam, u = perron_eigenpair(weighted[block].T)
-        # a closed class has lambda = 1 + t slope; another one only lambda
-        slope = float(u @ d[block].sum(axis=1)) if is_closed else math.inf
-        rates.append(-log1p_slope(t, slope) if abs(t * slope) < 0.5 else -math.log(lam) / t)
-        blocks.append(idx)
-    if not rates:
-        raise DegenerateRateError("no reachable class has a cycle; the weighted products vanish")
-    if len(rates) == 1 or t != 0.0:
-        return min(rates) if t > 0.0 else max(rates)
-    return float(_absorption_weights(p, start, states, blocks) @ np.array(rates))
+        d = np.where(p > 0, p * np.where(tk == 0.0, log_q, np.expm1(tk * log_q) / tk), 0.0)
+    rates = np.empty(t.size)
+    positive = np.concatenate([weighted.reshape(t.size, q.size), start], axis=1) > 0
+    keys = [row.tobytes() for row in positive]  # _class_plan's key: the patterns of R and s
+    for key in dict.fromkeys(keys):  # the orders whose weights share one zero pattern
+        group = np.array([i for i, k in enumerate(keys) if k == key])
+        states, classes = _class_plan(p_src, weighted[group[0]], start[group[0]], key)
+        shannon = t[group] == 0.0
+        if shannon.any() and np.isneginf(d[group[shannon][0], states]).any():
+            rates[group[shannon]] = math.inf  # the source makes a move the reference forbids
+            group, shannon = group[~shannon], shannon[~shannon]
+        closed = [c for c, (_, is_closed) in enumerate(classes) if is_closed]
+        if group.size and not (classes and (closed or not shannon.any())):
+            raise DegenerateRateError(
+                "no reachable class has a cycle; the weighted products vanish")
+        table = np.full((group.size, len(classes)), np.nan)  # rate per order and class
+        moving = np.flatnonzero(~shannon)  # the orders a class that is not closed counts for
+        for c, (idx, is_closed) in enumerate(classes):
+            use = np.arange(group.size) if is_closed else moving
+            block = (group[use, None, None], idx[:, None], idx)
+            lam, u = perron_eigenpair(weighted[block].transpose(0, 2, 1))
+            # a closed class has lambda = 1 + t slope; another one only lambda
+            slope = ((u[:, None, :] @ d[block].sum(axis=2)[:, :, None]).ravel().tolist()
+                     if is_closed else [math.inf] * use.size)
+            table[use, c] = [-log1p_slope(tc, sc) if abs(tc * sc) < 0.5 else -math.log(lc) / tc
+                             for tc, sc, lc in zip(t[group[use]].tolist(), slope, lam.tolist())]
+        rates[group] = np.where(t[group] > 0.0, table.min(axis=1), table.max(axis=1))
+        if shannon.any():  # every order at t = 0 has the same rate
+            first = np.flatnonzero(shannon)[0]
+            rates[group[shannon]] = table[first, closed[0]] if len(closed) == 1 else float(
+                _absorption_weights(p, start[group[first]], states,
+                                    [classes[c][0] for c in closed]) @ table[first, closed])
+    return rates.tolist()
 
 
 def scaled_power(matrix: np.ndarray, k: int) -> tuple[np.ndarray, float]:

@@ -26,6 +26,7 @@ _STEP_ORDERS = 0.05  # |alpha - 1| below which ln Gamma differences are steps
 # second constant is the log of the relative size that no longer counts.
 _KUMMER_ASYMPTOTIC = 50.0
 _LOG_DOUBLE_EPS = math.log(1e-17)
+_BLOCK_DOUBLES = 1 << 14
 
 
 def gammaln(x: float) -> float:
@@ -140,9 +141,14 @@ def log1p_slope(t: float, u: float) -> float:
     return math.log1p(tu) / t if tu > -1.0 else -math.copysign(math.inf, t)
 
 
-def log1p_slope_sum(t: float, u: np.ndarray) -> float:
-    """The sum of ln(1 + t u) / t over an array u, and its limit sum u at t = 0."""
-    return float(u.sum()) if t == 0.0 else float(np.log1p(t * u).sum()) / t
+def log1p_slope_sum(ts: list, u: np.ndarray) -> list:
+    """For each t of a list, the sum of ln(1 + t u) / t over an array u (all
+    1 + t u > 0), and its limit sum u at t = 0, in (orders x len(u)) blocks
+    of at most 2^14 doubles: larger ones take fresh pages at twice the cost."""
+    rows = max(1, _BLOCK_DOUBLES // max(1, u.size))
+    sums = [s for k in range(0, len(ts), rows)
+            for s in np.log1p(np.multiply.outer(ts[k:k + rows], u)).sum(axis=1).tolist()]
+    return [s / t if t != 0.0 else float(u.sum()) for t, s in zip(ts, sums)]
 
 
 def digamma(x: float) -> float:
@@ -216,14 +222,15 @@ def log_kummer_slope(a: float, b: float, t: float) -> float:
     but shrink from the first on.  Below -1, M(a, a + b, t) =
     e^t M(b, a + b, -t) makes every term positive and the quotient 1 minus
     that of M(b, a + b, -t), whose sum is rescaled as it grows.  For t > 0
-    the sum overflows to +inf exactly where (M - 1) / t exceeds the double
-    range.  The number of terms grows like |t|, so below t = -50 the
-    large-|t| expansion is used wherever it reaches double precision.
+    the sum overflows to +inf where (M - 1) / t exceeds the double range.
+    The number of terms grows like |t|, so beyond |t| = 50 the large-|t|
+    expansion is used wherever it reaches double precision, above 50 in
+    Q(a, b, t) = 1 - Q(b, a, -t), which stays finite where M overflows.
     """
-    if t < -_KUMMER_ASYMPTOTIC:
-        log_m = _log_kummer_asymptotic(a, b, t)
+    if abs(t) > _KUMMER_ASYMPTOTIC:
+        log_m = _log_kummer_asymptotic(a, b, t) if t < 0.0 else _log_kummer_asymptotic(b, a, -t)
         if log_m is not None:
-            return log_m / t
+            return log_m / t + (1.0 if t > 0.0 else 0.0)
     c = a + b
     p, s = (a, t) if t >= -1.0 else (b, -t)
     rest, term, log_scale, n = 0.0, p / c, 0.0, 0.0

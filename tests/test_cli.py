@@ -480,8 +480,24 @@ class TestMarkovCommand:
         code, out, err = run_cli(f"rate markov --p {empty} --q {chain_files[1]} "
                                  "--alpha 2".split())
         assert (code, out) == (1, "")
-        assert "error: need a nonempty 1-D probability vector" in err
-        assert "Traceback" not in err
+        assert err == f"usage error: {empty} holds no numbers\n"
+
+    @pytest.mark.parametrize("command", [
+        "xent discrete --p {empty} --q {masses} --alpha 2",
+        "rate markov --p {empty} --q {matrix} --alpha 2",
+        "rate gauss --x {empty} --y white:1 --alpha 2",
+    ])
+    def test_empty_input_is_one_usage_line(self, command, chain_files, mass_files, tmp_path):
+        import subprocess
+        import sys
+
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n")
+        argv = command.format(empty=empty, masses=mass_files[1], matrix=chain_files[1]).split()
+        proc = subprocess.run([sys.executable, "-m", "rxent", *argv], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"usage error: {empty} holds no numbers\n"
 
     def test_shannon_marker(self, chain_files, capsys):
         p, q = chain_files
@@ -620,13 +636,11 @@ class TestOutputFormats:
     def test_monotonicity_warning(self, capsys, monkeypatch):
         from rxent import cli
 
-        calls = iter([1.0, 2.0])
-
-        def fake(alpha, want_oracle):
-            return next(calls), None
+        def fake(opts):  # values rising with the order, no referee
+            return (lambda alphas: [1.0, 2.0]), None
 
         monkeypatch.setitem(cli._TARGETS, "discrete",
-                            cli._TARGETS["discrete"]._replace(prepare=lambda opts: fake))
+                            cli._TARGETS["discrete"]._replace(prepare=fake))
         job = parse_args("sweep discrete --p a --q b --alphas 2:3:1".split())
         code, text = cli.run(job)
         assert code == 0
@@ -731,6 +745,44 @@ class TestSweepParsesOnce:
         assert code == 0 and len(out.splitlines()) == 1 + 50
         assert 1 <= len(calls) <= 2
 
+    def test_markov_sweep_solves_once_per_class_and_pattern(self, tmp_path, monkeypatch):
+        from rxent import markov
+
+        groups, solves = [], []
+        classify, eig = markov.classify, np.linalg.eig
+        monkeypatch.setattr(markov, "classify", lambda m: groups.append(1) or classify(m))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: solves.append(m.shape) or eig(m))
+        p, q = tmp_path / "P.csv", tmp_path / "Q.csv"
+        p.write_text("0.5,0.5,0\n0,0.7,0.3\n0,0.4,0.6\n")  # two classes, both reachable
+        q.write_text("0.2,0.3,0.5\n0.3,0.3,0.4\n0.1,0.8,0.1\n")
+        code, out, _ = run_cli(f"sweep markov --p {p} --q {q} --alphas 0.1:5:0.1".split())
+        assert code == 0 and len(out.splitlines()) == 1 + 50
+        assert 1 <= len(solves) <= 2 * len(groups)
+
+    def test_mvgauss_sweep_takes_the_eigenvalues_once(self, sweep_inputs, monkeypatch):
+        from rxent import differential
+
+        calls = []
+        original = differential.relative_eigenvalues
+        monkeypatch.setattr(differential, "relative_eigenvalues",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        _, opts, _ = sweep_inputs["expfam"]
+        code, out, _ = run_cli(f"sweep expfam {opts} --alphas 0.05:5:0.05".split())
+        assert code in (0, 2) and len(out.splitlines()) == 1 + 100
+        assert len(calls) == 1
+
+    def test_gauss_sweep_is_one_rate_call(self, sweep_inputs, monkeypatch):
+        from rxent import gaussproc
+
+        calls = []
+        original = gaussproc.rate_spectral
+        monkeypatch.setattr(gaussproc, "rate_spectral",
+                            lambda x, y, alpha: calls.append(alpha) or original(x, y, alpha))
+        _, opts, _ = sweep_inputs["gauss"]
+        code, out, _ = run_cli(f"sweep gauss {opts} --alphas 1.05:3.5:0.05".split())
+        assert code == 0 and len(out.splitlines()) == 1 + 50
+        assert len(calls) == 1
+
     def test_gauss_sweep_evaluates_each_level_once(self, sweep_inputs, monkeypatch):
         from rxent import gaussproc
 
@@ -769,6 +821,10 @@ class TestSweepParsesOnce:
         ("sweep markov --p {p} --q {zero} --alphas 0.5:2:0.5",
          "rate markov --p {p} --q {zero} --alpha 0.5",
          "strictly positive reference"),
+        # 0.7 diverges, 0.75 is the edge where the trapezoid cannot settle
+        ("sweep gauss --x ar1:0.6 --y white:1 --alphas 0.7:0.8:0.05",
+         "rate gauss --x ar1:0.6 --y white:1 --alpha 0.75",
+         "did not stabilize"),
     ])
     def test_first_error_unchanged(self, chain_files, tmp_path, sweep, single, message):
         bad = tmp_path / "bad.csv"
@@ -780,6 +836,7 @@ class TestSweepParsesOnce:
         alone = run_cli(single.format(**names).split())
         assert swept == alone
         assert swept[0] == 1 and message in swept[2]
+        assert swept[2].count("\n") == 1  # one error line
 
 
 @pytest.mark.parametrize("target", ["discrete", "expfam", "special", "markov", "gauss"])

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from scipy.special import hyp1f1
 from scipy.special import logsumexp as scipy_logsumexp
 
-from rxent import DoubleRangeError
 from rxent.differential import mgf_of
 from rxent.expfam import ExpFamilyDistribution as E
 from rxent.specfun import (
@@ -177,22 +176,36 @@ class TestKummer:
         log_kummer(2.0, 3.0, -1e7)
         assert time.perf_counter() - start < 0.05
 
-    def test_overflow_point(self):
-        # the series sums (M - 1) / t, which leaves the double range a
-        # factor t after M does; ln M stays exact up to there
+    def test_no_overflow_past_the_series_edge(self):
+        # the series sums (M - 1) / t, which leaves the double range near
+        # t = 732 for a = 2, b = 3; above t = 50 the quotient comes from
+        # Kummer's transformation instead, finite on both sides of there
         a, b = 2.0, 3.0
         with mp.workdps(30):
             edge = mp.findroot(lambda t: mp.log(mp.hyp1f1(a, a + b, t) - 1) - mp.log(t)
                                - mp.log(np.finfo(float).max), 732.0)
             below, above = float(edge * (1 - 1e-9)), float(edge * (1 + 1e-9))
-            want = float(mp.log(mp.hyp1f1(a, a + b, below)))
-        assert_allclose(log_kummer(a, b, below), want, rtol=1e-14)
-        assert log_kummer(a, b, above) == math.inf
+            want = [float(mp.log(mp.hyp1f1(a, a + b, t))) for t in (below, above)]
         assert hyp1f1(a, a + b, below) == math.inf  # M itself is past the range
         mgf = mgf_of(E.beta(a, b))
-        assert_allclose(below * mgf.quotient(below), want, rtol=1e-14)
-        with pytest.raises(DoubleRangeError):
-            mgf.quotient(above)
+        for t, w in zip((below, above), want):
+            assert_allclose(log_kummer(a, b, t), w, rtol=1e-14)
+            assert_allclose(t * mgf.quotient(t), w, rtol=1e-14)
+
+    @pytest.mark.parametrize("a", [0.4, 2.0, 8.0])
+    @pytest.mark.parametrize("b", [0.4, 3.0, 8.0])
+    @pytest.mark.parametrize("t", [50.5, 120.0, 800.0, 3000.0, 9999.0])
+    def test_large_positive_argument(self, a, b, t):
+        with mp.workdps(40):
+            want = float(mp.log(mp.hyp1f1(a, a + b, t)) / t)
+        assert_allclose(log_kummer_slope(a, b, t), want, rtol=1e-12)
+
+    def test_beta_source_against_a_steep_exponential(self):
+        # rate (1 - alpha) = 800: M overflows, the cross-entropy does not
+        from rxent.differential import cross_entropy_q_exponential
+
+        got = cross_entropy_q_exponential(mgf_of(E.beta(2.0, 3.0)), 1000.0, 0.2)
+        assert_allclose(got.value, 971.992821719100927, rtol=1e-13)
 
 
 class TestErfcx:
