@@ -51,7 +51,7 @@ import numpy as np
 
 from . import differential, discrete, gaussproc, markov, oracle
 from .alpha import AlphaOrder
-from .errors import InvalidParameterError, RenyiError
+from .errors import RenyiError
 from .expfam import ExpFamilyDistribution, Family
 from .support import SupportSpec, UNIT_INTERVAL
 
@@ -383,16 +383,10 @@ def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
 
 def _prepare_expfam(opts):
     if opts["family"].lower() == "mvgauss":
-        cov1 = _read_matrix(opts["p"])
-        cov2 = _read_matrix(opts["q"])
-
-        def referee(alpha):
-            if cov1.shape[0] != 2:
-                raise InvalidParameterError("the grid oracle is bivariate only")
-            return oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
-
-        return (lambda alphas: [r.value for r in differential.cross_entropy_multivariate_gaussian(
-            cov1, cov2, alphas)], referee)
+        cov1, cov2 = _read_matrix(opts["p"]), _read_matrix(opts["q"])
+        values = differential.cross_entropy_multivariate_gaussian
+        return (lambda alphas: [r.value for r in values(cov1, cov2, alphas)],
+                lambda alpha: oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha))
     f1 = _make_distribution(opts["family"], opts["p"])
     f2 = _make_distribution(opts["family"], opts["q"])
     engine = (differential.cross_entropy_natural if opts["method"] == "natural"

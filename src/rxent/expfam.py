@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -171,11 +173,20 @@ class ExpFamilyDistribution:
     def dim(self) -> int:
         return 1 if self.family in _SCALAR_FAMILIES else self.cov.shape[0]
 
-    def pdf(self, x):
-        return pdf(self, x)
+    def pdf(self, x) -> float:
+        """Density at x (classical closed form; 0 outside the support)."""
+        return math.exp(self.logpdf(x))
 
-    def logpdf(self, x):
-        return logpdf(self, x)
+    @cached_property
+    def logpdf(self) -> Callable[[float], float]:
+        """Log-density x -> ln f(x), -inf outside the support, which unlike pdf
+        never underflows in the tails.  Built on first use and kept, with the
+        member's constants (ln B(a, b), ln Gamma, k ln theta, ln 2s, 2 var, the
+        inverse covariance and its log-determinant) folded in."""
+        return _log_density(self)
+
+    def __getstate__(self):  # pickle without the closure; it is rebuilt on first use
+        return {k: v for k, v in vars(self).items() if k != "logpdf"}
 
     def __repr__(self) -> str:
         if self.family is Family.MV_GAUSSIAN_ZERO_MEAN:
@@ -214,60 +225,51 @@ class NaturalParam:
         return self.components.reshape(n, n)
 
 
-def pdf(d: ExpFamilyDistribution, x) -> float:
-    """Density of d at x (classical closed form; 0 outside the support)."""
-    lp = logpdf(d, x)
-    return math.exp(lp) if lp > -math.inf else 0.0
-
-
-def logpdf(d: ExpFamilyDistribution, x) -> float:
-    """Log-density of d at x (-inf outside the support).
-
-    Unlike pdf, this never underflows in the tails, so quadrature oracles
-    can form p q^(alpha-1) in log space.
-    """
-    if d.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        xv = np.asarray(x, dtype=float)
-        n = d.dim
-        if xv.shape != (n,):
-            raise DimensionMismatchError(f"point must have shape ({n},), got {xv.shape}")
-        quad_form = float(xv @ spd_inverse(d.cov) @ xv)
-        logdet = spd_logdet(d.cov)
-        return -0.5 * (n * LOG_2PI + logdet + quad_form)
-
-    x = float(x)
+def _log_density(d: ExpFamilyDistribution) -> Callable[[float], float]:
+    """ln f of d as a closure over its constants, in each formula's order."""
     p = d.params
+    if d.family is Family.MV_GAUSSIAN_ZERO_MEAN:
+        n, inverse, logdet = d.dim, spd_inverse(d.cov), spd_logdet(d.cov)
+
+        def mv_gaussian(x):
+            xv = np.asarray(x, dtype=float)
+            if xv.shape != (n,):
+                raise DimensionMismatchError(f"point must have shape ({n},), got {xv.shape}")
+            return -0.5 * (n * LOG_2PI + logdet + float(xv @ inverse @ xv))
+
+        return mv_gaussian
     if d.family is Family.BETA:
-        a, b = p
-        if not 0.0 < x < 1.0:
-            return -math.inf
-        return (a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - float(betaln(a, b))
-    if d.family is Family.CHI_SQUARED:
-        nu, = p
-        if x < 0.0 or (x == 0.0 and nu != 2.0):
-            return -math.inf
-        if x == 0.0:
-            return math.log(0.5)
-        return (nu / 2 - 1) * math.log(x) - x / 2 - (nu / 2) * math.log(2) - float(gammaln(nu / 2))
+        a1, b1, log_beta = p[0] - 1, p[1] - 1, float(betaln(*p))
+        return lambda x: (a1 * math.log(x) + b1 * math.log1p(-x) - log_beta
+                          if 0.0 < float(x) < 1.0 else -math.inf)
     if d.family is Family.EXPONENTIAL:
-        lam, = p
-        if x < 0.0:
-            return -math.inf
-        return math.log(lam) - lam * x
-    if d.family is Family.GAMMA:
-        k, theta = p
-        if x < 0.0 or (x == 0.0 and k != 1.0):
-            return -math.inf
-        if x == 0.0:
-            return -math.log(theta)
-        return (k - 1) * math.log(x) - x / theta - float(gammaln(k)) - k * math.log(theta)
+        lam, log_lam = p[0], math.log(p[0])
+        return lambda x: -math.inf if x < 0.0 else log_lam - lam * float(x)
+    if d.family in (Family.CHI_SQUARED, Family.GAMMA):  # chi-squared: k = nu/2, theta = 2
+        k, theta = p if d.family is Family.GAMMA else (p[0] / 2, 2)
+        # ln(Gamma(k) theta^k) in two terms, subtracted in each formula's order
+        first, second = ((float(gammaln(k)), k * math.log(theta)) if d.family is Family.GAMMA
+                         else (k * math.log(2), float(gammaln(k))))
+        k1, at_zero = k - 1, -math.log(theta) if k == 1.0 else -math.inf
+
+        def shape_scale(x):
+            x = float(x)
+            if x <= 0.0:
+                return at_zero if x == 0.0 else -math.inf
+            return k1 * math.log(x) - x / theta - first - second
+
+        return shape_scale
     if d.family is Family.GAUSSIAN:
-        mu, var = p
-        z = x - mu  # z * z is inf, not an OverflowError, for |z| > 1.3e154
-        return -(z * z) / (2 * var) - 0.5 * math.log(2 * math.pi * var)
+        mu, two_var, half_log = p[0], 2 * p[1], 0.5 * math.log(2 * math.pi * p[1])
+
+        def gaussian(x):
+            z = float(x) - mu  # z * z is inf, not an OverflowError, for |z| > 1.3e154
+            return -(z * z) / two_var - half_log
+
+        return gaussian
     if d.family is Family.LAPLACE_EQUAL_MEAN:
-        mu, s = p
-        return -abs(x - mu) / s - math.log(2 * s)
+        mu, s, log_2s = p[0], p[1], math.log(2 * p[1])
+        return lambda x: -abs(float(x) - mu) / s - log_2s
     raise InvalidParameterError(f"unknown family {d.family}")
 
 

@@ -13,8 +13,8 @@ cut only where it leaves the double range, so a divergent integral reads
 as +inf, never as the finite integral of a truncated tail; the order-alpha
 entropy is the cross-entropy of p against itself.  The adaptive rule is
 QUADPACK's, from ``scipy.integrate``, which is imported when the first
-integral runs.  The bivariate Gaussian referee sums its integrand on a
-fixed grid, also from the densities' log forms.
+integral runs.  The bivariate Gaussian referee sums its integrand, also
+from the densities' log forms, on lattices refined until two agree.
 
 The routines here never call the closed forms they are used to check; the
 module imports nothing from the package beyond the order type, the errors
@@ -55,11 +55,13 @@ _PROBE_DOUBLINGS = 24
 _PROBE_START_WINDOW = 1.0
 _PROBE_OVERFLOW = 1e280
 
-# 2-D grid oracle: points per axis, half-width in standard deviations, and
-# rows per block of the inner trapezoid rule
-_GRID_POINTS = 1501
+# 2-D grid oracle: half-width in standard deviations, intervals per axis at
+# the first and the last level, nodes per block, and the stopping agreement
 _GRID_SD_MULTIPLE = 12.0
-_GRID_BLOCK_ROWS = 64
+_GRID_FIRST_INTERVALS = 16
+_GRID_MAX_INTERVALS = 1024
+_GRID_BLOCK = 1 << 16
+_GRID_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -334,74 +336,76 @@ def mgf_numeric(
 
 
 def gaussian_log_form_2d(cov) -> tuple[float, np.ndarray]:
-    """(c, K) with ln N(x; 0, cov) = c - x^T K x / 2 for a 2x2 covariance:
-    K is its inverse and c = -ln(2 pi) - ln(det cov) / 2."""
+    """(c, K) with ln N(x; 0, cov) = c - x^T K x / 2 for a 2x2 covariance
+    (its symmetric part): K is its inverse and c = -ln(2 pi) - ln(det cov) / 2."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
-        raise InvalidParameterError(f"need a 2x2 covariance, got shape {cov.shape}")
+        raise InvalidParameterError(f"the grid oracle is bivariate only, got shape {cov.shape}")
     (s00, s01), (s10, s11) = cov
-    det = s00 * s11 - s01 * s10
-    if not (det > 0.0 and s00 > 0.0):
-        raise InvalidParameterError("covariance must be positive definite")
-    inverse = np.array([[s11, -s01], [-s10, s00]]) / det
+    off = 0.5 * (s01 + s10)
+    det = s00 * s11 - off * off
+    if not (0.0 < det < math.inf and s00 > 0.0):
+        raise InvalidParameterError("covariance must be finite and positive definite")
+    inverse = np.array([[s11, -off], [-off, s00]]) / det
     return -math.log(2.0 * math.pi) - 0.5 * math.log(det), inverse
 
 
-def _trapezoid(y: np.ndarray, step: float):
-    """Trapezoid rule along the last axis of samples on a uniform grid."""
-    return step * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+def _quadratic(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z^T m z at z = (u, v), broadcast over a column u and a row v."""
+    return m[0, 0] * u * u + (m[0, 1] + m[1, 0]) * u * v + m[1, 1] * v * v
 
 
-def _log_form_rows(c: float, k: np.ndarray, axis: np.ndarray) -> Callable:
-    """c - x^T k x / 2 at (x, y) = (axis[rows], axis), for a slice of rows;
-    the y-only part is formed once, not once per block."""
-    half_square = -0.5 * axis * axis
-    x_part = k[0, 0] * half_square
-    y_part = c + k[1, 1] * half_square
-    cross = -0.5 * (k[0, 1] + k[1, 0]) * axis
-
-    def block(rows: slice) -> np.ndarray:
-        return x_part[rows, None] + y_part[None, :] + cross[rows, None] * axis[None, :]
-
-    return block
+def _lattice_sums(integrand: Callable, *lattices) -> tuple[float, float]:
+    """Sums of integrand and |integrand| on each lattice us x vs, in blocks of _GRID_BLOCK nodes."""
+    total = mass = 0.0
+    for us, vs in lattices:
+        rows = max(1, _GRID_BLOCK // vs.size)
+        for lo in range(0, us.size, rows):
+            vals = integrand(us[lo:lo + rows, None], vs[None, :])
+            total, mass = total + float(vals.sum()), mass + float(np.abs(vals).sum())
+    return total, mass
 
 
 def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
-    """Cross-entropy of two zero-mean bivariate normals on a fixed tensor grid.
+    """Cross-entropy of two zero-mean bivariate normals on nested lattices.
 
-    Trapezoid rule over [-w, w]^2 with w = 12 standard deviations of the
-    wider marginal and 1501 points per axis.  The inner rule runs over
-    blocks of 64 rows, so the grid is never held whole.  Independent of the
-    matrix closed form: the defining integral is summed point by point from
-    each density's own log form c - x^T K x / 2.  Away from alpha = 1 the
-    integrand p q^(alpha-1) is exp(c_p + (alpha-1) c_q - x^T (K_p +
-    (alpha-1) K_q) x / 2), one exp per point; at alpha = 1 it is p (-ln q).
+    Independent of the matrix closed form: the integrand is summed node by
+    node from each density's log form c - x^T K x / 2, as exp(c_p +
+    (alpha-1) c_q - x^T k x / 2) with k = K_p + (alpha-1) K_q, or at
+    alpha = 1 as p (-ln q) with k = K_p.  Where k is not positive definite
+    the integral diverges: +inf, returned without integrating.  The lattice
+    spans +-12 standard deviations along k's principal axes, where the
+    integrand is exp(-72) of its peak, so the trapezoid rule weighs every
+    node alike and converges geometrically.  Each level halves the spacing
+    and evaluates only its new nodes, in blocks of at most 2^16, until two
+    levels agree to 1e-13 of the integral of |integrand| (so also on a
+    value of 0); past 1024 intervals per axis it raises NonConvergenceError.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("no grid form for the alpha -> infinity limit")
-    c_p, k_p = gaussian_log_form_2d(cov1)
-    c_q, k_q = gaussian_log_form_2d(cov2)
-    scale = math.sqrt(max(np.max(np.diag(np.asarray(cov1, dtype=float))),
-                          np.max(np.diag(np.asarray(cov2, dtype=float)))))
-    w = _GRID_SD_MULTIPLE * scale
-    axis, step = np.linspace(-w, w, _GRID_POINTS, retstep=True)
+    (c_p, k_p), (c_q, k_q) = gaussian_log_form_2d(cov1), gaussian_log_form_2d(cov2)
     a = alpha.value
-    if alpha.is_one:
-        log_integrand = _log_form_rows(c_p, k_p, axis)
-        minus_ln_q = _log_form_rows(-c_q, -k_q, axis)
-    else:
-        log_integrand = _log_form_rows(c_p + (a - 1.0) * c_q, k_p + (a - 1.0) * k_q, axis)
-    inner = np.empty(_GRID_POINTS)
-    for lo in range(0, _GRID_POINTS, _GRID_BLOCK_ROWS):
-        rows = slice(lo, lo + _GRID_BLOCK_ROWS)
-        vals = np.exp(log_integrand(rows))
-        if alpha.is_one:
-            vals *= minus_ln_q(rows)
-        inner[rows] = _trapezoid(vals, step)
-    total = float(_trapezoid(inner, step))
-    if alpha.is_one:
-        return total
-    if total <= 0.0:
-        raise NonConvergenceError("grid integral evaluated to a nonpositive value")
-    return math.log(total) / (1.0 - a)
+    k = k_p if alpha.is_one else k_p + (a - 1.0) * k_q
+    scales, axes = np.linalg.eigh(k)
+    if not scales[0] > 0.0:
+        return math.inf if a < 1.0 else -math.inf
+    # x = frame y maps the box [-1, 1]^2 onto the lattice's box
+    frame = axes * (_GRID_SD_MULTIPLE / np.sqrt(scales))
+    form, q_form = (frame.T @ m @ frame for m in (k, k_q))
+
+    def integrand(u, v):
+        vals = np.exp(-0.5 * _quadratic(form, u, v))
+        return vals * (0.5 * _quadratic(q_form, u, v) - c_q) if alpha.is_one else vals
+
+    t = np.linspace(-1.0, 1.0, _GRID_FIRST_INTERVALS + 1)
+    total, mass = _lattice_sums(integrand, (t, t))
+    while t.size <= _GRID_MAX_INTERVALS:
+        t = np.linspace(-1.0, 1.0, 2 * t.size - 1)
+        new_total, new_mass = _lattice_sums(integrand, (t[1::2], t), (t[::2], t[1::2]))
+        previous, total, mass = 4.0 * total, total + new_total, mass + new_mass
+        if abs(total - previous) <= _GRID_TOLERANCE * mass:  # both in cells of this level
+            integral = total * abs(float(np.linalg.det(frame))) * float(t[1] - t[0]) ** 2
+            return (math.exp(c_p) * integral if alpha.is_one
+                    else (c_p + (a - 1.0) * c_q + math.log(integral)) / (1.0 - a))
+    raise NonConvergenceError(f"2-D grid did not settle by {t.size - 1} intervals per axis")

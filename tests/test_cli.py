@@ -228,6 +228,18 @@ class TestExpfamCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[2].split()[1]) < 1e-4
 
+    def test_mv_gaussian_oracle_past_the_edge(self, tmp_path):
+        # K_1 - 0.4 K_2 of the inverse covariances is not positive definite
+        # at alpha = 0.6: the grid referee reads the same divergence
+        c1 = tmp_path / "c1.csv"
+        c2 = tmp_path / "c2.csv"
+        c1.write_text("4,0.5\n0.5,2\n")
+        c2.write_text("1,0.2\n0.2,0.5\n")
+        code, out, _ = run_cli(f"xent expfam --family mvgauss --p {c1} --q {c2} --alpha 0.6 "
+                               "--oracle --format json".split())
+        payload = json.loads(out)
+        assert (code, payload["value"], payload["oracle"], payload["gap"]) == (2, "inf", "inf", 0.0)
+
     @pytest.mark.parametrize("pair", [
         "--family exponential --p lambda=1 --q lambda=5",
         "--family gaussian --p mu=0,var=1 --q mu=0,var=0.2",

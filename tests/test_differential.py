@@ -232,7 +232,7 @@ class TestMultivariateGaussian:
     def test_matches_grid_oracle(self, a):
         r = cross_entropy_multivariate_gaussian(self.COV1, self.COV2, a)
         grid = cross_entropy_grid2d_gaussian(self.COV1, self.COV2, a)
-        assert_allclose(r.value, grid, rtol=1e-9)
+        assert_allclose(r.value, grid, rtol=1e-12)
 
     def test_scalar_reduction(self):
         r = cross_entropy_multivariate_gaussian(

@@ -1,7 +1,11 @@
 import math
+import pickle
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -23,6 +27,7 @@ from rxent.expfam import (
     natural_pdf,
     to_natural,
 )
+from rxent.specfun import betaln, gammaln
 
 E = ExpFamilyDistribution
 
@@ -131,6 +136,120 @@ class TestPdf:
         d = E.mv_gaussian(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             d.pdf(np.zeros(3))
+
+
+def mp_log_density(d, x) -> float:
+    """ln f(x) of a scalar member at 30 digits."""
+    with mp.workdps(30):
+        x, p = mp.mpf(x), [mp.mpf(v) for v in d.params]
+        if d.family is Family.BETA:
+            a, b = p
+            value = (a - 1) * mp.log(x) + (b - 1) * mp.log1p(-x) - mp.log(mp.beta(a, b))
+        elif d.family is Family.CHI_SQUARED:
+            h = p[0] / 2
+            value = (h - 1) * mp.log(x) - x / 2 - h * mp.log(2) - mp.loggamma(h)
+        elif d.family is Family.EXPONENTIAL:
+            value = mp.log(p[0]) - p[0] * x
+        elif d.family is Family.GAMMA:
+            k, theta = p
+            value = (k - 1) * mp.log(x) - x / theta - mp.loggamma(k) - k * mp.log(theta)
+        elif d.family is Family.GAUSSIAN:
+            mu, var = p
+            value = -(x - mu) ** 2 / (2 * var) - mp.log(2 * mp.pi * var) / 2
+        else:
+            mu, s = p
+            value = -abs(x - mu) / s - mp.log(2 * s)
+        return float(value)
+
+
+@st.composite
+def members_and_points(draw):
+    """A scalar member with parameters in [0.1, 20] and a point inside its support."""
+    par = st.floats(0.1, 20.0)
+    family = draw(st.sampled_from(["beta", "chi_squared", "exponential", "gamma",
+                                   "gaussian", "laplace"]))
+    if family == "beta":
+        return E.beta(draw(par), draw(par)), draw(st.floats(1e-6, 1.0 - 1e-6))
+    if family in ("gaussian", "laplace"):
+        d = getattr(E, family)(draw(st.floats(-5.0, 5.0)), draw(par))
+        return d, draw(st.floats(-30.0, 30.0))
+    d = E.gamma(draw(par), draw(par)) if family == "gamma" else getattr(E, family)(draw(par))
+    return d, draw(st.floats(1e-6, 60.0))
+
+
+class TestLogDensity:
+    """The log-density closure built once per member."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(members_and_points())
+    def test_matches_mpmath(self, case):
+        d, x = case
+        want = mp_log_density(d, x)
+        assert abs(d.logpdf(x) - want) <= 1e-13 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("d, x, want", [
+        (E.chi_squared(2.0), 0.0, mp.log(mp.mpf(1) / 2)),
+        (E.gamma(1.0, 2.5), 0.0, -mp.log(mp.mpf(2.5))),
+        (E.exponential(3.0), 0.0, mp.log(3)),
+        (E.chi_squared(3.0), 0.0, -mp.inf),
+        (E.gamma(1.5, 2.0), 0.0, -mp.inf),
+        (E.gamma(0.5, 2.0), -1e-300, -mp.inf),
+        (E.exponential(3.0), -1.0, -mp.inf),
+        (E.beta(2.0, 3.0), 0.0, -mp.inf),
+        (E.beta(2.0, 3.0), 1.0, -mp.inf),
+    ])
+    def test_support_edges(self, d, x, want):
+        assert d.logpdf(x) == float(want)
+
+    def test_keeps_the_classical_operation_order(self):
+        # the closures fold constants in without reordering any formula,
+        # so every value is bit-identical to the formula written out
+        x = 0.37
+        cases = [
+            (E.beta(2.5, 3.5), 1.5 * math.log(x) + 2.5 * math.log1p(-x) - float(betaln(2.5, 3.5))),
+            (E.chi_squared(3.0), (1.5 - 1) * math.log(x) - x / 2 - 1.5 * math.log(2)
+             - float(gammaln(1.5))),
+            (E.exponential(2.0), math.log(2.0) - 2.0 * x),
+            (E.gamma(2.5, 1.2), 1.5 * math.log(x) - x / 1.2 - float(gammaln(2.5))
+             - 2.5 * math.log(1.2)),
+            (E.gaussian(0.3, 1.7), -((x - 0.3) * (x - 0.3)) / (2 * 1.7)
+             - 0.5 * math.log(2 * math.pi * 1.7)),
+            (E.laplace(0.7, 1.5), -abs(x - 0.7) / 1.5 - math.log(2 * 1.5)),
+        ]
+        for d, want in cases:
+            assert d.logpdf(x) == want
+
+    def test_built_once_on_first_use(self):
+        for d in scalar_members() + [E.mv_gaussian(np.eye(2))]:
+            assert "logpdf" not in vars(d)  # construction does not build it
+            assert d.logpdf is d.logpdf
+
+    def test_pickles_after_use(self):
+        for d in scalar_members() + [E.mv_gaussian(np.array([[2.0, 0.6], [0.6, 1.0]]))]:
+            x = np.ones(2) if d.dim == 2 else 0.5
+            want = d.logpdf(x)
+            back = pickle.loads(pickle.dumps(d))
+            assert back.logpdf(x) == want and back.params == d.params
+
+    def test_mv_gaussian_inverts_once(self, monkeypatch):
+        from rxent import expfam
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(expfam, "spd_inverse", counted(expfam.spd_inverse))
+        monkeypatch.setattr(expfam, "spd_logdet", counted(expfam.spd_logdet))
+        cov = np.array([[2.0, 0.6], [0.6, 1.0]])
+        d = E.mv_gaussian(cov)
+        ref = stats.multivariate_normal(mean=[0.0, 0.0], cov=cov)
+        for point in np.random.default_rng(7).normal(size=(50, 2)):
+            assert_allclose(d.logpdf(point), ref.logpdf(point), rtol=1e-13)
+        assert sorted(calls) == ["spd_inverse", "spd_logdet"]
 
 
 class TestNaturalParam:

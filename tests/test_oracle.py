@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from rxent import AlphaOrder, ExpFamilyDistribution, QuadratureSettings
+from rxent.differential import cross_entropy_multivariate_gaussian
 from rxent.errors import (
     InvalidAlphaError,
     InvalidParameterError,
@@ -263,6 +266,16 @@ class TestMgfNumeric:
             mgf_numeric(HALF, 0.5, 0.0, logpdf=p.logpdf, mean=2.0)
 
 
+@st.composite
+def spd_2x2(draw):
+    """A 2x2 covariance with eigenvalues in [0.2, 5] along a random axis."""
+    scales = np.array([draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))])
+    angle = draw(st.floats(0.0, math.pi))
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    cov = rot @ np.diag(scales) @ rot.T
+    return (cov + cov.T) / 2.0
+
+
 class TestGrid2d:
     def test_pdf_normalization(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -280,6 +293,8 @@ class TestGrid2d:
             gaussian_log_form_2d(-np.eye(2))
         with pytest.raises(InvalidParameterError):
             gaussian_log_form_2d(np.eye(3))
+        with pytest.raises(InvalidParameterError):
+            gaussian_log_form_2d(np.array([[math.inf, 0.0], [0.0, 1.0]]))
 
     def test_self_pair_value(self):
         cov = np.array([[1.0, 0.3], [0.3, 1.5]])
@@ -287,7 +302,55 @@ class TestGrid2d:
         det = float(np.linalg.det(cov))
         exact = math.log((4 * math.pi) ** 1.0 * math.sqrt(det))
         value = cross_entropy_grid2d_gaussian(cov, cov, AlphaOrder(2.0))
-        assert abs(value - exact) < 1e-6
+        assert abs(value - exact) < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_closed_form(self, data):
+        cov1, cov2 = data.draw(spd_2x2()), data.draw(spd_2x2())
+        # k = K_p - t K_q stays positive definite for t below the edge
+        edge = 1.0 / max(np.linalg.eigvals(cov1 @ np.linalg.inv(cov2)).real)
+        alpha = data.draw(st.one_of(
+            st.just("shannon"),
+            st.floats(1.05, 10.0),
+            # from far below the edge to just inside it
+            st.floats(0.05, 0.999).map(lambda f: 1.0 - f * min(edge, 0.95)),
+        ))
+        exact = cross_entropy_multivariate_gaussian(cov1, cov2, alpha).value
+        value = cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("cov", [np.eye(2), np.array([[1.0, 0.8], [0.8, 1.0]])])
+    def test_zero_valued_pair_stops(self, cov):
+        # det cov = (2 pi e)^-2 makes the Shannon self cross-entropy exactly 0
+        cov = cov / (2.0 * math.pi * math.e * math.sqrt(np.linalg.det(cov)))
+        assert abs(cross_entropy_grid2d_gaussian(cov, cov, "shannon")) < 1e-12
+
+    def test_past_the_edge_is_the_verdict(self, monkeypatch):
+        from rxent import oracle
+
+        monkeypatch.setattr(oracle, "_lattice_sums", None)  # no node is evaluated
+        cov1 = np.array([[4.0, 0.5], [0.5, 2.0]])
+        cov2 = np.array([[1.0, 0.2], [0.2, 0.5]])
+        for alpha in (0.6, 0.3, 0.05):
+            assert cross_entropy_grid2d_gaussian(cov1, cov2, alpha) == math.inf
+
+    def test_cap_raises_instead_of_looping(self, monkeypatch):
+        from rxent import oracle
+
+        sizes = []
+        real = oracle._lattice_sums
+
+        def spy(integrand, *lattices):
+            sizes.append(max(vs.size for _, vs in lattices))
+            return real(integrand, *lattices)
+
+        monkeypatch.setattr(oracle, "_lattice_sums", spy)
+        monkeypatch.setattr(oracle, "_GRID_TOLERANCE", -1.0)  # no two levels ever agree
+        cov = np.array([[1.0, 0.3], [0.3, 1.5]])
+        with pytest.raises(NonConvergenceError):
+            cross_entropy_grid2d_gaussian(cov, cov, 2.0)
+        assert sizes == [17, 33, 65, 129, 257, 513, 1025]
 
 
 class TestKinks:
