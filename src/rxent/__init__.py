@@ -9,12 +9,13 @@ distribution against a reference distribution:
 * as an asymptotic rate, for stationary Gaussian processes (via their
   power spectra) and finite-alphabet Markov sources (via a Perron
   eigenvalue);
-* numerically, through adaptive-quadrature oracles that validate every
-  closed form; ``cross_entropy_numeric`` takes the two log-densities by
-  keyword, and with q = p it gives the order-alpha entropy.
+* numerically, by the package's own double-exponential quadrature, which
+  validates every closed form: ``cross_entropy_numeric`` takes the two
+  log-densities by keyword, and with q = p it gives the order-alpha entropy.
 
 All values are in nats.  Divergent cases return ``inf`` (alpha < 1) or
-``-inf`` (alpha > 1) instead of raising.
+``-inf`` (alpha > 1), and values beyond the double range raise
+``DoubleRangeError``.
 """
 
 from .alpha import AlphaOrder
@@ -67,7 +68,7 @@ from .markov import (
     perron_eigenvalue,
     shannon_rate_slope,
 )
-from .oracle import QuadratureSettings, cross_entropy_numeric
+from .oracle import cross_entropy_numeric
 from .support import SupportKind, SupportSpec
 
 __version__ = "0.1.0"
@@ -93,7 +94,6 @@ __all__ = [
     "NotIrreducibleError",
     "NotPositiveDefiniteError",
     "OutOfDomainError",
-    "QuadratureSettings",
     "RenyiError",
     "StationaryGaussianSpec",
     "SupportKind",

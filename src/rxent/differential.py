@@ -112,8 +112,8 @@ def _diverged(alpha: AlphaOrder, method: Method) -> CrossEntropyResult:
 
 
 def _finite(value: float, method: Method) -> CrossEntropyResult:
-    if math.isinf(value):
-        return CrossEntropyResult(value, method, diverged=True)
+    if not math.isfinite(value):  # its existence check passed: no verdict
+        raise DoubleRangeError(f"cross-entropy {value} exceeds the double range")
     return CrossEntropyResult(float(value), method)
 
 
@@ -145,13 +145,13 @@ def cross_entropy_natural(
     if alpha.is_inf:
         raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
     eta1, eta2 = to_natural(f1), to_natural(f2)
+    t = alpha.value - 1.0
     try:
         eta_h = combine_natural(eta1, eta2, alpha)
+        slope = log_partition_slope(eta1, eta2, t)
     except OutOfDomainError:
         return _diverged(alpha, Method.NATURAL_PARAMS)
-    t = alpha.value - 1.0
-    value = (log_partition_slope(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
-             - log_partition(eta2))
+    value = slope - log_base_expectation(eta_h, alpha) - log_partition(eta2)
     return _finite(value, Method.NATURAL_PARAMS)
 
 
@@ -217,8 +217,9 @@ def cross_entropy_closed(
         mu2, v2 = f2.params
         if t * (v1 / v2) <= -1.0:  # v_h = v2 (1 + t v1 / v2) > 0
             return _diverged(alpha, m)
+        delta = mu1 - mu2
         value = 0.5 * (math.log(2 * math.pi * v2) + log1p_slope(t, v1 / v2)
-                       + (mu1 - mu2) ** 2 / (v2 * (1.0 + t * (v1 / v2))))
+                       + delta * delta / (v2 * (1.0 + t * (v1 / v2))))
         return _finite(value, m)
 
     if f1.family is Family.LAPLACE_EQUAL_MEAN:
@@ -510,9 +511,7 @@ def _special(alpha: AlphaOrder, q: float, value: float) -> CrossEntropyResult:
     the value exceeds the double range."""
     if math.isinf(q):
         return _diverged(alpha, Method.SPECIAL_CASE)
-    if not math.isfinite(value):
-        raise DoubleRangeError(f"cross-entropy {value} exceeds the double range")
-    return CrossEntropyResult(float(value), Method.SPECIAL_CASE)
+    return _finite(value, Method.SPECIAL_CASE)
 
 
 def cross_entropy_q_exponential(mgf_p: MgfFunction, rate: float, alpha) -> CrossEntropyResult:

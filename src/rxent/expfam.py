@@ -450,6 +450,13 @@ def natural_pdf(eta: NaturalParam, x) -> float:
     return math.exp(log_base_measure(eta.family, x) + exponent + log_partition(eta))
 
 
+def _inner_log1p_slope(t: float, u: float) -> float:
+    """log1p_slope, or OutOfDomainError where 1 + t u rounds to 0 or below."""
+    if t * u <= -1.0:
+        raise OutOfDomainError("the combined parameter rounds onto the domain boundary")
+    return log1p_slope(t, u)
+
+
 def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> float:
     """Divided difference [A(eta1 + t eta2) - A(eta1)] / t of the log-normalizer.
 
@@ -464,15 +471,15 @@ def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> flo
     if eta1.family is Family.CHI_SQUARED:
         return -d[0] * math.log(2) - gammaln_slope(c[0] + 1, d[0], t)
     if eta1.family in (Family.EXPONENTIAL, Family.LAPLACE_EQUAL_MEAN):
-        return log1p_slope(t, d[0] / c[0])
+        return _inner_log1p_slope(t, d[0] / c[0])
     if eta1.family is Family.GAMMA:
         k = c[0] + 1
         return (-gammaln_slope(k, d[0], t) + d[0] * math.log(-c[1])
-                + (k + t * d[0]) * log1p_slope(t, d[1] / c[1]))
+                + (k + t * d[0]) * _inner_log1p_slope(t, d[1] / c[1]))
     if eta1.family is Family.GAUSSIAN:
         # (1/2) ln(-2 eta_2) plus eta_1^2 / (4 eta_2), differenced exactly
-        x, u, y, v = c[0], c[1], d[0], d[1]
-        return (0.5 * log1p_slope(t, v / u)
+        x, u, y, v = float(c[0]), float(c[1]), float(d[0]), float(d[1])  # inf, not a warning
+        return (0.5 * _inner_log1p_slope(t, v / u)
                 + (u * y * (2.0 * x + t * y) - x * x * v) / (4.0 * u * (u + t * v)))
     if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN:  # A = (1/2) ln det(-2 eta)
         return 0.5 * log1p_slope_sum([t], relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))[0]

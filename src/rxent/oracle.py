@@ -1,31 +1,21 @@
-"""Quadrature reference values for cross-entropy integrals.
+"""Reference values for cross-entropy integrals, and the one quadrature rule.
 
-Every closed form in this library is checked against direct numeric
-evaluation of its defining integral.  Infinite domains are folded onto a
-compact interval first (the tangent map x = tan u) so the adaptive rule
-sees the whole line; divergence of nonnegative integrands is detected by a
-window-doubling probe before the folded integral is attempted.  The probe
-keeps a running sum over the shells each doubling adds, so it integrates
-no region twice.  Densities enter only as logarithms, passed by keyword
-(``p_logpdf=``, ``q_logpdf=``, ``logpdf=``), so a pdf cannot be read as a
-log by position.  The cross-entropy integrand is formed in log space and
-cut only where it leaves the double range, so a divergent integral reads
-as +inf, never as the finite integral of a truncated tail; the order-alpha
-entropy is the cross-entropy of p against itself.  The adaptive rule is
-QUADPACK's, from ``scipy.integrate``, which is imported when the first
-integral runs.  The bivariate Gaussian referee sums its integrand, also
-from the densities' log forms, on lattices refined until two agree.
-
-The routines here never call the closed forms they are used to check; the
-module imports nothing from the package beyond the order type, the errors
-and the supports.
+Every closed form is checked against direct numeric evaluation of its
+defining integral, and the numeric MGF of Gamma and Beta centered squares
+is the one integral on a production path.  Both go through ``quad``, a
+double-exponential rule split at the caller's kinks, at 0 on the line and
+at the integrand's own peak; divergence is read from the integrand's power
+law at the ends of the support.  Densities enter only as logarithms, by
+keyword; the cross-entropy integrand is integrated as a logarithm, so its
+integral may lie outside the double range.  The bivariate Gaussian referee
+sums its integrand on lattices refined until two agree.  Nothing here calls
+a closed form: from the package it imports only alpha, errors and support.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,27 +24,19 @@ from .alpha import AlphaOrder
 from .errors import InvalidAlphaError, InvalidParameterError, NonConvergenceError
 from .support import SupportKind, SupportSpec
 
-# ln of a density below which a factor of |ln q| ~ 1e3 cannot matter at
-# any tolerance used here
-_LOG_TINY = math.log(1e-290)
-# exp() bounds of a double
-_LOG_HUGE = 700.0
-_LOG_UNDERFLOW = -745.0
 _LOG_2 = math.log(2.0)
 
-# Window-doubling probe: partial integrals over windows W, 2W, 4W, ...,
-# each the previous partial plus the integral over the shell the doubling
-# adds.  An integral is declared divergent when the last _PROBE_RUN
-# doublings all grow the partial integral by more than _PROBE_GROWTH, or
-# when a partial overflows.  Slowly (logarithmically) divergent integrands
-# can escape the growth test; they then fail loudly in the folded integral
-# instead.
-_PROBE_GROWTH = 1.01
-_PROBE_RUN = 5
-_PROBE_DOUBLINGS = 24
-_PROBE_START_WINDOW = 1.0
-_PROBE_OVERFLOW = 1e280
-
+# Levels take steps 1, 1/2, ... 2^-_MAX_LEVEL in t, to |t| = _T_MAX, and stop
+# once two agree to _TOLERANCE of the integral of |f|; an error estimate,
+# end laws included, above _ACCEPT of it is refused.  A side reaches to
+# where its terms have decayed by e^-_DECAY, then to its outermost term
+# above _PRUNE of the largest.  End powers within _EDGE of -1 read as -1.
+_MAX_LEVEL, _T_MAX = 9, 16.0
+_TOLERANCE, _ACCEPT = 1e-10, 1e-9
+_DECAY, _PRUNE, _EDGE = 50.0, 1e-20, 1e-10
+# golden section of the peak, to 2^-30 relative
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_PEAK_PRECISION = 2.0 ** -30
 # 2-D grid oracle: half-width in standard deviations, intervals per axis at
 # the first and the last level, nodes per block, and the stopping agreement
 _GRID_SD_MULTIPLE = 12.0
@@ -64,195 +46,238 @@ _GRID_BLOCK = 1 << 16
 _GRID_TOLERANCE = 1e-13
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise InvalidParameterError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise InvalidParameterError("max_subdivisions must be at least 10")
+def _ln_abs(v: float) -> float:
+    return math.log(abs(v)) if v else -math.inf
 
 
-DEFAULT_SETTINGS = QuadratureSettings()
+@functools.cache
+def _rows(level: int, kind: str) -> tuple:
+    """Rows (|t|, d, ln d, w, ln w) of the nodes a level adds to one side of
+    a piece: t = 0, 1, 2, ... at level 0, the odd multiples of 2^-k at level
+    k.  d is the distance from the side's end and w = dd/dt, in units of the
+    width for tanh-sinh ("ts"); "near" and "far" are exp-sinh."""
+    step, rows = 2.0 ** -level, []
+    t = 0.0 if level == 0 else step
+    while t <= _T_MAX:
+        u = 0.5 * math.pi * math.sinh(t)
+        if kind == "ts":  # d = e^-2u / (1 + e^-2u)
+            ln_d = -2.0 * u - math.log1p(math.exp(-2.0 * u))
+            ln_w = math.log(math.pi * math.cosh(t)) + ln_d - math.log1p(math.exp(-2.0 * u))
+        else:
+            ln_d = u if kind == "far" else -u
+            ln_w = math.log(0.5 * math.pi * math.cosh(t)) + ln_d
+        # past e^709 only the logarithms are read
+        rows.append((t, math.exp(min(ln_d, 709.0)), ln_d, math.exp(min(ln_w, 709.0)), ln_w))
+        t += step if level == 0 else 2.0 * step
+    return tuple(rows)
 
 
-def quad(f, a, b, **options):
-    """scipy.integrate.quad; scipy is imported on the first call."""
-    from scipy.integrate import quad as adaptive
-    return adaptive(f, a, b, **options)
+def _end_law(f, end: float, inward: float, log: bool) -> tuple:
+    """(diverges, ref, L, e, sign, spread): ln|f| = L + e ln(d / ref) at a
+    distance d from a support end, from probes at ref, 4 ref, 16 ref (ref a
+    power of two just above the rounding of x there) or at 2^332, 2^249,
+    2^166; spread is e less the slope of the outer pair of probes."""
+    if math.isinf(end):  # 2^332 is also the farthest node evaluated there
+        xs = [-inward * 2.0 ** k for k in (332, 249, 166)]
+    else:
+        ref = 2.0 ** (-600 if end == 0.0 else math.frexp(end)[1] - 47)
+        xs = [end + inward * ref * k for k in (1.0, 4.0, 16.0)]
+    ds = [abs(x - end) if math.isfinite(end) else abs(x) for x in xs]  # exact
+    values = [f(x) for x in xs]
+    logs = values if log else [_ln_abs(v) for v in values]
+    e, outer = ((logs[i] - logs[i + 1]) / math.log(ds[i] / ds[i + 1]) for i in (0, 1))
+    if e != e:  # f is 0 at both inner probes: no power decays faster
+        e = -math.inf if math.isinf(end) else math.inf
+    diverges = (any(v != v or v == math.inf for v in logs)
+                or (e >= -1.0 - _EDGE if math.isinf(end) else e <= -1.0 + _EDGE))
+    return diverges, ds[0], logs[0], e, 1.0 if log else math.copysign(1.0, values[0]), abs(e - outer)
 
 
-def _quad_interval(f, a, b, settings: QuadratureSettings, points=()):
-    """quad with warnings returned instead of emitted; ``points`` are kinks
-    inside (a, b) where the adaptive rule splits the interval."""
-    from scipy.integrate import IntegrationWarning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, abserr = quad(
-            f,
-            a,
-            b,
-            epsabs=settings.absolute_tolerance,
-            epsrel=settings.relative_tolerance,
-            limit=settings.max_subdivisions,
-            points=points or None,
-        )
-    messages = [str(w.message) for w in caught if issubclass(w.category, IntegrationWarning)]
-    divergent = any("divergent" in m for m in messages)
-    return value, abserr, messages, divergent
+class _Side:
+    """Nodes x = origin + direction d at the distances scale * d of
+    ``_rows``; nearer the end than the law's ref (beyond it on a far side)
+    the integrand is the law's, and next to a support end other than 0 an
+    f at an x that rounds is scaled by (d / d_rounded)^e."""
+
+    def __init__(self, kind, origin, direction, scale, law):
+        self.kind, self.origin, self.direction, self.scale, self.law = (
+            kind, origin, direction, scale, law)
+        _, ref, _, e, _, _ = law  # e is 0 at a cut inside the support
+        self.fix = kind != "far" and origin != 0.0 and 0.0 < abs(e) < math.inf
+        depth = abs(math.log(ref / scale)) if ref else 0.0  # nodes reach ref
+        self.limit = math.asinh(max(_DECAY / abs(e + 1.0), depth)
+                                / (math.pi if kind == "ts" else 0.5 * math.pi))
+        if self.limit > _T_MAX:
+            raise NonConvergenceError(f"end power {e:.12g} is too near the divergent -1")
+        self.outer = 0.0
+
+    def sweep(self, f, level, log, top, biggest):
+        """(sum, sum of |.|, largest |.|) of the side's terms at a level."""
+        rows = _rows(level, self.kind)
+        if level == 0 and (self.kind == "near" or self.kind == "ts" and self.direction > 0):
+            rows = rows[1:]  # t = 0 belongs to the other side
+        origin, direction, scale, limit, fix = (
+            self.origin, self.direction, self.scale, self.limit, self.fix)
+        _, ref, big_l, e, sign, _ = self.law
+        far, ln_scale, ln_ref = self.kind == "far", math.log(scale), math.log(ref or 1.0)
+        shift = ln_scale - top
+        exp, total, mass, outer = math.exp, 0.0, 0.0, 0.0
+        for t, d, ln_d, w, ln_w in rows:
+            if t > limit:
+                break
+            d *= scale
+            if d > ref if far else d < ref:
+                term = sign * exp(big_l + e * (ln_d + ln_scale - ln_ref) + shift + ln_w)
+            else:
+                x = origin + direction * d
+                v = f(x)
+                if fix and abs(x - origin) != d:
+                    r = d / abs(x - origin)
+                    v = v + e * math.log(r) if log else v * r ** e
+                term = exp(v + shift + ln_w) if log else v * scale * w
+            size = abs(term)
+            if size > _PRUNE * biggest:
+                outer = t
+                if size > biggest:
+                    biggest = size
+            total += term
+            mass += size
+        self.outer = max(self.outer, outer)
+        return total, mass, biggest
 
 
-def _folded(f: Callable[[float], float], supp: SupportSpec):
-    """Return (g, a, b) with integral of f over supp equal to quad of g on
-    (a, b): an infinite domain is folded by x = tan(u)."""
+def _peak(ln_f, lower: float, upper: float):
+    """(x, ln|f(x)|) at the largest log-integrand: the best of a scan at
+    powers of two out from each finite end (from 0 on the line) until it
+    falls e^50 below the best, refined by golden section between its
+    neighbours; x is None where the best is the scan's outermost point."""
+    seen, line = {}, math.isinf(lower) and math.isinf(upper)
+
+    def look(x):
+        v = ln_f(x)
+        seen[x] = v if v == v else -math.inf
+        return seen[x]
+
+    if line:
+        look(0.0)
+    unit = 2.0 ** -40 * (1.0 if math.isinf(upper - lower) else upper - lower)
+    for origin, way in ((0.0, 1.0), (0.0, -1.0)) if line else ((lower, 1.0), (upper, -1.0)):
+        top = max(seen.values(), default=-math.inf)
+        for k in range(0, 1061, 4) if math.isfinite(origin) else ():
+            x = origin + way * math.ldexp(unit, k)
+            if not lower < x < upper:
+                if x == origin:
+                    continue
+                break
+            top = max(top, look(x))
+            if seen[x] < top - _DECAY:
+                break
+    xs = sorted(x for x in seen if lower < x < upper)
+    values = [seen[x] for x in xs]
+    i = max(range(len(xs)), key=values.__getitem__)
+    if i in (0, len(xs) - 1) or xs[i] == 0.0:  # 0 is a cut on the line anyway
+        return None, values[i]
+    (lo, f_lo), (x, top), (hi, f_hi) = zip(xs[i - 1:i + 2], values[i - 1:i + 2])
+    for _ in range(200):  # golden section into the peak's e-fold, then to 2^-30 relative
+        if hi - lo <= max(8.0 * math.ulp(x), _PEAK_PRECISION * abs(x) * (min(f_lo, f_hi) > top - 1.0)):
+            break
+        u = x + _GOLDEN * ((hi if hi - x > x - lo else lo) - x)
+        fu = ln_f(u)
+        if fu >= top:
+            lo, f_lo, hi, f_hi = (x, top, hi, f_hi) if u > x else (lo, f_lo, x, top)
+            x, top = u, fu
+        else:
+            lo, f_lo, hi, f_hi = (lo, f_lo, u, fu) if u > x else (u, fu, hi, f_hi)
+    return x, top
+
+
+def quad(f: Callable[[float], float], lower: float, upper: float, points=(),
+         log: bool = False) -> tuple[float, float]:
+    """(integral, error estimate) of f over (lower, upper), ends possibly
+    infinite, split at the kinks ``points``; with ``log`` f is ln of a
+    nonnegative integrand and the result (ln of the integral, its error).
+    A divergence is (sign * inf, inf).  NonConvergenceError where no two
+    levels agree, or the error exceeds 1e-9 of the integral of |f|."""
+    laws = [_end_law(f, end, inward, log) for end, inward in ((lower, 1.0), (upper, -1.0))]
+    for diverges, _, _, _, sign, _ in laws:
+        if diverges:
+            return sign * math.inf, math.inf
+    peak, top = _peak(f if log else (lambda x: _ln_abs(f(x))), lower, upper)
+    top = top if log and math.isfinite(top) else 0.0  # an infinite peak sums to inf
+    cuts = sorted({x for x in (*points, peak, 0.0 if lower == -upper == -math.inf else None)
+                   if x is not None and lower < x < upper})
+    ends = [laws[0]]
+    for m in cuts:  # where x rounds to m, f(m); at 0 no x rounds
+        v = f(m) if m else 0.0
+        ends.append((False, abs(m) * 2.0 ** -44, v if log else _ln_abs(v), 0.0,
+                     1.0 if log else math.copysign(1.0, v), 0.0))
+    ends.append(laws[1])
+    edges, sides = [lower, *cuts, upper], []
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        if math.isinf(b):
+            sides += [_Side("near", a, 1.0, 1.0, ends[i]), _Side("far", a, 1.0, 1.0, ends[i + 1])]
+        elif math.isinf(a):
+            sides += [_Side("near", b, -1.0, 1.0, ends[i + 1]), _Side("far", b, -1.0, 1.0, ends[i])]
+        else:
+            sides += [_Side("ts", b, -1.0, b - a, ends[i + 1]), _Side("ts", a, 1.0, b - a, ends[i])]
+    estimates, biggest = [], 0.0
+    for level in range(_MAX_LEVEL + 1):
+        total = mass = 0.0
+        try:
+            for side in sides:
+                s, m, biggest = side.sweep(f, level, log, top, biggest)
+                total, mass = total + s, mass + m
+        except OverflowError:  # exp of a log-integrand far above the scan's peak
+            raise NonConvergenceError("the integrand rises e^709 above its scanned peak") from None
+        if level:  # the nodes of the levels before count at twice this step
+            total, mass = (old / 2.0 + 2.0 ** -level * new for old, new in zip(estimates[-1], (total, mass)))
+        if total != total:
+            raise NonConvergenceError("the integrand is not a number at a node")
+        if math.isinf(total):
+            return total, math.inf
+        for side in sides:
+            side.limit = min(side.limit, side.outer + 2.0 ** -level)
+        estimates.append((total, mass))
+        err = abs(total - estimates[-2][0]) if level >= 3 else math.inf
+        if err <= _TOLERANCE * mass:  # steps 1/4 and 1/8 are the first compared
+            break
+    else:
+        raise NonConvergenceError(f"quadrature did not settle by step 2^-{_MAX_LEVEL}")
+    for _, ref, big_l, e, _, spread in laws:  # what the slope error of an end law moves
+        tail = math.exp(min(big_l - top + math.log(ref), 709.0)) / abs(e + 1.0)
+        err += tail * spread / abs(e + 1.0) if tail else 0.0
+    if err > _ACCEPT * mass:
+        raise NonConvergenceError(
+            f"quadrature error estimate {err / mass:.2e} of the integral of |f| above {_ACCEPT:g}")
+    if log:
+        return (top + math.log(total), err / total) if total > 0.0 else (-math.inf, 0.0)
+    return total, err
+
+
+def integrate(f: Callable[[float], float], supp: SupportSpec, points=()) -> tuple[float, float]:
+    """``quad`` of f over a scalar support, with ``points`` its kinks."""
+    return quad(f, *_bounds(supp), points)
+
+
+def _bounds(supp: SupportSpec) -> tuple[float, float]:
     if supp.kind is SupportKind.INTERVAL:
-        return f, supp.lower, supp.upper
-
-    def g(u):
-        x = math.tan(u)
-        fx = f(x)
-        if fx == 0.0:
-            return 0.0
-        return fx * (1.0 + x * x)
-
-    if supp.kind is SupportKind.POSITIVE_REALS:
-        return g, 0.0, math.pi / 2
-    if supp.kind is SupportKind.ALL_REALS:
-        return g, -math.pi / 2, math.pi / 2
+        return supp.lower, supp.upper
+    if supp.kind in (SupportKind.POSITIVE_REALS, SupportKind.ALL_REALS):
+        return (0.0 if supp.kind is SupportKind.POSITIVE_REALS else -math.inf), math.inf
     raise InvalidParameterError(f"cannot integrate over support kind {supp.kind}")
 
 
-def _folded_quad(f, supp: SupportSpec, settings: QuadratureSettings, points):
-    """``_quad_interval`` of f over supp after folding, split at the kinks
-    ``points`` of f that lie in supp (a kink x lands at atan(x))."""
-    g, a, b = _folded(f, supp)
-    inside = [x for x in points if supp.contains(x)]
-    if supp.kind is not SupportKind.INTERVAL:
-        inside = [math.atan(x) for x in inside]
-    return _quad_interval(g, a, b, settings, tuple(u for u in inside if a < u < b))
-
-
-def integrate(
-    f: Callable[[float], float],
-    supp: SupportSpec,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    points=(),
-) -> tuple[float, float]:
-    """Integrate f over a scalar support.
-
-    ``points`` are kinks of f (in x), where the adaptive rule splits the
-    domain.  Returns (value, error_estimate).  Raises NonConvergenceError
-    when the adaptive rule reports trouble and its error estimate misses
-    the requested tolerance, or when the result is not finite.
-    """
-    value, abserr, messages, divergent = _folded_quad(f, supp, settings, points)
-    if divergent or not math.isfinite(value):
-        raise NonConvergenceError(
-            f"integral did not converge: {messages[0] if messages else 'non-finite value'}"
-        )
-    tol = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
-    if messages and abserr > tol:
-        raise NonConvergenceError(
-            f"quadrature error estimate {abserr:.3e} above tolerance {tol:.3e}: {messages[0]}"
-        )
-    return value, abserr
-
-
-def _probe_shells(supp: SupportSpec, k: int) -> tuple[tuple[float, float], ...]:
-    """The intervals that doubling k adds to the probe window: the first
-    window [0, W] (or [-W, W]) at k = 0, then [W 2^(k-1), W 2^k], mirrored
-    on the line."""
-    width = _PROBE_START_WINDOW * 2.0 ** k
-    if k == 0:
-        return ((0.0 if supp.kind is SupportKind.POSITIVE_REALS else -width, width),)
-    shells = ((width / 2.0, width),)
-    if supp.kind is SupportKind.ALL_REALS:
-        shells = ((-width, -width / 2.0),) + shells
-    return shells
-
-
-def _diverges(f, supp: SupportSpec, settings: QuadratureSettings) -> bool:
-    """Window-doubling divergence probe for a nonnegative integrand.
-
-    The partial integral over [0, W 2^k] (or [-W 2^k, W 2^k] on the line)
-    is the previous partial plus the integral over the shells doubling k
-    adds, so no point of the last window is integrated twice.  Only growth
-    of the partial integrals and overflow count as evidence; QUADPACK's own
-    "probably divergent" flag is ignored here because it also fires on wide
-    compact windows of perfectly convergent tails.
-    """
-    if supp.kind is SupportKind.INTERVAL:
-        return False  # compact: endpoint divergence surfaces as a quad warning
-    loose = replace(settings, relative_tolerance=1e-8, absolute_tolerance=1e-12,
-                    max_subdivisions=200)
-    partial = 0.0
-    previous = None
-    run = 0
-    stable = 0
-    for k in range(_PROBE_DOUBLINGS + 1):
-        for a, b in _probe_shells(supp, k):
-            partial += _quad_interval(f, a, b, loose)[0]
-        if math.isnan(partial) or partial > _PROBE_OVERFLOW:
-            return True
-        if previous is not None and previous > 0.0:
-            ratio = partial / previous
-            run = run + 1 if ratio > _PROBE_GROWTH else 0
-            stable = stable + 1 if abs(ratio - 1.0) <= 1e-12 else 0
-            if stable >= 3:
-                return False  # mass exhausted at this scale
-        elif previous is not None and partial > 0.0:
-            run += 1  # first mass appearing counts as growth
-        previous = partial
-    return run >= _PROBE_RUN
-
-
-def _nonnegative_integral(f, supp: SupportSpec, settings: QuadratureSettings,
-                          points=()) -> float:
-    """Integral of a nonnegative integrand, or +inf when it diverges;
-    ``points`` as for ``integrate``."""
-    if _diverges(f, supp, settings):
-        return math.inf
-    value, abserr, messages, divergent = _folded_quad(f, supp, settings, points)
-    if divergent or not math.isfinite(value):
-        return math.inf
-    tol = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
-    if messages and abserr > tol:
-        raise NonConvergenceError(
-            f"quadrature error estimate {abserr:.3e} above tolerance {tol:.3e}: {messages[0]}"
-        )
-    return value
-
-
-def cross_entropy_numeric(
-    supp: SupportSpec,
-    alpha,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    p_logpdf: Callable[[float], float],
-    q_logpdf: Callable[[float], float],
-    points=(),
-) -> float:
+def cross_entropy_numeric(supp: SupportSpec, alpha, *, p_logpdf: Callable[[float], float],
+                          q_logpdf: Callable[[float], float], points=()) -> float:
     """Order-alpha differential cross-entropy by direct quadrature.
 
-    Evaluates (1/(1-alpha)) ln integral of p q^(alpha-1) over the common
-    support; at the alpha -> 1 marker it evaluates -integral of p ln q.
-    With q = p this is the order-alpha entropy of p.  Returns +inf
-    (alpha < 1) or -inf (alpha > 1) when the defining integral diverges.
-    ``points`` are kinks of p or q, such as the location of a Laplace
-    density, where the integral is split.
-
-    The densities come as logarithms, with ln 0 = -inf, and the integrand
-    is formed in log space.  For alpha < 1 this matters: a reference
-    density that underflows to 0.0 in a tail where p is still
-    representable would otherwise be indistinguishable from a genuine zero
-    of q (where the integrand really is infinite).  Away from alpha = 1 the
-    integrand is cut only where exp(ln p + (alpha - 1) ln q) leaves the
-    double range, never where p alone is small, so a reference tail that
-    outgrows the source is seen as the divergence it is.
+    (1/(1-alpha)) ln integral of p q^(alpha-1) over the common support, or
+    -integral of p ln q at the alpha -> 1 marker; with q = p the order-alpha
+    entropy.  +inf (alpha < 1) or -inf (alpha > 1) where the integral
+    diverges.  ``points`` are kinks, such as a Laplace location.  The
+    densities come as logarithms (ln 0 = -inf) and ln p + (alpha - 1) ln q
+    is integrated as one, so an underflowing tail of q is not a zero of q
+    and an integral beyond the double range is still finite.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
@@ -261,78 +286,45 @@ def cross_entropy_numeric(
     if alpha.is_one:
         def integrand(x):
             lp = p_logpdf(x)
-            if lp < _LOG_TINY:
-                return 0.0
-            lq = q_logpdf(x)
-            if lq == -math.inf:
-                return math.inf
-            return -math.exp(lp) * lq
+            lq = q_logpdf(x) if lp > -math.inf else 0.0
+            return -math.exp(lp) * lq if lq > -math.inf else math.inf
 
-        value, _ = integrate(integrand, supp, settings, points)
-        return value
+        return integrate(integrand, supp, points)[0]
 
-    a = alpha.value
+    t = alpha.value - 1.0
 
-    def integrand(x):
+    def log_integrand(x):
         lp = p_logpdf(x)
-        if lp == -math.inf:
-            return 0.0
-        lq = q_logpdf(x)
-        if lq == -math.inf:
-            return math.inf if a < 1.0 else 0.0
-        z = lp + (a - 1.0) * lq
-        if z > _LOG_HUGE:
-            return math.inf
-        if z < _LOG_UNDERFLOW:
-            return 0.0
-        return math.exp(z)
+        return lp if lp == -math.inf else lp + t * q_logpdf(x)
 
-    total = _nonnegative_integral(integrand, supp, settings, points)
-    if math.isinf(total):
-        return math.inf if a < 1.0 else -math.inf
-    if total <= 0.0:
-        raise NonConvergenceError("defining integral evaluated to a nonpositive value")
-    return math.log(total) / (1.0 - a)
+    return quad(log_integrand, *_bounds(supp), points, log=True)[0] / -t
 
 
-def mgf_numeric(
-    supp: SupportSpec,
-    s: float,
-    center: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    *,
-    logpdf: Callable[[float], float],
-    mean: float,
-) -> float:
+def mgf_numeric(supp: SupportSpec, s: float, center: float, *,
+                logpdf: Callable[[float], float], mean: float) -> float:
     """Cumulant quotient ln E[exp(s Y)] / s of Y = (X - center)^2 by quadrature.
 
-    X has the log-density ``logpdf`` (ln 0 = -inf) and Y the mean ``mean``,
-    the value at s = 0, which takes no quadrature.  s > 0 needs a bounded
-    support.  Where s E[Y] >= -ln 2, so that M >= 1/2, the integrand is
-    p expm1(s Y) / s, whose integral m gives log1p(s m) / s without the
-    cancellation of ln M next to M = 1; elsewhere it is p exp(s Y), and
-    the quotient ln M / s.
+    X has the log-density ``logpdf`` and Y the mean ``mean``, the value at
+    s = 0; s > 0 needs a bounded support.  Where |s E[Y]| <= ln 2 the
+    integral m of p expm1(s Y) / s gives log1p(s m) / s, free of the
+    cancellation next to M = 1; elsewhere ln M is integrated as a logarithm.
     """
     s = float(s)
     if s == 0.0:
         return mean
     if s > 0.0 and supp.kind is not SupportKind.INTERVAL:
         raise InvalidParameterError("E[exp(s Y)] with s > 0 needs a bounded support")
-    near_one = s * mean >= -_LOG_2
+    if abs(s * mean) > _LOG_2:
+        return quad(lambda x: logpdf(x) + s * (x - center) * (x - center), *_bounds(supp),
+                    log=True)[0] / s
 
     def integrand(x):
         lp = logpdf(x)
-        if lp == -math.inf:
-            return 0.0
-        y = s * (x - center) * (x - center)
-        if y > _LOG_HUGE:
-            return math.inf
-        return math.exp(lp) * math.expm1(y) / s if near_one else math.exp(lp + y)
+        y = s * (x - center) * (x - center)  # e^y formed with p where y > 0
+        return 0.0 if lp == -math.inf else (
+            math.exp(lp) * math.expm1(y) if y <= 0.0 else -math.exp(lp + y) * math.expm1(-y)) / s
 
-    m = integrate(integrand, supp, settings)[0]
-    if near_one:
-        return math.log1p(s * m) / s
-    return (math.log(m) if m > 0.0 else -math.inf) / s
+    return math.log1p(s * integrate(integrand, supp)[0]) / s
 
 
 def gaussian_log_form_2d(cov) -> tuple[float, np.ndarray]:
@@ -369,17 +361,15 @@ def _lattice_sums(integrand: Callable, *lattices) -> tuple[float, float]:
 def cross_entropy_grid2d_gaussian(cov1, cov2, alpha) -> float:
     """Cross-entropy of two zero-mean bivariate normals on nested lattices.
 
-    Independent of the matrix closed form: the integrand is summed node by
-    node from each density's log form c - x^T K x / 2, as exp(c_p +
-    (alpha-1) c_q - x^T k x / 2) with k = K_p + (alpha-1) K_q, or at
-    alpha = 1 as p (-ln q) with k = K_p.  Where k is not positive definite
-    the integral diverges: +inf, returned without integrating.  The lattice
-    spans +-12 standard deviations along k's principal axes, where the
-    integrand is exp(-72) of its peak, so the trapezoid rule weighs every
-    node alike and converges geometrically.  Each level halves the spacing
-    and evaluates only its new nodes, in blocks of at most 2^16, until two
-    levels agree to 1e-13 of the integral of |integrand| (so also on a
-    value of 0); past 1024 intervals per axis it raises NonConvergenceError.
+    The integrand is summed node by node from each density's log form
+    c - x^T K x / 2, as exp(c_p + (alpha-1) c_q - x^T k x / 2) with
+    k = K_p + (alpha-1) K_q, or at alpha = 1 as p (-ln q) with k = K_p;
+    where k is not positive definite the integral diverges, without
+    integrating.  The lattice spans +-12 standard deviations along k's axes,
+    where the trapezoid rule converges geometrically; each level halves the
+    spacing, evaluating only new nodes in blocks of at most 2^16, until two
+    agree to 1e-13 of the integral of |integrand|, or past 1024 intervals
+    per axis raises NonConvergenceError.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:

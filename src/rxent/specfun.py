@@ -216,12 +216,13 @@ def log_kummer_slope(a: float, b: float, t: float) -> float:
     """ln M(a, a + b, t) / t of Kummer's confluent hypergeometric function,
     a, b > 0, and its limit a / (a + b) at t = 0.
 
-    From t = -1 up, Kummer's series with its first factor of t divided out,
-    M = 1 + t R with R = sum_n t^(n-1) (a)_n / ((a + b)_n n!), gives
-    log1p(t R) / t, exact as t -> 0; on [-1, 0) the terms of R alternate
-    but shrink from the first on.  Below -1, M(a, a + b, t) =
-    e^t M(b, a + b, -t) makes every term positive and the quotient 1 minus
-    that of M(b, a + b, -t), whose sum is rescaled as it grows.  For t > 0
+    Kummer's series with its first factor of t divided out, M = 1 + t R,
+    R = sum_n t^(n-1) (a)_n / ((a + b)_n n!), gives log1p(t R) / t, exact as
+    t -> 0, from t = -1 up and wherever |t| (a + n) / ((a + b + n)(n + 1))
+    < 1, so that for t < 0 the terms alternate and shrink from the first on.
+    Elsewhere M(a, a + b, t) = e^t M(b, a + b, -t) makes every term positive
+    and the quotient 1 minus that of M(b, a + b, -t), whose sum is rescaled
+    as it grows.  For t > 0
     the sum overflows to +inf where (M - 1) / t exceeds the double range.
     The number of terms grows like |t|, so beyond |t| = 50 the large-|t|
     expansion is used wherever it reaches double precision, above 50 in
@@ -232,17 +233,19 @@ def log_kummer_slope(a: float, b: float, t: float) -> float:
         if log_m is not None:
             return log_m / t + (1.0 if t > 0.0 else 0.0)
     c = a + b
-    p, s = (a, t) if t >= -1.0 else (b, -t)
+    peak = max(1.0, math.sqrt(max(0.0, (1.0 - a) * (c - a))) - a)  # n of the largest ratio
+    direct = t >= -1.0 or -t * (a + peak) / ((c + peak) * (peak + 1.0)) < 1.0
+    p, s = (a, t) if direct else (b, -t)
     rest, term, log_scale, n = 0.0, p / c, 0.0, 0.0
     # terms grow while n < s, then fall off
     while (n < s or abs(term) > 1e-17 * rest) and rest < math.inf:
         rest += term
         n += 1.0
         term *= s * (p + n) / ((c + n) * (n + 1.0))
-        if rest > 1e300 and t < -1.0:  # the leading 1 is below rounding from here on
+        if rest > 1e300 and not direct:  # the leading 1 is below rounding from here on
             rest, term, log_scale = rest * 1e-300, term * 1e-300, log_scale + _LOG_1E300
     q = log1p_slope(s, rest) if log_scale == 0.0 else (log_scale + math.log(s * rest)) / s
-    return q if t >= -1.0 else 1.0 - q
+    return q if direct else 1.0 - q
 
 
 def logsumexp(terms: np.ndarray) -> float:

@@ -35,7 +35,6 @@ from rxent import (
     ExpFamilyDistribution,
     MarkovSource,
     Method,
-    QuadratureSettings,
     StationaryGaussianSpec,
     cross_entropy_closed,
     cross_entropy_multivariate_gaussian,
@@ -103,13 +102,8 @@ PARAM_GRID = {
     ],
 }
 
-ORACLE_SETTINGS = QuadratureSettings(relative_tolerance=1e-8,
-                                     absolute_tolerance=1e-10)
-
-
-def quad_value(f1, f2, alpha, settings=ORACLE_SETTINGS):
-    return cross_entropy_numeric(f1.support, alpha, settings,
-                                 p_logpdf=f1.logpdf, q_logpdf=f2.logpdf)
+def quad_value(f1, f2, alpha):
+    return cross_entropy_numeric(f1.support, alpha, p_logpdf=f1.logpdf, q_logpdf=f2.logpdf)
 
 
 def test_criterion_01_closed_forms_match_quadrature_and_engine():
@@ -238,7 +232,7 @@ def test_criterion_05_special_case_reducers_match_quadrature():
         (E.beta(2.0, 5.0), 1.5),
     ]:
         value = cross_entropy_p_uniform(UNIT_INTERVAL, q, a).value
-        numeric = cross_entropy_numeric(UNIT_INTERVAL, AlphaOrder(a), ORACLE_SETTINGS,
+        numeric = cross_entropy_numeric(UNIT_INTERVAL, AlphaOrder(a),
                                         p_logpdf=uniform_logpdf, q_logpdf=q.logpdf)
         assert abs(value - numeric) <= 1e-6, (q, a)
 
@@ -282,7 +276,7 @@ def test_criterion_05_special_case_reducers_match_quadrature():
         def hn_logpdf(x, _ln=log_norm, _v=var):
             return _ln - x * x / (2.0 * _v) if x > 0 else -math.inf
 
-        numeric = cross_entropy_numeric(POSITIVE_REALS, AlphaOrder(a), ORACLE_SETTINGS,
+        numeric = cross_entropy_numeric(POSITIVE_REALS, AlphaOrder(a),
                                         p_logpdf=p.logpdf, q_logpdf=hn_logpdf)
         assert abs(value - numeric) <= 1e-6, (p, var, a)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import mpmath as mp
@@ -307,18 +309,14 @@ class TestUniformSource:
         assert_allclose(r.value, 2.0 + betaln(2, 2), rtol=1e-14)
 
     def test_matches_quadrature(self):
-        from rxent import QuadratureSettings
         from rxent.support import UNIT_INTERVAL
 
         q = E.beta(2.5, 3.5)
-        # alpha below 1 - 1/min(qa-1, qb-1) would diverge; stay inside.
-        # The alpha < 1 integrand has an endpoint singularity, so give the
-        # quadrature a little slack there.
-        loose = QuadratureSettings(relative_tolerance=1e-8)
+        # alpha below 1 - 1/min(qa-1, qb-1) would diverge; stay inside
         for a in (0.7, 2.0, 3.0):
             r = cross_entropy_p_uniform(UNIT_INTERVAL, q, a)
             numeric = cross_entropy_numeric(
-                UNIT_INTERVAL, AlphaOrder(a), loose,
+                UNIT_INTERVAL, AlphaOrder(a),
                 p_logpdf=lambda x: 0.0 if 0 < x < 1 else -math.inf,
                 q_logpdf=q.logpdf,
             )
@@ -856,6 +854,25 @@ class TestLogSpace:
         m = mgf_of_centered_square(E.gaussian(0.0, 1.0), 1e308)
         with pytest.raises(DoubleRangeError):
             cross_entropy_q_gaussian(m, 1e308, 1.0, a)
+
+    @pytest.mark.parametrize("route", [cross_entropy_closed, cross_entropy_natural])
+    @pytest.mark.parametrize("a", [0.5, "one", 2.0])
+    def test_family_value_beyond_double_range_is_typed(self, route, a):
+        # (mu1 - mu2)^2 = 1e400 overflows, yet the integral converges: no verdict
+        with pytest.raises(DoubleRangeError):
+            route(E.gaussian(1e200, 1.0), E.gaussian(0.0, 1.0), a)
+
+    @pytest.mark.parametrize("method", ["closed", "natural"])
+    def test_family_value_beyond_double_range_in_the_cli(self, method):
+        from rxent.cli import main
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(f"xent expfam --family gaussian --p mu=1e200,var=1 --q mu=0,var=1 "
+                        f"--alpha 2 --method {method}".split())
+        lines = err.getvalue().splitlines()
+        assert (code, out.getvalue(), len(lines)) == (1, "", 1)
+        assert lines[0].startswith("error:")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_reference_rejected(self, bad):

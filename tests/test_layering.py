@@ -3,10 +3,9 @@
 Quadrature belongs to the referee (``oracle.py``) alone, and the closed forms
 reach it only for the numeric MGF of Gamma and Beta sources; graph algorithms
 come from numpy, and the exponential-family representation does not depend
-on the referee it is checked against.  scipy is the referee's adaptive
-rule: no other module imports it, and ``oracle.py`` imports it only when
-the first integral runs.  From the package the referee imports only the
-order type, the errors and the supports, never a closed form.
+on the referee it is checked against.  The quadrature rule is the package's
+own, so no module imports scipy.  From the package the referee imports only
+the order type, the errors and the supports, never a closed form.
 """
 
 import ast
@@ -41,15 +40,6 @@ def test_package_modules_found():
     assert {"oracle.py", "expfam.py", "markov.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_quadrature_or_sparse_outside_oracle(path):
-    names = imported_modules(path)
-    if path.name != "oracle.py":
-        assert not any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                       for n in names)
-    assert not any(n == "scipy.sparse" or n.startswith("scipy.sparse.") for n in names)
-
-
 def test_expfam_does_not_import_oracle():
     names = imported_modules(PACKAGE / "expfam.py")
     assert not any(n == "rxent.oracle" or n.startswith("rxent.oracle.") for n in names)
@@ -66,32 +56,9 @@ def test_differential_uses_only_the_numeric_mgf_of_oracle():
                    and node.module.split(".")[-1] == "oracle" for node in ast.walk(tree))
 
 
-def _is_scipy(name):
-    return name == "scipy" or name.startswith("scipy.")
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracle.py"],
-                         ids=lambda p: p.name)
-def test_no_scipy_outside_oracle(path):
-    assert not any(_is_scipy(n) for n in imported_modules(path))
-
-
-def test_oracle_imports_scipy_only_inside_functions():
-    path = PACKAGE / "oracle.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    # everything outside function bodies runs at import time, class bodies too
-    pending, at_import = list(tree.body), []
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            at_import += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            at_import.append(node.module or "")
-        pending.extend(ast.iter_child_nodes(node))
-    assert at_import and not any(_is_scipy(n) for n in at_import)
-    assert any(_is_scipy(n) for n in imported_modules(path))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert not any(n == "scipy" or n.startswith("scipy.") for n in imported_modules(path))
 
 
 def test_oracle_cannot_reach_a_closed_form():

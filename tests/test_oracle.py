@@ -1,12 +1,18 @@
+import contextlib
+import io
+import json
 import math
+from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
-from rxent import AlphaOrder, ExpFamilyDistribution, QuadratureSettings
+from rxent import AlphaOrder, ExpFamilyDistribution, cross_entropy_closed
+from rxent.cli import main
 from rxent.differential import cross_entropy_multivariate_gaussian
 from rxent.errors import (
     InvalidAlphaError,
@@ -14,14 +20,12 @@ from rxent.errors import (
     NonConvergenceError,
 )
 from rxent.oracle import (
-    DEFAULT_SETTINGS,
-    _diverges,
-    _nonnegative_integral,
     cross_entropy_grid2d_gaussian,
     cross_entropy_numeric,
     gaussian_log_form_2d,
     integrate,
     mgf_numeric,
+    quad,
 )
 from rxent.support import ALL_REALS, POSITIVE_REALS, SupportSpec, UNIT_INTERVAL
 
@@ -81,69 +85,102 @@ class TestIntegrateHonesty:
                 f"actual error {actual:.3e} vs estimate {err:.3e}"
             )
 
-    def test_settings_validation(self):
-        with pytest.raises(InvalidParameterError):
-            QuadratureSettings(relative_tolerance=0.0)
-        with pytest.raises(InvalidParameterError):
-            QuadratureSettings(absolute_tolerance=-1.0)
-        with pytest.raises(InvalidParameterError):
-            QuadratureSettings(max_subdivisions=2)
 
+class TestEndVerdicts:
+    """Divergence is read from the integrand's power law at each end of the
+    support, before any node is evaluated."""
 
-class TestDivergenceProbe:
-    def test_flags_divergent_tails(self):
-        cases = [
-            (lambda x: 1.0 / (1.0 + x), HALF),        # logarithmic
-            (lambda x: x / (1.0 + x), HALF),          # linear
-            (lambda x: 1.0, LINE),                    # constant
-            (lambda x: math.exp(min(x, 600.0)), HALF),  # explosive
-            (lambda x: 1.0 / math.sqrt(1.0 + x * x), LINE),
-        ]
-        for f, supp in cases:
-            assert _diverges(f, supp, DEFAULT_SETTINGS)
-            assert _nonnegative_integral(f, supp, DEFAULT_SETTINGS) == math.inf
+    @pytest.mark.parametrize("f, supp", [
+        (lambda x: 1.0 / (1.0 + x), HALF),        # logarithmic
+        (lambda x: x / (1.0 + x), HALF),          # linear
+        (lambda x: 1.0, LINE),                    # constant
+        (lambda x: math.exp(min(x, 600.0)), HALF),  # explosive
+        (lambda x: 1.0 / math.sqrt(1.0 + x * x), LINE),
+        (lambda x: 1.0 / x, UNIT),                # a finite end at power -1
+        (lambda x: (1.0 - x) ** -1.5, UNIT),
+    ], ids=["log", "linear", "constant", "explosive", "line-log", "finite-end", "finite-end-1.5"])
+    def test_flags_divergent_ends_without_integrating(self, f, supp):
+        seen = []
 
-    def test_passes_convergent_integrands(self):
-        wide = ExpFamilyDistribution.gaussian(0.0, 100.0)  # slow start, no growth run
-        cases = [
-            (wide.pdf, LINE, 1.0),
-            (lambda x: math.exp(-x), HALF, 1.0),
-            (lambda x: 1.0 / (1.0 + x * x), LINE, math.pi),  # heavy but convergent
-            (lambda x: math.exp(-x / 64.0) / 64.0, HALF, 1.0),
-        ]
-        for f, supp, exact in cases:
-            assert not _diverges(f, supp, DEFAULT_SETTINGS)
-            value = _nonnegative_integral(f, supp, DEFAULT_SETTINGS)
-            assert abs(value - exact) < 1e-8
+        def spy(x):
+            seen.append(x)
+            return f(x)
 
-    def test_compact_interval_never_probed(self):
-        assert not _diverges(lambda x: 1.0 / x, UNIT, DEFAULT_SETTINGS)
+        assert integrate(spy, supp) == (math.inf, math.inf)
+        assert len(seen) <= 6  # three probes at each end
 
-    @pytest.mark.parametrize("f, supp, diverges", [
-        (lambda x: math.exp(-x), HALF, False),
-        (lambda x: 1.0 / (1.0 + x * x), LINE, False),
-        (lambda x: 1.0 / (1.0 + x), HALF, True),
-    ], ids=["exponential", "cauchy", "log-divergent"])
-    def test_each_point_integrated_once(self, monkeypatch, f, supp, diverges):
-        # the probe's intervals tile its last window: no region twice
+    def test_sign_of_a_divergent_signed_integrand(self):
+        assert integrate(lambda x: -1.0 / x, UNIT)[0] == -math.inf
+
+    @pytest.mark.parametrize("f, supp, exact", [
+        (ExpFamilyDistribution.gaussian(0.0, 100.0).pdf, LINE, 1.0),
+        (lambda x: math.exp(-x), HALF, 1.0),
+        (lambda x: 1.0 / (1.0 + x * x), LINE, math.pi),  # heavy but convergent
+        (lambda x: math.exp(-x / 64.0) / 64.0, HALF, 1.0),
+        (lambda x: 1.0 / math.sqrt(x), UNIT, 2.0),       # a finite end at power -1/2
+        (lambda x: x ** -0.99, UNIT, 100.0),
+    ], ids=["wide-gaussian", "exponential", "cauchy", "slow-exponential", "sqrt", "power-0.99"])
+    def test_passes_convergent_integrands(self, f, supp, exact):
+        value, err = integrate(f, supp)
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert err <= 1e-9 * exact
+
+    @pytest.mark.parametrize("f, supp", [
+        (lambda x: math.exp(-x), HALF),
+        (lambda x: 1.0 / (1.0 + x * x), LINE),
+        (lambda x: math.exp(-((x - 3.0) ** 2)) + 0.1 * math.exp(-abs(x)), LINE),
+        (ExpFamilyDistribution.beta(0.6, 2.5).pdf, UNIT),
+    ], ids=["exponential", "cauchy", "two-scale", "beta"])
+    def test_each_point_integrated_once(self, monkeypatch, f, supp):
+        # apart from the end probes and the peak scan, no x is evaluated twice
         from rxent import oracle
 
-        seen = []
-        real = oracle.quad
+        phase, seen = ["nodes"], []
 
-        def spy(g, a, b, **options):
-            seen.append((a, b))
-            return real(g, a, b, **options)
+        def tagged(fn, name):
+            def run(*args):
+                phase[0] = name
+                try:
+                    return fn(*args)
+                finally:
+                    phase[0] = "nodes"
+            return run
 
-        monkeypatch.setattr(oracle, "quad", spy)
-        assert _diverges(f, supp, DEFAULT_SETTINGS) is diverges
-        # sorted, each interval starts where the one before it ends
-        tiles = sorted(seen)
-        assert all(a < b for a, b in tiles)
-        assert all(end == start for (_, end), (start, _) in zip(tiles, tiles[1:]))
-        width = tiles[-1][1]
-        assert math.log2(width) == int(math.log2(width))
-        assert tiles[0][0] == (0.0 if supp is HALF else -width)
+        monkeypatch.setattr(oracle, "_end_law", tagged(oracle._end_law, "probe"))
+        monkeypatch.setattr(oracle, "_peak", tagged(oracle._peak, "scan"))
+
+        def spy(x):
+            seen.append((phase[0], x))
+            return f(x)
+
+        integrate(spy, supp)
+        nodes = Counter(x for where, x in seen if where == "nodes")
+        assert nodes and max(nodes.values()) == 1
+
+    def test_level_cap_raises_instead_of_returning(self, monkeypatch):
+        from rxent import oracle
+
+        monkeypatch.setattr(oracle, "_TOLERANCE", -1.0)  # no two levels ever agree
+        with pytest.raises(NonConvergenceError):
+            integrate(lambda x: math.exp(-x * x), LINE)
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("power", [-0.5, -0.9, -0.99, -0.999, -1.001, -1.3])
+    def test_p_uniform_end_powers(self, end, power):
+        # p uniform on (0, 1) and q = Beta(a, b) at alpha = 1/2: the integrand
+        # q^(-1/2) has the power t (a - 1) at 0 and t (b - 1) at 1, t = -1/2
+        a, b = (1.0 - 2.0 * power, 2.0) if end == "lower" else (2.0, 1.0 - 2.0 * power)
+        q = ExpFamilyDistribution.beta(a, b)
+        value = cross_entropy_numeric(UNIT, 0.5, q_logpdf=q.logpdf,
+                                      p_logpdf=lambda x: 0.0 if 0.0 < x < 1.0 else -math.inf)
+        if power <= -1.0:
+            assert value == math.inf
+            return
+        with mp.workdps(40):
+            t = mp.mpf(-0.5)
+            want = 2 * (mp.log(mp.beta(1 + t * (a - 1), 1 + t * (b - 1))) - t * mp.log(mp.beta(a, b)))
+        rel = 5e-9 if (end, power) == ("upper", -0.999) else 1e-9
+        assert value == pytest.approx(float(want), rel=rel)
 
 
 class TestCrossEntropyNumeric:
@@ -362,23 +399,116 @@ class TestKinks:
         (HALF, -800.0, 0.0),
         (SupportSpec.interval(0.0, 2.0), 0.5, 2.0 - math.exp(-0.5) - math.exp(-1.5)),
     ])
-    def test_kink_lands_on_its_folded_point(self, monkeypatch, supp, kink, want):
+    def test_kink_is_a_piece_end(self, monkeypatch, supp, kink, want):
         from rxent import oracle
 
-        seen = []
-        real = oracle.quad
+        ends, real = [], oracle._Side.__init__
 
-        def spy(f, a, b, **options):
-            seen.append(options["points"])
-            return real(f, a, b, **options)
+        def spy(side, kind, origin, *args):
+            ends.append(origin)
+            real(side, kind, origin, *args)
 
-        monkeypatch.setattr(oracle, "quad", spy)
+        monkeypatch.setattr(oracle._Side, "__init__", spy)
         value, _ = integrate(lambda x: math.exp(-abs(x - kink)), supp, points=(kink,))
-        assert value == pytest.approx(want, rel=1e-10)
-        (points,) = seen
-        if supp is HALF and kink < 0:
-            assert points is None
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+        assert (kink in ends) == supp.contains(kink)
+
+    def test_peak_split_finds_an_unnamed_kink(self):
+        # without points the peak scan lands on the Laplace location
+        value, _ = integrate(lambda x: math.exp(-abs(x - 0.37) / 0.2), LINE)
+        assert value == pytest.approx(0.4, rel=1e-12)
+
+
+def _same_family_pair(draw):
+    """A same-family pair of scalar members: means in [-20, 20], variances
+    and scales in [0.05, 20], Gamma shapes up to 60."""
+    family = draw(st.sampled_from(["gaussian", "laplace", "exponential", "gamma", "chi2",
+                                   "beta"]))
+    scale = st.floats(0.05, 20.0)
+    mean = st.floats(-20.0, 20.0)
+    shape = st.floats(0.3, 60.0)
+    E = ExpFamilyDistribution
+    if family == "gaussian":
+        return E.gaussian(draw(mean), draw(scale)), E.gaussian(draw(mean), draw(scale))
+    if family == "laplace":
+        mu = draw(mean)
+        return E.laplace(mu, draw(scale)), E.laplace(mu, draw(scale))
+    if family == "exponential":
+        return E.exponential(1.0 / draw(scale)), E.exponential(1.0 / draw(scale))
+    if family == "gamma":
+        return E.gamma(draw(shape), draw(scale)), E.gamma(draw(shape), draw(scale))
+    if family == "chi2":
+        return E.chi_squared(draw(shape)), E.chi_squared(draw(shape))
+    return E.beta(draw(shape), draw(shape)), E.beta(draw(shape), draw(shape))
+
+
+class TestAgainstClosedForms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_numeric_equals_closed_or_the_same_infinity(self, data):
+        p, q = _same_family_pair(data.draw)
+        a = data.draw(st.floats(0.3, 5.0))
+        closed = cross_entropy_closed(p, q, a).value
+        value = cross_entropy_numeric(p.support, a, p_logpdf=p.logpdf, q_logpdf=q.logpdf)
+        if math.isinf(closed):
+            assert value == closed
+        else:
+            assert abs(value - closed) <= 1e-9 * max(1.0, abs(closed)), (p, q, a)
+
+    @pytest.mark.parametrize("p, q, a", [
+        ("mu=8,var=0.1", "mu=0,var=1", 2.0),
+        ("mu=-300,var=0.5", "mu=0,var=1", 0.7),  # integral about e^15883
+    ])
+    def test_gaussian_pairs_far_apart(self, p, q, a):
+        code, out = self._cli(f"--family gaussian --p {p} --q {q} --alpha {a}")
+        assert code == 0 and out["oracle"] == pytest.approx(out["value"], rel=1e-9)
+
+    def test_gamma_pair_far_apart(self):
+        code, out = self._cli("--family gamma --p k=50,theta=1 --q k=2,theta=1 --alpha 2")
+        assert code == 0 and out["oracle"] == pytest.approx(out["value"], rel=1e-9)
+
+    @staticmethod
+    def _cli(words):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(f"xent expfam {words} --oracle --format json".split())
+        return code, json.loads(out.getvalue())
+
+    def test_integral_below_the_double_range(self):
+        # p q^(alpha - 1) peaks near e^-2000: carried as a logarithm, not 0
+        p = ExpFamilyDistribution.gaussian(0.0, 1.0)
+        q = ExpFamilyDistribution.gaussian(60.0, 1.0)
+        closed = cross_entropy_closed(p, q, 3.0).value
+        value = cross_entropy_numeric(LINE, 3.0, p_logpdf=p.logpdf, q_logpdf=q.logpdf)
+        assert value == pytest.approx(closed, rel=1e-12)
+
+    def test_log_factor_at_an_end_is_refused_not_misread(self):
+        # at alpha = 1, -p ln q near x = 1 is a power times ln(1 - x), below
+        # the rounding of x: the error estimate says so, and no number comes back
+        p, q = ExpFamilyDistribution.beta(2.0, 0.5), ExpFamilyDistribution.beta(3.0, 2.0)
+        try:
+            value = cross_entropy_numeric(UNIT, "one", p_logpdf=p.logpdf, q_logpdf=q.logpdf)
+        except NonConvergenceError:
             return
-        (u,) = points
-        back = u if supp.kind.value == "interval" else math.tan(u)
-        assert back == pytest.approx(kink, rel=1e-14)
+        assert value == pytest.approx(cross_entropy_closed(p, q, "one").value, rel=1e-9)
+
+
+class TestQuadLogMode:
+    def test_logarithm_of_the_integral(self):
+        value, err = quad(lambda x: -x * x - 5000.0, -math.inf, math.inf, log=True)
+        assert value == pytest.approx(0.5 * math.log(math.pi) - 5000.0, rel=1e-15)
+        assert 0.0 <= err <= 1e-9
+
+    def test_zero_integrand_is_minus_inf(self):
+        assert quad(lambda x: -math.inf, 0.0, 1.0, log=True)[0] == -math.inf
+
+    def test_integrand_infinite_inside_is_the_verdict(self):
+        # ln q = -inf on x < 0 at alpha < 1 makes the integrand +inf there
+        assert quad(lambda x: math.inf if x < 0.0 else -x * x, -math.inf, math.inf,
+                    log=True)[0] == math.inf
+
+
+    def test_a_mode_the_scan_misses_is_an_error(self):
+        # the scan (at 1 and 16) stops e^50 below its best next to 0 and never
+        # sees the mode at 11; nodes there rise e^800 above the shift
+        with pytest.raises(NonConvergenceError):
+            quad(lambda x: max(-x, 800.0 - 1e3 * (x - 11.0) ** 2), 0.0, math.inf, log=True)

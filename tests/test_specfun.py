@@ -154,6 +154,16 @@ class TestKummer:
             want = a / mp.mpf(a + b) if t == 0.0 else mp.log(mp.hyp1f1(a, a + b, t)) / t
         assert_allclose(log_kummer_slope(a, b, t), float(want), rtol=1e-14)
 
+    @pytest.mark.parametrize("a, b, t", [(0.01, 100.0, -7.5), (0.01, 100.0, -1.01),
+                                         (0.01, 100.0, -30.0), (0.4, 8.0, -1.5),
+                                         (0.4, 8.0, -4.0), (2.0, 3.0, -1.5)])
+    def test_direct_series_below_minus_one(self, a, b, t):
+        # the term ratio |t| (a + n) / ((a + b + n)(n + 1)) stays below 1, so
+        # the alternating series keeps the digits 1 - Q(b, a, -t) would cancel
+        with mp.workdps(40):
+            want = mp.log(mp.hyp1f1(a, a + b, t)) / t
+        assert_allclose(log_kummer_slope(a, b, t), float(want), rtol=2e-15)
+
     @pytest.mark.parametrize("t", [-800.0, -3000.0])
     def test_large_negative_argument(self, t):
         # e^-t M(b, a + b, -t) overflows a double, so the sum is rescaled;
