@@ -32,7 +32,9 @@ points within rounding of 1 are evaluated at 1, so any grid may step
 through it.  ``--oracle`` adds an independent referee value and the gap
 between the two, which is 0 where both are the same infinity; the
 referee's inputs (for the continuous targets, the two log-densities) are
-built only then.
+built only then.  Where the referee fails, the value prints as without
+``--oracle``, the referee's error goes to stderr as ``error: oracle: ...``
+and the process exits with status 1.
 """
 
 from __future__ import annotations
@@ -573,9 +575,14 @@ def _render(job: JobSpec, rows) -> str:
 def run(job: JobSpec) -> tuple[int, str]:
     """Evaluate a job and return (exit_code, rendered_output)."""
     values, referee = _TARGETS[job.command.split()[1]].prepare(job.options)
-    rows = []
+    rows, failure = [], None
     for alpha, value in zip(job.alphas, values(job.alphas)):
-        oracle_value = referee(alpha) if job.oracle_check else None
+        oracle_value = None
+        if job.oracle_check:
+            try:
+                oracle_value = referee(alpha)
+            except RenyiError as exc:  # the value still prints, as without --oracle
+                failure = exc
         if job.bits:
             value = value / math.log(2)
             if oracle_value is not None:
@@ -591,6 +598,9 @@ def run(job: JobSpec) -> tuple[int, str]:
                 )
                 break
     code = 2 if any(math.isinf(v) for _, v, _ in rows) else 0
+    if failure is not None:
+        print(f"error: oracle: {failure}", file=sys.stderr)
+        code = 1
     return code, _render(job, rows)
 
 

@@ -58,6 +58,7 @@ from .expfam import (
     ExpFamilyDistribution,
     Family,
     combine_natural,
+    gaussian_log_partition_gap,
     log_base_expectation,
     log_partition,
     log_partition_slope,
@@ -148,10 +149,13 @@ def cross_entropy_natural(
     t = alpha.value - 1.0
     try:
         eta_h = combine_natural(eta1, eta2, alpha)
-        slope = log_partition_slope(eta1, eta2, t)
+        if f1.family is Family.GAUSSIAN:
+            value = gaussian_log_partition_gap(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
+        else:
+            value = (log_partition_slope(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
+                     - log_partition(eta2))
     except OutOfDomainError:
         return _diverged(alpha, Method.NATURAL_PARAMS)
-    value = slope - log_base_expectation(eta_h, alpha) - log_partition(eta2)
     return _finite(value, Method.NATURAL_PARAMS)
 
 
@@ -219,7 +223,7 @@ def cross_entropy_closed(
             return _diverged(alpha, m)
         delta = mu1 - mu2
         value = 0.5 * (math.log(2 * math.pi * v2) + log1p_slope(t, v1 / v2)
-                       + delta * delta / (v2 * (1.0 + t * (v1 / v2))))
+                       + delta * (delta / (v2 * (1.0 + t * (v1 / v2)))))
         return _finite(value, m)
 
     if f1.family is Family.LAPLACE_EQUAL_MEAN:

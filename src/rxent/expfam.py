@@ -463,7 +463,8 @@ def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> flo
     Written per family with log1p and ln Gamma divided differences, so it
     does not cancel as t -> 0; at t = 0 it is the directional derivative
     grad A(eta1) . eta2 = -E_1[T] . eta2.  The caller checks that
-    eta1 + t eta2 lies in the natural domain (``combine_natural``).
+    eta1 + t eta2 lies in the natural domain (``combine_natural``).  For
+    the Gaussian see ``gaussian_log_partition_gap``, which subtracts A(eta2).
     """
     c, d = eta1.components, eta2.components
     if eta1.family is Family.BETA:
@@ -476,14 +477,25 @@ def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> flo
         k = c[0] + 1
         return (-gammaln_slope(k, d[0], t) + d[0] * math.log(-c[1])
                 + (k + t * d[0]) * _inner_log1p_slope(t, d[1] / c[1]))
-    if eta1.family is Family.GAUSSIAN:
-        # (1/2) ln(-2 eta_2) plus eta_1^2 / (4 eta_2), differenced exactly
-        x, u, y, v = float(c[0]), float(c[1]), float(d[0]), float(d[1])  # inf, not a warning
-        return (0.5 * _inner_log1p_slope(t, v / u)
-                + (u * y * (2.0 * x + t * y) - x * x * v) / (4.0 * u * (u + t * v)))
     if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN:  # A = (1/2) ln det(-2 eta)
         return 0.5 * log1p_slope_sum([t], relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))[0]
     raise InvalidParameterError(f"unknown family {eta1.family}")
+
+
+def gaussian_log_partition_gap(eta1: NaturalParam, eta2: NaturalParam, t: float) -> float:
+    """[A(eta1 + t eta2) - A(eta1)] / t - A(eta2) for Gaussian parameters.
+
+    A = (1/2) ln(-2 eta_2) + eta_1^2 / (4 eta_2).  With eta1 = (x, u),
+    eta2 = (y, v) and r = v / u, the quadratic parts of the slope and of
+    A(eta2) merge into -(u y - v x)^2 / (4 u v (u + t v)), formed as
+    -(q / 4 v) (q / (1 + t r)) with q = y - r x: apart they cancel at large
+    t, and their squares leave the double range before the value does.
+    """
+    (x, u), (y, v) = map(float, eta1.components), map(float, eta2.components)
+    r = v / u
+    q = y - r * x
+    return (0.5 * (_inner_log1p_slope(t, r) - math.log(-2.0 * v))
+            - (q / (4.0 * v)) * (q / (1.0 + t * r)))
 
 
 def log_base_expectation(eta: NaturalParam, alpha) -> float:

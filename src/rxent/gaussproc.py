@@ -23,9 +23,12 @@ The trapezoid levels of the spectral rate are nested: level 0 is the
 4096-point uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point
 grid.  Each spec keeps, per level, its density there, the minimum and the
 sum of the logs (``_levels``), so an order adds only log1p(t f/g) over the
-new nodes to running sums.  The grid cap of 2^17 points bounds the store at
-about 1 MB per spec.  The orders of a sequence run the levels together,
-with one (orders x nodes) log1p per level.
+new nodes to running sums.  A closed-form density is evaluated at the
+level's nodes; a truncated series fills a level from one real FFT of its
+lags folded onto the whole grid of that size (the odd entries for j >= 1),
+in place of one cosine pass per lag.  The grid cap of 2^17 points bounds
+the store at about 1 MB per spec.  The orders of a sequence run the levels
+together, with one (orders x nodes) log1p per level.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ class StationaryGaussianSpec:
     ``autocov_fn`` gives r_k for any array of lags k, in which case the
     Toeplitz covariances use it at every order.  When a closed-form
     spectral density is known (``psd_fn``), it is preferred to the
-    truncated cosine series.  Construction verifies r_0 > 0, strict
-    positivity of the spectral density on a 4096-point grid, and positive
-    definiteness of the order-64 Toeplitz matrix.
+    truncated cosine series r_0 + 2 sum r_k cos(k w); on the uniform grids
+    of the spectral rate that series is one real FFT of the lags per grid
+    size.  Construction verifies r_0 > 0, strict positivity of the spectral
+    density on a 4096-point grid, and positive definiteness of the order-64
+    Toeplitz matrix.
     """
 
     autocov: np.ndarray
@@ -143,11 +148,26 @@ def _level(spec: StationaryGaussianSpec, j: int) -> tuple[np.ndarray, float, flo
     and the sum of its logs, computed once per spec and level."""
     levels = spec._levels
     while len(levels) <= j:
-        nodes = np.linspace(0.0, 2.0 * math.pi, _SPECTRAL_GRID << len(levels), endpoint=False)
-        vals = psd(spec, nodes[1::2] if levels else nodes)
+        vals = _level_psd(spec, len(levels))
         with np.errstate(divide="ignore", invalid="ignore"):  # a low min is rejected
             levels.append((vals, float(np.min(vals)), float(np.log(vals).sum())))
     return levels[j]
+
+
+def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
+    """psd on the nodes of level j: the closed form at the nodes, or the
+    cosine series on the whole 4096 2^j-point grid as one real DFT of the
+    lags folded onto 0..size/2 (lag k onto min(k mod size, -k mod size))."""
+    size = _SPECTRAL_GRID << j
+    if spec.psd_fn is not None:
+        nodes = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
+        return psd(spec, nodes[1::2] if j else nodes)
+    lags = np.arange(spec.autocov.size)
+    fold = np.minimum(lags % size, -lags % size)
+    # hfft counts the entries at 0 and size/2 once and every other twice
+    weight = np.where((lags > 0) & (fold % (size // 2) == 0), 2.0, 1.0)
+    vals = np.fft.hfft(np.bincount(fold, weight * spec.autocov, minlength=size // 2 + 1), size)
+    return vals[1::2] if j else vals
 
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:

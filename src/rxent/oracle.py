@@ -31,9 +31,12 @@ _LOG_2 = math.log(2.0)
 # end laws included, above _ACCEPT of it is refused.  A side reaches to
 # where its terms have decayed by e^-_DECAY, then to its outermost term
 # above _PRUNE of the largest.  End powers within _EDGE of -1 read as -1.
+# A law rising toward an infinite end from below _LOG_TINY, the log of the
+# least double, is the flank of a peak past the farthest node.
 _MAX_LEVEL, _T_MAX = 9, 16.0
 _TOLERANCE, _ACCEPT = 1e-10, 1e-9
 _DECAY, _PRUNE, _EDGE = 50.0, 1e-20, 1e-10
+_LOG_TINY = math.log(5e-324)
 # golden section of the peak, to 2^-30 relative
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _PEAK_PRECISION = 2.0 ** -30
@@ -90,6 +93,8 @@ def _end_law(f, end: float, inward: float, log: bool) -> tuple:
         e = -math.inf if math.isinf(end) else math.inf
     diverges = (any(v != v or v == math.inf for v in logs)
                 or (e >= -1.0 - _EDGE if math.isinf(end) else e <= -1.0 + _EDGE))
+    if diverges and math.isinf(end) and logs[0] < _LOG_TINY:
+        raise NonConvergenceError("the integrand rises past its farthest node to an infinite end")
     return diverges, ds[0], logs[0], e, 1.0 if log else math.copysign(1.0, values[0]), abs(e - outer)
 
 
@@ -277,7 +282,8 @@ def cross_entropy_numeric(supp: SupportSpec, alpha, *, p_logpdf: Callable[[float
     diverges.  ``points`` are kinks, such as a Laplace location.  The
     densities come as logarithms (ln 0 = -inf) and ln p + (alpha - 1) ln q
     is integrated as one, so an underflowing tail of q is not a zero of q
-    and an integral beyond the double range is still finite.
+    and an integral beyond the double range is still finite.  Where p's
+    mass lies past every node the rule reaches, NonConvergenceError.
     """
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
@@ -289,15 +295,21 @@ def cross_entropy_numeric(supp: SupportSpec, alpha, *, p_logpdf: Callable[[float
             lq = q_logpdf(x) if lp > -math.inf else 0.0
             return -math.exp(lp) * lq if lq > -math.inf else math.inf
 
-        return integrate(integrand, supp, points)[0]
+        value = integrate(integrand, supp, points)[0]
+        empty = value == 0.0
+    else:
+        t = alpha.value - 1.0
 
-    t = alpha.value - 1.0
+        def log_integrand(x):
+            lp = p_logpdf(x)
+            return lp if lp == -math.inf else lp + t * q_logpdf(x)
 
-    def log_integrand(x):
-        lp = p_logpdf(x)
-        return lp if lp == -math.inf else lp + t * q_logpdf(x)
-
-    return quad(log_integrand, *_bounds(supp), points, log=True)[0] / -t
+        value = quad(log_integrand, *_bounds(supp), points, log=True)[0]
+        empty, value = value == -math.inf, value / -t
+    # an empty integral is a zero of q on all of p, or p's mass out of reach
+    if empty and quad(p_logpdf, *_bounds(supp), points, log=True)[0] == -math.inf:
+        raise NonConvergenceError("p is 0 at every node: no node reaches its mass")
+    return value
 
 
 def mgf_numeric(supp: SupportSpec, s: float, center: float, *,

@@ -249,6 +249,34 @@ class TestExpfamCommand:
         code, out, _ = run_cli(f"xent expfam {pair} --alpha 0.7 --oracle".split())
         assert (code, out) == (2, "inf\noracle inf\ngap 0\n")
 
+    @pytest.mark.parametrize("method", ["closed", "natural"])
+    @pytest.mark.parametrize("pair, printed", [
+        ("--p mu=1e200,var=1 --q mu=0,var=1e300 --alpha 2", "5e+99\n"),
+        ("--p mu=0,var=1e4 --q mu=2e4,var=1e-7 --alpha 6e4", "-6.80646764392\n"),
+    ])
+    def test_gaussian_pair_at_extreme_scales(self, method, pair, printed):
+        assert run_cli(f"xent expfam --family gaussian {pair} --method {method}".split()) == (
+            0, printed, "")
+        code, out, err = run_cli("xent expfam --family gaussian --p mu=1e200,var=1 "
+                                 f"--q mu=0,var=1 --alpha 2 --method {method}".split())
+        assert (code, out) == (1, "") and "double range" in err
+
+    @pytest.mark.parametrize("argv", [
+        # the referee rightly refuses the logarithmic factor of Beta(2, 0.5) at 1
+        "xent expfam --family beta --p a=2,b=0.5 --q a=3,b=2 --alpha 1",
+        # p's mass lies past the referee's farthest node
+        "xent expfam --family gaussian --p mu=1e150,var=1 --q mu=0,var=1e300 --alpha 2",
+    ])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_referee_error_keeps_the_value(self, argv, fmt):
+        words = f"{argv} --format {fmt}".split()
+        plain_code, plain_out, _ = run_cli(words)
+        code, out, err = run_cli(words + ["--oracle"])
+        assert plain_code == 0 and (code, out) == (1, plain_out)
+        assert err.startswith("error: oracle: ") and err.count("\n") == 1
+        if fmt == "json":
+            assert (json.loads(out)["oracle"], json.loads(out)["gap"]) == (None, None)
+
 
 def _mp_oracle(p, q, alpha, definition):
     """The standard cross-entropy, or D_alpha(p || q) + H_alpha(p), in
@@ -799,19 +827,18 @@ class TestSweepParsesOnce:
         from rxent import gaussproc
 
         calls = {}
-        original = gaussproc.psd
+        original = gaussproc._level_psd
 
-        def counting(spec, w):
-            key = (id(spec), float(w[0]), np.size(w))
-            calls[key] = calls.get(key, 0) + 1
-            return original(spec, w)
+        def counting(spec, j):
+            calls[id(spec), j] = calls.get((id(spec), j), 0) + 1
+            return original(spec, j)
 
-        monkeypatch.setattr(gaussproc, "psd", counting)
+        monkeypatch.setattr(gaussproc, "_level_psd", counting)
         _, opts, _ = sweep_inputs["gauss"]
         code, out, _ = run_cli(f"sweep gauss {opts} --alphas 1.05:3.5:0.05".split())
         assert code == 0 and len(out.splitlines()) == 1 + 50
         assert calls and set(calls.values()) == {1}  # once per spec and level
-        assert len({spec for spec, _, _ in calls}) == 2
+        assert len({spec for spec, _ in calls}) == 2
 
     def test_one_parser_per_process(self):
         from rxent import cli

@@ -129,6 +129,51 @@ class TestClosedVsNatural:
         assert float(r) == r.value
 
 
+def _mp_gaussian_pair(mu1, v1, mu2, v2, a):
+    """The Gaussian pair's value at 40 digits, or the divergence verdict."""
+    with mp.workdps(40):
+        t = mp.mpf(a) - 1
+        vh = mp.mpf(v2) + t * v1
+        if vh <= 0:
+            return math.inf
+        log_term = mp.log(vh / v2) / t if t else mp.mpf(v1) / v2
+        return float((mp.log(2 * mp.pi * v2) + log_term + (mp.mpf(mu1) - mu2) ** 2 / vh) / 2)
+
+
+class TestGaussianExtremeScales:
+    ROUTES = (cross_entropy_closed, cross_entropy_natural)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("p, q, a, expected", [
+        ((1e200, 1.0), (0.0, 1e300), 2.0, 5.0e99),
+        ((0.0, 1e4), (2e4, 1e-7), 6e4, -6.80646764392),
+    ])
+    def test_values_near_the_double_range(self, route, p, q, a, expected):
+        assert _mp_gaussian_pair(*p, *q, a) == pytest.approx(expected, rel=1e-11)
+        assert route(E.gaussian(*p), E.gaussian(*q), a).value == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_value_beyond_the_double_range_raises(self, route):
+        with pytest.raises(DoubleRangeError):
+            route(E.gaussian(1e200, 1.0), E.gaussian(0.0, 1.0), 2.0)
+
+    def test_seeded_table_against_mpmath(self):
+        rng = np.random.default_rng(20261019)
+
+        def log_uniform(lo, hi, size):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+        n = 500
+        mus = log_uniform(1e-6, 1e6, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+        variances, orders = log_uniform(1e-8, 1e8, (n, 2)), log_uniform(1e-6, 1e6, n)
+        for (mu1, mu2), (v1, v2), a in zip(mus, variances, orders):
+            expected = _mp_gaussian_pair(mu1, v1, mu2, v2, a)
+            for route in self.ROUTES:
+                value = route(E.gaussian(mu1, v1), E.gaussian(mu2, v2), a).value
+                gap = 0.0 if value == expected else abs(value - expected)
+                assert gap <= 1e-10 * max(1.0, abs(expected)), (route.__name__, mu1, v1, mu2, v2, a)
+
+
 class TestQuadratureAgreement:
     @pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=lambda p: p[0].family.value)
     def test_order_two(self, pair):

@@ -264,22 +264,64 @@ class TestSpectralGridStore:
     def test_psd_once_per_spec_and_level(self, monkeypatch):
         from rxent import gaussproc
 
-        calls = {}
+        calls, fill = {}, gaussproc._level_psd
 
-        def counting(spec, w):
-            key = (id(spec), float(w[0]), np.size(w))
-            calls[key] = calls.get(key, 0) + 1
-            return psd(spec, w)
+        def counting(spec, j):
+            calls[id(spec), j] = calls.get((id(spec), j), 0) + 1
+            return fill(spec, j)
 
-        monkeypatch.setattr(gaussproc, "psd", counting)
+        monkeypatch.setattr(gaussproc, "_level_psd", counting)
         x, y = S.from_autocovariance([2.0, 0.8, 0.3]), S.ar1(0.9)
         for a in (0.5, 0.9, 1.5, 2.0, 3.0):
             rate_spectral(x, y, a)
             rate_spectral(y, x, a)
         assert calls and set(calls.values()) == {1}
-        # level 0 holds the 4096-point grid, level 1 its 4096 odd neighbours
-        assert {(start, size) for _, start, size in calls} >= {(0.0, 4096),
-                                                               (math.pi / 4096, 4096)}
+        # the series spec and the closed-form one each fill levels 0 and 1
+        assert {(id(spec), j) for spec in (x, y) for j in (0, 1)} <= set(calls)
+
+
+def ma_lags(m, seed=0):
+    """r_0 = 1 and lags 1..m of the constant size 1/(4m) with random signs:
+    they do not decay, and the density stays within 1 +- 1/2."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=m)
+    return np.concatenate([[1.0], signs / (4.0 * m)])
+
+
+class TestSeriesLevels:
+    @pytest.mark.parametrize("m", [2, 50, 2048, 2049, 5000])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_fft_level_matches_cosine_series(self, m, j):
+        from rxent import gaussproc
+
+        spec = S.from_autocovariance(ma_lags(m))
+        nodes = np.linspace(0.0, 2.0 * math.pi, 4096 << j, endpoint=False)
+        expected = psd(spec, nodes[1::2] if j else nodes)
+        assert_allclose(gaussproc._level(spec, j)[0], expected, rtol=1e-13, atol=0.0)
+
+    def test_folding_wraps_the_grid_several_times(self, monkeypatch):
+        # 40 lags on a 16-point grid: lags 8, 16, 24 and 32 fold onto 8 and 0
+        from rxent import gaussproc
+
+        monkeypatch.setattr(gaussproc, "_SPECTRAL_GRID", 16)
+        spec = S.from_autocovariance(ma_lags(39, seed=1))
+        w = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        assert_allclose(gaussproc._level_psd(spec, 0), psd(spec, w), rtol=1e-13, atol=0.0)
+        assert_allclose(gaussproc._level_psd(spec, 1), psd(spec, np.linspace(
+            0.0, 2.0 * math.pi, 32, endpoint=False)[1::2]), rtol=1e-13, atol=0.0)
+
+    def test_fft_level_exact_where_float_nodes_are_not(self):
+        # an MA(5000) density |B|^2 + 1 with lags of size 1/70: the cosine
+        # series at float nodes carries the rounding of k w (about 2e-12
+        # here), the transform does not; the reference reduces k n mod N in
+        # integers before the cosine
+        m, size = 5000, 4096
+        b = np.random.default_rng(2).standard_normal(m + 1) / math.sqrt(m + 1)
+        r = np.correlate(b, b, "full")[m:]
+        r[0] += 1.0
+        n = np.arange(size)
+        expected = r[0] + 2.0 * sum(r[k] * np.cos(2.0 * math.pi * (k * n % size) / size)
+                                    for k in range(1, m + 1))
+        assert_allclose(S.from_autocovariance(r)._levels[0][0], expected, rtol=1e-13, atol=0.0)
 
 
 def full_grid_rate(x, y, a, n):

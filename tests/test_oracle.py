@@ -265,6 +265,24 @@ class TestCrossEntropyNumeric:
         with pytest.raises(InvalidAlphaError):
             cross_entropy_numeric(LINE, AlphaOrder.inf(), p_logpdf=p.logpdf, q_logpdf=p.logpdf)
 
+    @pytest.mark.parametrize("mu, a", [(mu, a) for mu in (1e100, 1e150, 1e200) for a in (0.5, 2.0)]
+                             + [(1e100, "one"), (1e200, "one"), pytest.param(1e150, "one", marks=(
+                                 pytest.mark.xfail(strict=True, reason="ln q of N(0, 1e300) overflows "
+                                                   "to -inf past 1.3e154: ROADMAP item 4")))])
+    def test_source_past_the_farthest_node_is_refused(self, mu, a):
+        # N(mu, 1) against N(0, 1e300): from 1e100 on p's mass lies beyond
+        # the farthest node (2^332), and from 1.3e154 on ln p is -inf at
+        # every double the rule reaches; neither is a divergence
+        p, q = ExpFamilyDistribution.gaussian(mu, 1.0), ExpFamilyDistribution.gaussian(0.0, 1e300)
+        with pytest.raises(NonConvergenceError):
+            cross_entropy_numeric(LINE, AlphaOrder.coerce(a), p_logpdf=p.logpdf, q_logpdf=q.logpdf)
+
+    def test_reference_zero_on_the_whole_source_is_still_a_value(self):
+        # an empty integral with p's mass in reach: q = 0 wherever p is
+        value = cross_entropy_numeric(HALF, AlphaOrder(2.0), p_logpdf=lambda x: -x,
+                                      q_logpdf=lambda x: -math.inf)
+        assert value == math.inf
+
 
 class TestMgfNumeric:
     @staticmethod
