@@ -474,7 +474,7 @@ def _prepare_markov(opts):
 
     def referee(alpha):
         if alpha.is_one:
-            return markov.shannon_rate_slope(p, q, max(2, opts["finite_n"]))
+            return markov.shannon_rate_slope(p, q, opts["finite_n"])
         return markov.finite_n_cross_entropy(p, q, alpha, opts["finite_n"])
 
     return lambda alphas: markov.cross_entropy_rate(p, q, alphas), referee

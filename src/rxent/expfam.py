@@ -263,8 +263,8 @@ def _log_density(d: ExpFamilyDistribution) -> Callable[[float], float]:
         mu, two_var, half_log = p[0], 2 * p[1], 0.5 * math.log(2 * math.pi * p[1])
 
         def gaussian(x):
-            z = float(x) - mu  # z * z is inf, not an OverflowError, for |z| > 1.3e154
-            return -(z * z) / two_var - half_log
+            z = float(x) - mu  # z * z would overflow past |z| = 1.3e154 for a wide q
+            return -(z / two_var) * z - half_log
 
         return gaussian
     if d.family is Family.LAPLACE_EQUAL_MEAN:

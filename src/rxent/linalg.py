@@ -40,14 +40,34 @@ def spd_logdet(a: np.ndarray, name: str = "matrix") -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+# The Levinson recursion checks, at orders 64, 128, 256, ..., whether the
+# rest of ln det is certified to within _STOP_BOUND (see _neglected_bound).
+_FIRST_CHECK = 64
+_STOP_BOUND = 1e-15
+
+
 def toeplitz_logdet(first_column, name: str = "matrix") -> float:
     """log det of the symmetric Toeplitz matrix with the given first column.
 
     Levinson-Durbin recursion: det T_n is the product of the one-step
     prediction errors E_0 = r_0, E_k = E_{k-1} (1 - kappa_k^2), so the
-    log-determinant accumulates ln E_k in O(n^2) time and O(n) memory.
-    Raises NotPositiveDefiniteError on a nonpositive prediction error.
+    log-determinant accumulates ln E_k in O(n) memory.  At the orders
+    k = 64, 128, 256, ... below n - 1 the recursion tries to stop: when
+    the residual correlations of the order-k predictor over the remaining
+    lags are negligible, every later prediction error is E_k, to within
+    1e-15 in ln det (exactly, when the first n lags are those of an AR(k)
+    process), and the sum closes with (n - 1 - k) ln E_k.  A column that
+    settles at order k costs O(k^2 + n k) time; one that never does (a
+    unit root, a symbol touching zero, structure that appears only at a
+    late lag) runs all n - 1 steps in O(n^2).  Raises
+    NotPositiveDefiniteError on a nonpositive prediction error.
     """
+    return _levinson_logdet(first_column, name)[0]
+
+
+def _levinson_logdet(first_column, name: str = "matrix") -> tuple[float, int]:
+    """toeplitz_logdet and the predictor order k it stopped at (n - 1 when
+    the recursion ran through)."""
     r = np.asarray(first_column, dtype=float)
     n = r.size
     error = float(r[0])
@@ -58,6 +78,7 @@ def toeplitz_logdet(first_column, name: str = "matrix") -> float:
     # r[k-1], ..., r[1], are the contiguous slice rev[n-k:n-1] of reversed r
     coef = np.zeros(n)
     rev = r[::-1].copy()
+    check = _FIRST_CHECK
     for k in range(1, n):
         kappa = (r[k] - coef[1:k] @ rev[n - k:n - 1]) / error
         coef[1:k] -= kappa * coef[k - 1:0:-1]
@@ -66,7 +87,31 @@ def toeplitz_logdet(first_column, name: str = "matrix") -> float:
         if not error > 0.0:
             raise NotPositiveDefiniteError(f"{name} is not positive definite")
         logdet += math.log(error)
-    return logdet
+        if k == check and k < n - 1:
+            check *= 2
+            if _neglected_bound(r, coef[1:k + 1], error) <= _STOP_BOUND:
+                return logdet + (n - 1 - k) * math.log(error), k
+    return logdet, n - 1
+
+
+def _neglected_bound(r: np.ndarray, coef: np.ndarray, error: float) -> float:
+    """How far ln det T_n can be from that of the order-k autoregression
+    that matches r_0..r_k (prediction errors E_0..E_k, then E_k).
+
+    With rho_j = r_j - sum_i coef_i r_{j-i} the residual correlations of
+    the order-k predictor at the lags j = k+1..n-1, the difference is
+    ln det(I + X): X is the covariance perturbation whitened by that
+    autoregression's innovations, with a zero diagonal, so ln det(I + X)
+    is at most ||X||_F^2 once ||X||_F <= 1/2, and then T_n is positive
+    definite too.  Each entry of X filters the rho_j / E_k by 1 - coef, so
+    ||X||_F^2 <= 2 n (1 + sum |coef_i|)^2 sum (rho_j / E_k)^2, taking the
+    order-k filter for every row.  All rho_j = 0 gives 0: the n lags are
+    an AR(k) process, and every later reflection coefficient is 0.
+    """
+    n, k = r.size, coef.size
+    rho = r[k + 1:] - np.convolve(r[1:n - 1], coef, "valid")
+    scale = 1.0 + float(np.abs(coef).sum())
+    return 2.0 * n * scale * scale * float(np.sum((rho / error) ** 2))
 
 
 def spd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:

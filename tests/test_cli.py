@@ -507,6 +507,17 @@ class TestMarkovCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[2].split()[1]) < 5e-3
 
+    @pytest.mark.parametrize("alpha, need", [("1", "n >= 2"), ("2", "n >= 1")])
+    @pytest.mark.parametrize("finite_n", [-3, 0])
+    def test_block_length_below_the_referee_minimum(self, chain_files, alpha, need, finite_n):
+        # the value still prints; the referee names its own minimum
+        p, q = chain_files
+        words = f"rate markov --p {p} --q {q} --alpha {alpha}".split()
+        _, plain_out, _ = run_cli(words)
+        code, out, err = run_cli(words + ["--oracle", "--finite-n", str(finite_n)])
+        assert (code, out) == (1, plain_out)
+        assert err.startswith("error: oracle: ") and need in err
+
     def test_start_distribution_option(self, chain_files, tmp_path, capsys):
         p, q = chain_files
         init = tmp_path / "init.csv"

@@ -17,7 +17,9 @@ from rxent import (
     rate_finite_n,
     rate_spectral,
 )
+from rxent import linalg
 from rxent.gaussproc import autocov_lags, psd, toeplitz_cov
+from rxent.linalg import _levinson_logdet
 
 S = StationaryGaussianSpec
 
@@ -221,6 +223,26 @@ class TestAr1AllLags:
     def test_order_three_factors(self):
         limit = rate_spectral(self.X, self.Y, 3.0)
         assert abs(rate_finite_n(self.X, self.Y, 3.0, 1024) - limit) < 1e-3
+
+
+class TestFiniteNStop:
+    @pytest.mark.parametrize("x, y", [
+        (S.ar1(0.6), S.white_noise(1.0)), (S.ar1(-0.9, 2.0), S.white_noise(0.5)),
+        (S.ar1(0.6), S.ar1(0.3, 1.5)), (S.ar1(-0.8, 2.0), S.ar1(0.5)),
+    ])
+    @pytest.mark.parametrize("a", [1.1, 2.0, 5.0, 8.0])
+    def test_ar1_pairs_stop_early(self, x, y, a):
+        r_y = autocov_lags(y, 2048)
+        for column in (r_y, r_y + (a - 1.0) * autocov_lags(x, 2048)):
+            assert _levinson_logdet(column)[1] <= 256
+
+    @pytest.mark.parametrize("a", [0.5, 1.1, 2.0, 5.0])
+    def test_near_unit_root_matches_the_full_recursion(self, a, monkeypatch):
+        x, y = S.ar1(0.999), S.white_noise(1.0)
+        value = rate_finite_n(x, y, a, 2048)
+        monkeypatch.setattr(linalg, "_FIRST_CHECK", 4096)  # no check below n - 1
+        full = rate_finite_n(x, y, a, 2048)
+        assert value == full if math.isinf(full) else abs(value - full) <= 1e-12 * abs(full)
 
 
 def reference_rate_spectral(x, y, a):
