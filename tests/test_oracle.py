@@ -269,7 +269,7 @@ class TestCrossEntropyNumeric:
                                        for a in (0.5, 2.0, "one")])
     def test_source_past_the_farthest_node_is_refused(self, mu, a):
         # N(mu, 1) against N(0, 1e300): from 1e100 on p's mass lies beyond
-        # the farthest node (2^332), and from 1.3e154 on ln p is -inf at
+        # the farthest node (2^332), and from 1.9e154 on ln p is -inf at
         # every double the rule reaches; neither is a divergence
         p, q = ExpFamilyDistribution.gaussian(mu, 1.0), ExpFamilyDistribution.gaussian(0.0, 1e300)
         with pytest.raises(NonConvergenceError):
