@@ -18,9 +18,9 @@ File formats (CSV)
 
 A command reads, parses and validates its inputs once (CSV files, family
 parameters, process specifications), then evaluates them at every order of
-its grid, which the markov, gauss and mvgauss targets take in one call; a
-value that does not parse as a number, or a file with none, is a usage
-error.
+its grid, which the markov, gauss and closed-form mvgauss targets take in
+one call; a value that does not parse as a number, or a file with none, is
+a usage error.
 
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
@@ -386,9 +386,16 @@ def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
 def _prepare_expfam(opts):
     if opts["family"].lower() == "mvgauss":
         cov1, cov2 = _read_matrix(opts["p"]), _read_matrix(opts["q"])
-        values = differential.cross_entropy_multivariate_gaussian
-        return (lambda alphas: [r.value for r in values(cov1, cov2, alphas)],
-                lambda alpha: oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha))
+
+        def referee(alpha):
+            return oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
+
+        if opts["method"] == "closed":
+            values = differential.cross_entropy_multivariate_gaussian
+            return (lambda alphas: [r.value for r in values(cov1, cov2, alphas)]), referee
+        f1, f2 = (ExpFamilyDistribution.mv_gaussian(cov) for cov in (cov1, cov2))
+        return (lambda alphas: [differential.cross_entropy_natural(f1, f2, alpha).value
+                                for alpha in alphas]), referee
     f1 = _make_distribution(opts["family"], opts["p"])
     f2 = _make_distribution(opts["family"], opts["q"])
     engine = (differential.cross_entropy_natural if opts["method"] == "natural"
@@ -496,8 +503,8 @@ class _Target(NamedTuple):
 # Each target's command group, option builder and preparer.  A preparer
 # reads, builds and validates the inputs once and returns
 # (values(alphas) -> one value per order, referee(alpha) -> the oracle
-# value).  The markov, gauss and mvgauss values take the whole grid in one
-# call; the other targets evaluate one order at a time.
+# value).  The markov, gauss and closed-form mvgauss values take the whole
+# grid in one call; the other targets evaluate one order at a time.
 _TARGETS = {
     "discrete": _Target("xent", _add_discrete_opts, _prepare_discrete),
     "expfam": _Target("xent", _add_expfam_opts, _prepare_expfam),

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from . import oracle
 from .alpha import AlphaOrder, evaluate_orders
 from .errors import (
@@ -50,7 +48,6 @@ from .errors import (
     InfiniteSupportError,
     InvalidAlphaError,
     InvalidParameterError,
-    NotPositiveDefiniteError,
     OutOfDomainError,
 )
 from .expfam import (
@@ -291,6 +288,9 @@ def cross_entropy_q_uniform(supp: SupportSpec) -> float:
     return math.log(length)
 
 
+_UNIFORM_BETA = ExpFamilyDistribution.beta(1.0, 1.0)  # the uniform density on (0, 1)
+
+
 def cross_entropy_p_uniform(
     supp: SupportSpec, q: ExpFamilyDistribution, alpha
 ) -> CrossEntropyResult:
@@ -303,7 +303,8 @@ def cross_entropy_p_uniform(
     bounded interval, so |S| = 1): with t = alpha - 1 the integral is
     B(1 + t (a - 1), 1 + t (b - 1)) / B(a, b)^t, and the value ln B(a, b)
     minus the divided difference of ln B from (1, 1), whose t = 0 limit
-    gives the Shannon value (a - 1) + (b - 1) + ln B(a, b).
+    gives the Shannon value (a - 1) + (b - 1) + ln B(a, b): the Beta closed
+    form with the source Beta(1, 1), which supplies value and verdict.
     """
     if supp.length is None:
         raise InfiniteSupportError("uniform source needs a finite-length support")
@@ -313,17 +314,11 @@ def cross_entropy_p_uniform(
         )
     if q.family is not Family.BETA:
         raise InvalidParameterError("uniform-source reduction expects a Beta reference")
-    qa, qb = q.params
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
-        raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
-    t, m = alpha.value - 1.0, Method.SPECIAL_CASE
-    if t * (qa - 1.0) <= -1.0 or t * (qb - 1.0) <= -1.0:
-        return _diverged(alpha, m)
-    return _finite(betaln(qa, qb) - betaln_slope(1.0, 1.0, qa - 1.0, qb - 1.0, t), m)
+    closed = cross_entropy_closed(_UNIFORM_BETA, q, alpha)
+    return CrossEntropyResult(closed.value, Method.SPECIAL_CASE, closed.diverged)
 
 
-_LOG_PI = math.log(math.pi)
+_LOG_PI, _LOG_2 = math.log(math.pi), math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -472,8 +467,10 @@ def mgf_of_centered_square(d: ExpFamilyDistribution, center: float) -> MgfFuncti
         delta, rate, log_norm = mu - center, 1.0 / b, math.log(2.0) + math.log(b)
 
         def log_mgf(s):
-            return np.logaddexp(_log_half_line(rate, delta, -s),
-                                _log_half_line(rate, -delta, -s)) - log_norm
+            right, left = _log_half_line(rate, delta, -s), _log_half_line(rate, -delta, -s)
+            if right == left:  # also two equal infinities, whose difference is nan
+                return right + _LOG_2 - log_norm
+            return max(right, left) + math.log1p(math.exp(-abs(right - left))) - log_norm
 
         # X - center = delta + Z with E[Z^j] = j! b^j for even j, 0 for odd j
         quotient_fn = _square_quotient(2.0 * b * b + delta * delta, b * b, 2, delta, log_mgf)

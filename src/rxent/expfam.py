@@ -28,6 +28,11 @@ integral exists: an out-of-domain combined parameter certifies
 divergence.  The Laplace location enters T itself, so two
 Laplace members belong to the same family (share T) only when their
 locations agree.
+
+A ``NaturalParam`` is plain data: a tuple of floats for a scalar member
+and the n x n matrix for the multivariate Gaussian, so the combined
+parameter, A and the divided differences of the scalar families run on
+Python floats and never touch numpy.
 """
 
 from __future__ import annotations
@@ -197,32 +202,17 @@ class ExpFamilyDistribution:
 
 @dataclass(frozen=True, eq=False)
 class NaturalParam:
-    """Natural parameter of one family member.
+    """Natural parameter of one family member, as plain data.
 
-    ``components`` is 1-D for the scalar families and the flattened n x n
-    matrix for the multivariate Gaussian.  ``anchor`` carries the Laplace
-    location, which lives inside the sufficient statistic |x - anchor|.
+    ``components`` is a tuple of floats for the scalar families, in the
+    order of the module table, and the n x n matrix -(1/2) S^-1 itself for
+    the multivariate Gaussian.  ``anchor`` carries the Laplace location,
+    which lives inside the sufficient statistic |x - anchor|.
     """
 
     family: Family
-    components: np.ndarray
+    components: tuple[float, ...] | np.ndarray
     anchor: float | None = None
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def dim(self) -> int:
-        if self.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-            return int(round(math.sqrt(self.components.size)))
-        return 1
-
-    def matrix(self) -> np.ndarray:
-        """The n x n natural-parameter matrix (multivariate Gaussian only)."""
-        n = self.dim
-        return self.components.reshape(n, n)
 
 
 def _log_density(d: ExpFamilyDistribution) -> Callable[[float], float]:
@@ -239,7 +229,7 @@ def _log_density(d: ExpFamilyDistribution) -> Callable[[float], float]:
 
         return mv_gaussian
     if d.family is Family.BETA:
-        a1, b1, log_beta = p[0] - 1, p[1] - 1, float(betaln(*p))
+        a1, b1, log_beta = p[0] - 1, p[1] - 1, betaln(*p)
         return lambda x: (a1 * math.log(x) + b1 * math.log1p(-x) - log_beta
                           if 0.0 < float(x) < 1.0 else -math.inf)
     if d.family is Family.EXPONENTIAL:
@@ -248,8 +238,8 @@ def _log_density(d: ExpFamilyDistribution) -> Callable[[float], float]:
     if d.family in (Family.CHI_SQUARED, Family.GAMMA):  # chi-squared: k = nu/2, theta = 2
         k, theta = p if d.family is Family.GAMMA else (p[0] / 2, 2)
         # ln(Gamma(k) theta^k) in two terms, subtracted in each formula's order
-        first, second = ((float(gammaln(k)), k * math.log(theta)) if d.family is Family.GAMMA
-                         else (k * math.log(2), float(gammaln(k))))
+        first, second = ((gammaln(k), k * math.log(theta)) if d.family is Family.GAMMA
+                         else (k * math.log(2), gammaln(k)))
         k1, at_zero = k - 1, -math.log(theta) if k == 1.0 else -math.inf
 
         def shape_scale(x):
@@ -277,22 +267,21 @@ def to_natural(d: ExpFamilyDistribution) -> NaturalParam:
     """Natural parameter of d under this module's conventions."""
     p = d.params
     if d.family is Family.BETA:
-        return NaturalParam(d.family, np.array([p[0] - 1, p[1] - 1]))
+        return NaturalParam(d.family, (p[0] - 1, p[1] - 1))
     if d.family is Family.CHI_SQUARED:
-        return NaturalParam(d.family, np.array([p[0] / 2 - 1]))
+        return NaturalParam(d.family, (p[0] / 2 - 1,))
     if d.family is Family.EXPONENTIAL:
-        return NaturalParam(d.family, np.array([-p[0]]))
+        return NaturalParam(d.family, (-p[0],))
     if d.family is Family.GAMMA:
-        return NaturalParam(d.family, np.array([p[0] - 1, -1.0 / p[1]]))
+        return NaturalParam(d.family, (p[0] - 1, -1.0 / p[1]))
     if d.family is Family.GAUSSIAN:
         mu, var = p
-        return NaturalParam(d.family, np.array([mu / var, -0.5 / var]))
+        return NaturalParam(d.family, (mu / var, -0.5 / var))
     if d.family is Family.LAPLACE_EQUAL_MEAN:
         mu, s = p
-        return NaturalParam(d.family, np.array([-1.0 / s]), anchor=mu)
+        return NaturalParam(d.family, (-1.0 / s,), anchor=mu)
     if d.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        eta = -0.5 * spd_inverse(d.cov)
-        return NaturalParam(d.family, eta.reshape(-1))
+        return NaturalParam(d.family, -0.5 * spd_inverse(d.cov))
     raise InvalidParameterError(f"unknown family {d.family}")
 
 
@@ -310,7 +299,7 @@ def natural_in_domain(eta: NaturalParam) -> bool:
     if eta.family is Family.GAUSSIAN:
         return c[1] < 0
     if eta.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        m = -2.0 * eta.matrix()
+        m = -2.0 * eta.components
         try:
             cholesky_lower(as_symmetric_matrix(m))
             return True
@@ -336,22 +325,21 @@ def log_partition(eta: NaturalParam) -> float:
     _require_domain(eta)
     c = eta.components
     if eta.family is Family.BETA:
-        return -float(betaln(c[0] + 1, c[1] + 1))
+        return -betaln(c[0] + 1, c[1] + 1)
     if eta.family is Family.CHI_SQUARED:
         h = c[0] + 1  # = nu / 2
-        return -h * math.log(2) - float(gammaln(h))
+        return -h * math.log(2) - gammaln(h)
     if eta.family is Family.EXPONENTIAL:
         return math.log(-c[0])
     if eta.family is Family.GAMMA:
         k = c[0] + 1
-        return -float(gammaln(k)) + k * math.log(-c[1])
+        return -gammaln(k) + k * math.log(-c[1])
     if eta.family is Family.GAUSSIAN:
-        return 0.5 * math.log(-2.0 * c[1]) + c[0] ** 2 / (4.0 * c[1])
+        return 0.5 * math.log(-2.0 * c[1]) + c[0] * c[0] / (4.0 * c[1])
     if eta.family is Family.LAPLACE_EQUAL_MEAN:
         return math.log(-c[0] / 2.0)
     if eta.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        m = as_symmetric_matrix(-2.0 * eta.matrix())
-        return 0.5 * spd_logdet(m)
+        return 0.5 * spd_logdet(as_symmetric_matrix(-2.0 * eta.components))
     raise InvalidParameterError(f"unknown family {eta.family}")
 
 
@@ -367,11 +355,10 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
         raise InvalidParameterError(
             f"cannot combine parameters of {eta1.family.value} and {eta2.family.value}"
         )
-    if eta1.components.shape != eta2.components.shape:
+    c1, c2 = eta1.components, eta2.components
+    if len(c1) != len(c2):  # components, or rows of the square matrices
         raise DimensionMismatchError(
-            f"natural parameters have shapes {eta1.components.shape} and "
-            f"{eta2.components.shape}"
-        )
+            f"natural parameters have sizes {len(c1)} and {len(c2)}")
     if eta1.family is Family.LAPLACE_EQUAL_MEAN and eta1.anchor != eta2.anchor:
         raise InvalidParameterError(
             "Laplace members share a sufficient statistic only with equal "
@@ -380,9 +367,11 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
     alpha = AlphaOrder.coerce(alpha)
     if alpha.is_inf:
         raise InvalidAlphaError("cannot combine natural parameters at alpha = infinity")
+    t = alpha.value - 1.0
     combined = NaturalParam(
         eta1.family,
-        eta1.components + (alpha.value - 1.0) * eta2.components,
+        c1 + t * c2 if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN
+        else tuple(a + t * b for a, b in zip(c1, c2)),
         eta1.anchor,
     )
     if not natural_in_domain(combined):
@@ -391,13 +380,6 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
             f"the natural domain at alpha={alpha.value:g} (integral diverges)"
         )
     return combined
-
-
-def log_base_measure(family: Family, x: float, dim: int = 1) -> float:
-    """ln b(x) for the family's base measure."""
-    if family is Family.CHI_SQUARED:
-        return -x / 2.0
-    return constant_log_base(family, dim)
 
 
 def constant_log_base(family: Family, dim: int = 1) -> float | None:
@@ -409,45 +391,6 @@ def constant_log_base(family: Family, dim: int = 1) -> float | None:
     if family is Family.MV_GAUSSIAN_ZERO_MEAN:
         return -0.5 * dim * LOG_2PI
     return None  # chi-squared
-
-
-def _suff_stat(eta: NaturalParam, x: float) -> np.ndarray:
-    if eta.family is Family.BETA:
-        return np.array([math.log(x), math.log1p(-x)])
-    if eta.family is Family.CHI_SQUARED:
-        return np.array([math.log(x)])
-    if eta.family is Family.EXPONENTIAL:
-        return np.array([x])
-    if eta.family is Family.GAMMA:
-        return np.array([math.log(x), x])
-    if eta.family is Family.GAUSSIAN:
-        return np.array([x, x * x])
-    if eta.family is Family.LAPLACE_EQUAL_MEAN:
-        return np.array([abs(x - eta.anchor)])
-    raise InvalidParameterError(f"unknown family {eta.family}")
-
-
-def _interior(family: Family, x: float) -> bool:
-    if family is Family.BETA:
-        return 0.0 < x < 1.0
-    if family in (Family.CHI_SQUARED, Family.EXPONENTIAL, Family.GAMMA):
-        return x > 0.0
-    return True
-
-
-def natural_pdf(eta: NaturalParam, x) -> float:
-    """Density reconstructed from the representation b exp(eta . T + A)."""
-    if eta.family is Family.MV_GAUSSIAN_ZERO_MEAN:
-        xv = np.asarray(x, dtype=float)
-        quad_form = float(xv @ eta.matrix() @ xv)
-        return math.exp(
-            log_base_measure(eta.family, 0.0, eta.dim) + quad_form + log_partition(eta)
-        )
-    x = float(x)
-    if not _interior(eta.family, x):
-        return 0.0
-    exponent = float(eta.components @ _suff_stat(eta, x))
-    return math.exp(log_base_measure(eta.family, x) + exponent + log_partition(eta))
 
 
 def _inner_log1p_slope(t: float, u: float) -> float:
@@ -478,7 +421,7 @@ def log_partition_slope(eta1: NaturalParam, eta2: NaturalParam, t: float) -> flo
         return (-gammaln_slope(k, d[0], t) + d[0] * math.log(-c[1])
                 + (k + t * d[0]) * _inner_log1p_slope(t, d[1] / c[1]))
     if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN:  # A = (1/2) ln det(-2 eta)
-        return 0.5 * log1p_slope_sum([t], relative_eigenvalues(-eta2.matrix(), -eta1.matrix()))[0]
+        return 0.5 * log1p_slope_sum([t], relative_eigenvalues(-d, -c))[0]
     raise InvalidParameterError(f"unknown family {eta1.family}")
 
 
@@ -491,7 +434,7 @@ def gaussian_log_partition_gap(eta1: NaturalParam, eta2: NaturalParam, t: float)
     -(q / 4 v) (q / (1 + t r)) with q = y - r x: apart they cancel at large
     t, and their squares leave the double range before the value does.
     """
-    (x, u), (y, v) = map(float, eta1.components), map(float, eta2.components)
+    (x, u), (y, v) = eta1.components, eta2.components
     r = v / u
     q = y - r * x
     return (0.5 * (_inner_log1p_slope(t, r) - math.log(-2.0 * v))
@@ -510,7 +453,7 @@ def log_base_expectation(eta: NaturalParam, alpha) -> float:
     if alpha.is_inf:
         raise InvalidAlphaError("no base expectation at alpha = infinity")
     _require_domain(eta)
-    const = constant_log_base(eta.family, eta.dim)
+    const = constant_log_base(eta.family, len(eta.components))  # dim: the matrix's rows
     if const is not None:
         return const
     return -(eta.components[0] + 1.0) * log1p_slope(alpha.value - 1.0, 1.0)

@@ -60,6 +60,7 @@ _VALIDATION_TOEPLITZ = 64
 _SPECTRAL_GRID = 4096
 _SPECTRAL_GRID_MAX = 1 << 17
 _SPECTRAL_TOLERANCE = 1e-10
+_AR1_LAGS = 200  # the lags an AR(1) spec stores; its closed forms give every lag
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +108,12 @@ class StationaryGaussianSpec:
         return cls(np.array([variance]), psd_fn=lambda w: np.full_like(w, variance, dtype=float))
 
     @classmethod
-    def ar1(cls, rho: float, variance: float = 1.0, truncation: int = 200) -> "StationaryGaussianSpec":
+    def ar1(cls, rho: float, variance: float = 1.0) -> "StationaryGaussianSpec":
         """First-order autoregression: r_k = variance * rho^k.
 
-        ``autocov`` keeps lags 0..truncation; finite-n covariances take
-        every lag from the closed form.
+        ``autocov`` keeps lags 0..200 (``_AR1_LAGS``); finite-n covariances
+        take every lag from the closed form, and the spectral density is
+        closed-form too.
         """
         rho, variance = float(rho), float(variance)
         if not -1.0 < rho < 1.0:
@@ -125,7 +127,7 @@ class StationaryGaussianSpec:
         def closed_psd(w):
             return variance * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(w) + rho * rho)
 
-        return cls(closed_autocov(np.arange(int(truncation) + 1)), psd_fn=closed_psd,
+        return cls(closed_autocov(np.arange(_AR1_LAGS + 1)), psd_fn=closed_psd,
                    autocov_fn=closed_autocov)
 
     @classmethod

@@ -23,19 +23,18 @@ The block-entropy slope n H_n - (n-1) H_{n-1} is kept as its referee.
 Class eigenvalues come from LAPACK (``numpy.linalg.eig``).  The classes
 come from the boolean reachability closure of I + pattern, taken by
 repeated squaring in float matrix products.  The classes the start reaches
-depend only on P and the positivity patterns of R and s, so each source
-keeps them for the last patterns it met, and a sweep classifies again only
-where t changes sign or Q^t underflows.  A sequence of orders is one
-stack of weights, grouped by zero pattern, with one batched eigen-solve
-per class and group.  Matrix powers (the finite-n blocks and the slope's
-state occupation) are taken by binary powering with scaling, O(K^3 log n)
-work.
+depend only on P and the positivity patterns of R and s, so a sequence of
+orders is one stack of weights, grouped by zero pattern, classified once
+per group (a new group only where t changes sign or Q^t underflows), with
+one batched eigen-solve per class and group.  Matrix powers (the finite-n
+blocks and the slope's state occupation) are taken by binary powering with
+scaling, O(K^3 log n) work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +62,6 @@ class MarkovSource:
 
     transition: np.ndarray
     initial: DiscreteDistribution
-    _plan: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
@@ -237,22 +235,18 @@ def perron_eigenvalue(matrix: np.ndarray) -> float:
     return perron_eigenpair(matrix)[0]
 
 
-def _class_plan(p_src: MarkovSource, weighted: np.ndarray, start: np.ndarray, key: bytes):
-    """The states the start reaches and, for each reachable self-communicating
-    class of R in class order, (index set, closed), from the source's
-    one-entry memo keyed by the positivity patterns of R and s (``key``)."""
-    if key not in p_src._plan:
-        structure = classify(weighted)
-        reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
-        # a closed class is one no source move leaves: P 1 = 1 on its block
-        leaves = ((p_src.transition > 0)
-                  & (structure.labels[:, None] != structure.labels)).any(axis=1)
-        cycling = [np.asarray(structure.classes[ci]) for ci in np.flatnonzero(reachable)
-                   if structure.self_communicating[ci]]
-        p_src._plan.clear()
-        p_src._plan[key] = (np.flatnonzero(reachable[structure.labels]),
-                            [(idx, not leaves[idx].any()) for idx in cycling])
-    return p_src._plan[key]
+def _class_plan(p: np.ndarray, weighted: np.ndarray, start: np.ndarray):
+    """The states the start s reaches under the weights R and, for each
+    reachable self-communicating class of R in class order, (index set,
+    closed), where a closed class is one no move of the source P leaves."""
+    structure = classify(weighted)
+    reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
+    # P 1 = 1 on a closed class's block
+    leaves = ((p > 0) & (structure.labels[:, None] != structure.labels)).any(axis=1)
+    cycling = [np.asarray(structure.classes[ci]) for ci in np.flatnonzero(reachable)
+               if structure.self_communicating[ci]]
+    return (np.flatnonzero(reachable[structure.labels]),
+            [(idx, not leaves[idx].any()) for idx in cycling])
 
 
 def _absorption_weights(p, start, states, closed: list) -> np.ndarray:
@@ -303,10 +297,10 @@ def _rates(p_src: MarkovSource, q_src: MarkovSource, orders: list) -> list:
         d = np.where(p > 0, p * np.where(tk == 0.0, log_q, np.expm1(tk * log_q) / tk), 0.0)
     rates = np.empty(t.size)
     positive = np.concatenate([weighted.reshape(t.size, q.size), start], axis=1) > 0
-    keys = [row.tobytes() for row in positive]  # _class_plan's key: the patterns of R and s
+    keys = [row.tobytes() for row in positive]  # the patterns of R and s
     for key in dict.fromkeys(keys):  # the orders whose weights share one zero pattern
         group = np.array([i for i, k in enumerate(keys) if k == key])
-        states, classes = _class_plan(p_src, weighted[group[0]], start[group[0]], key)
+        states, classes = _class_plan(p, weighted[group[0]], start[group[0]])
         shannon = t[group] == 0.0
         if shannon.any() and np.isneginf(d[group[shannon][0], states]).any():
             rates[group[shannon]] = math.inf  # the source makes a move the reference forbids

@@ -228,6 +228,27 @@ class TestExpfamCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[2].split()[1]) < 1e-4
 
+    def test_mv_gaussian_natural_method(self, tmp_path, monkeypatch):
+        # --method natural runs the natural engine once per order and prints its value
+        from rxent import differential
+
+        c1, c2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+        c1.write_text("2.0,0.6\n0.6,1.0\n")
+        c2.write_text("1.5,-0.3\n-0.3,2.5\n")
+        calls, natural = [], differential.cross_entropy_natural
+        monkeypatch.setattr(differential, "cross_entropy_natural",
+                            lambda f1, f2, alpha: calls.append(alpha) or natural(f1, f2, alpha))
+        code, out, _ = run_cli(f"xent expfam --family mvgauss --p {c1} --q {c2} --alpha 1.7 "
+                               "--method natural".split())
+        f1, f2 = E.mv_gaussian([[2.0, 0.6], [0.6, 1.0]]), E.mv_gaussian([[1.5, -0.3], [-0.3, 2.5]])
+        assert (code, out) == (0, format(natural(f1, f2, 1.7).value, ".12g") + "\n")
+        assert len(calls) == 1
+        closed = differential.cross_entropy_multivariate_gaussian(f1.cov, f2.cov, 1.7).value
+        assert abs(float(out) - closed) < 1e-10 * abs(closed)
+        code, out, _ = run_cli(f"sweep expfam --family mvgauss --p {c1} --q {c2} --method natural "
+                               "--alphas 0.5:2:0.5".split())
+        assert code == 0 and len(out.splitlines()) == 1 + 4 and len(calls) == 1 + 4
+
     def test_mv_gaussian_oracle_past_the_edge(self, tmp_path):
         # K_1 - 0.4 K_2 of the inverse covariances is not positive definite
         # at alpha = 0.6: the grid referee reads the same divergence

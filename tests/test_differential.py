@@ -379,6 +379,24 @@ class TestUniformSource:
         with pytest.raises(InvalidParameterError):
             cross_entropy_p_uniform(UNIT_INTERVAL, E.gaussian(0, 1), 2.0)
 
+    def test_is_the_closed_beta_form_from_one_one(self):
+        # value and verdict are the Beta closed form with source Beta(1, 1),
+        # bit for bit, at random references and orders, the edge and 1
+        from rxent.support import UNIT_INTERVAL
+
+        rng = np.random.default_rng(23)
+        uniform = E.beta(1.0, 1.0)
+        for a, b in rng.uniform(0.05, 8.0, size=(60, 2)).tolist():
+            q = E.beta(a, b)
+            edges = [e for e in (1.0 - 1.0 / (c - 1.0) for c in (a, b)) if e > 0.0]
+            orders = (rng.uniform(0.05, 12.0, size=8).tolist() + ["one", 1.0 + 1e-9] + edges
+                      + [math.nextafter(e, 1.0) for e in edges])
+            for alpha in orders:
+                got = cross_entropy_p_uniform(UNIT_INTERVAL, q, alpha)
+                want = cross_entropy_closed(uniform, q, alpha)
+                assert (got.value, got.diverged) == (want.value, want.diverged), (a, b, alpha)
+                assert got.method is Method.SPECIAL_CASE
+
 
 def _log_m(m, s):
     """ln M(s) of an MGF from its cumulant quotient: s Q(s)."""

@@ -9,6 +9,7 @@ the order type, the errors and the supports, never a closed form.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,7 @@ def test_closed_form_sweeps_load_no_scipy(tmp_path):
     # every grid starts below alpha = 1, where some targets diverge
     sweeps = [("discrete --p p.csv --q q.csv", "0.5:3:0.25"),
               ("expfam --family mvgauss --p c1.csv --q c2.csv", "0.5:3:0.25"),
+              ("expfam --family mvgauss --p c1.csv --q c2.csv --method natural", "0.5:3:0.25"),
               ("special q-gaussian --p-family laplace --p mu=0.2,b=0.8 --mean -0.5 --var 1.5",
                "0.5:3:0.25"),
               ("special q-exponential --p-family gamma --p k=2,theta=0.5 --rate 1.5",
@@ -188,3 +190,66 @@ def test_every_error_type_is_raised():
             live.add(name)
             pending.extend(bases[name] & bases.keys())
     assert sorted(bases.keys() - live) == []
+
+
+class _NoNumpy:
+    """Stands in for numpy in a module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a scalar path")
+
+
+def test_differential_does_not_import_numpy():
+    assert not any(n == "numpy" or n.startswith("numpy.")
+                   for n in imported_modules(PACKAGE / "differential.py"))
+
+
+def test_scalar_routes_never_touch_numpy(monkeypatch):
+    """The closed and natural routes of the six scalar families and every
+    reducer on every source it accepts (the Gamma and Beta numeric MGFs
+    included) run on plain floats: numpy in expfam, specfun and oracle
+    raises on any use, and each value is exactly a float."""
+    from rxent import differential, expfam, oracle, specfun
+    from rxent.expfam import ExpFamilyDistribution as E
+    from rxent.support import UNIT_INTERVAL
+
+    for module in (expfam, specfun, oracle):  # differential imports no numpy (above)
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    orders = [0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 7.0]
+    seen = []
+
+    def check(result, diverges=None):
+        value = result if isinstance(result, float) else result.value
+        assert type(value) is float, (result, type(value))
+        if diverges is not None:
+            assert result.diverged is diverges, result
+        seen.append(math.isinf(value))
+
+    # (source, reference, an order where the pair diverges)
+    pairs = [(E.beta(2.0, 3.0), E.beta(0.8, 4.0), 12.0),
+             (E.chi_squared(9.0), E.chi_squared(1.0), 12.0),
+             (E.exponential(3.0), E.exponential(4.0), 0.2),
+             (E.gamma(2.5, 1.2), E.gamma(0.8, 1.5), 14.0),
+             (E.gaussian(0.3, 2.0), E.gaussian(1.0, 1.5), 0.2),
+             (E.laplace(0.7, 2.0), E.laplace(0.7, 1.5), 0.2)]
+    for p, q, edge in pairs:
+        eta = expfam.combine_natural(expfam.to_natural(p), expfam.to_natural(q), 2.0)
+        assert all(type(c) is float for c in eta.components)
+        assert type(expfam.log_partition(eta)) is float
+        for alpha in orders + [edge]:
+            for route in (differential.cross_entropy_closed, differential.cross_entropy_natural):
+                check(route(p, q, alpha), diverges=alpha == edge)
+
+    half_line = [E.exponential(2.0), E.gamma(2.5, 1.2), E.chi_squared(3.0), E.beta(2.0, 3.0)]
+    everywhere = half_line + [E.gaussian(0.3, 2.0), E.laplace(0.7, 1.5)]
+    for alpha in orders + [0.2]:
+        for p, rate in zip(half_line, (3.0, 1.25, 0.75, 1.5)):  # below 1/3 s leaves the interval
+            check(differential.cross_entropy_q_exponential(differential.mgf_of(p), rate, alpha))
+            mgf = differential.mgf_of_centered_square(p, 0.0)
+            check(differential.cross_entropy_q_gaussian(mgf, 0.0, 1.5, alpha, half_normal=True))
+        for p in everywhere:
+            mgf = differential.mgf_of_centered_square(p, 0.5)
+            check(differential.cross_entropy_q_gaussian(mgf, 0.5, 1.2, alpha))
+        check(differential.cross_entropy_p_uniform(UNIT_INTERVAL, E.beta(0.8, 4.0), alpha))
+    check(differential.cross_entropy_q_uniform(UNIT_INTERVAL))
+    assert any(seen) and not all(seen)  # both verdicts were reached

@@ -293,21 +293,6 @@ class TestClassPlanMemo:
         assert seen[1][0] is ZeroMassError and seen[3] == math.inf
         assert all(math.isfinite(v) for v in seen[4:10])
 
-    def test_sweep_classifies_once_per_pattern(self, monkeypatch):
-        from rxent import markov
-
-        calls = []
-        monkeypatch.setattr(markov, "classify", lambda m: calls.append(m.shape) or classify(m))
-        p = MarkovSource.of(np.array([[0.2, 0.8], [0.5, 0.5]]))
-        q = MarkovSource.of(np.array([[0.6, 0.4], [0.3, 0.7]]))
-        for a in [0.25, 0.5, "one", 2.0, 100.0]:
-            cross_entropy_rate(p, q, a)
-        assert calls == [(2, 2)]
-        with pytest.raises(DegenerateRateError):  # Q^t underflows: a new pattern
-            cross_entropy_rate(p, q, 1100.0)
-        cross_entropy_rate(p, q, 2.0)  # the memo holds the last pattern only
-        assert len(calls) == 3
-
 
 class TestShannonSlope:
     def test_matches_stationary_formula(self):
