@@ -393,7 +393,8 @@ def _prepare_expfam(opts):
         if opts["method"] == "closed":
             values = differential.cross_entropy_multivariate_gaussian
             return (lambda alphas: [r.value for r in values(cov1, cov2, alphas)]), referee
-        f1, f2 = (ExpFamilyDistribution.mv_gaussian(cov) for cov in (cov1, cov2))
+        f1 = ExpFamilyDistribution.mv_gaussian(cov1, name="cov1")
+        f2 = ExpFamilyDistribution.mv_gaussian(cov2, name="cov2")
         return (lambda alphas: [differential.cross_entropy_natural(f1, f2, alpha).value
                                 for alpha in alphas]), referee
     f1 = _make_distribution(opts["family"], opts["p"])

@@ -157,10 +157,10 @@ class ExpFamilyDistribution:
         return cls(Family.LAPLACE_EQUAL_MEAN, (mean, scale))
 
     @classmethod
-    def mv_gaussian(cls, cov) -> "ExpFamilyDistribution":
-        """Zero-mean multivariate normal with SPD covariance."""
-        cov = as_symmetric_matrix(cov, name="covariance")
-        cholesky_lower(cov, name="covariance")  # SPD check
+    def mv_gaussian(cls, cov, name: str = "covariance") -> "ExpFamilyDistribution":
+        """Zero-mean multivariate normal with SPD covariance, ``name`` in errors."""
+        cov = as_symmetric_matrix(cov, name=name)
+        cholesky_lower(cov, name=name)  # SPD check
         cov.setflags(write=False)
         return cls(Family.MV_GAUSSIAN_ZERO_MEAN, (), cov)
 

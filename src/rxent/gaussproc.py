@@ -1,10 +1,10 @@
 """Renyi cross-entropy rates for stationary zero-mean Gaussian processes.
 
-A process is described by a truncated autocovariance sequence r_0..r_m
-(zero beyond the truncation), optionally a closed form for every lag and
-optionally a closed-form power spectral density.  With f the spectral
-density of the source X and g that of the reference Y, the order-alpha
-cross-entropy rate is
+A process is plain data of one of two kinds: a truncated autocovariance
+series r_0..r_m (zero beyond m; white noise is the one-lag series [v]),
+or an AR(1) with variance v and coefficient rho, r_k = v rho^k at every
+lag.  With f the spectral density of the source X and g that of the
+reference Y, the order-alpha cross-entropy rate is
 
     (1/2) ln 2 pi + (1/(4 pi (1 - alpha)))
         * integral_0^{2 pi} [ (2 - alpha) ln g(w) - ln h(w) ] dw,
@@ -27,19 +27,19 @@ The trapezoid levels of the spectral rate are nested: level 0 is the
 4096-point uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point
 grid.  Each spec keeps, per level, its density there, the minimum and the
 sum of the logs (``_levels``), so an order adds only log1p(t f/g) over the
-new nodes to running sums.  A closed-form density is evaluated at the
-level's nodes; a truncated series fills a level from one real FFT of its
-lags folded onto the whole grid of that size (the odd entries for j >= 1),
-in place of one cosine pass per lag.  The grid cap of 2^17 points bounds
-the store at about 1 MB per spec.  The orders of a sequence run the levels
-together, with one (orders x nodes) log1p per level.
+new nodes to running sums.  An AR(1) density is evaluated at the level's
+nodes, white noise is flat, and a longer series fills a level from one
+real FFT of its lags folded onto the whole grid of that size (the odd
+entries for j >= 1), in place of one cosine pass per lag.  The grid cap
+of 2^17 points bounds the store at about 1 MB per spec.  The orders of a
+sequence run the levels together, with one (orders x nodes) log1p per
+level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,38 +55,39 @@ from .expfam import LOG_2PI
 from .linalg import cholesky_lower, toeplitz_logdet
 from .specfun import log1p_slope_sum
 
-_PSD_FLOOR = 1e-12
+_PSD_FLOOR = 1e-12  # relative to r_0, the density's mean over the circle
 _VALIDATION_TOEPLITZ = 64
 _SPECTRAL_GRID = 4096
 _SPECTRAL_GRID_MAX = 1 << 17
 _SPECTRAL_TOLERANCE = 1e-10
-_AR1_LAGS = 200  # the lags an AR(1) spec stores; its closed forms give every lag
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryGaussianSpec:
-    """Stationary zero-mean Gaussian process.
+    """Stationary zero-mean Gaussian process, as plain data of one of two
+    kinds.
 
-    ``autocov`` holds r_0..r_m; lags beyond m are treated as zero unless
-    ``autocov_fn`` gives r_k for any array of lags k, in which case the
-    Toeplitz covariances use it at every order.  When a closed-form
-    spectral density is known (``psd_fn``), it is preferred to the
-    truncated cosine series r_0 + 2 sum r_k cos(k w); on the uniform grids
-    of the spectral rate that series is one real FFT of the lags per grid
-    size.  Construction verifies r_0 > 0, strict positivity of the spectral
-    density on a 4096-point grid, and positive definiteness of the order-64
-    Toeplitz matrix.
+    A truncated series (``rho == 0``) holds its lags r_0..r_m in
+    ``autocov``, and r_k = 0 beyond m; white noise of variance v is the
+    one-lag series [v].  An AR(1) (0 < |rho| < 1) holds its variance alone,
+    ``autocov == [v]``, and r_k = v rho^k at every lag.  Construction
+    verifies r_0 > 0, that the spectral density stays above 1e-12 r_0 on a
+    4096-point grid, and positive definiteness of the Toeplitz matrix of
+    order min(64, max(2, 2 (m + 1))), or 64 for an AR(1).
     """
 
     autocov: np.ndarray
-    psd_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    autocov_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    _levels: list[tuple] = field(default_factory=list, init=False, repr=False)
+    rho: float = 0.0
 
     def __post_init__(self):
+        rho = float(self.rho)
+        if not -1.0 < rho < 1.0:
+            raise InvalidParameterError(f"ar1 needs |rho| < 1, got {rho}")
         r = np.asarray(self.autocov, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise InvalidParameterError("autocovariance must be a nonempty 1-D sequence")
+        if rho and r.size != 1:
+            raise InvalidParameterError(f"an AR(1) holds its variance alone, got {r.size} lags")
         if not np.all(np.isfinite(r)):
             raise InvalidParameterError("autocovariance values must be finite")
         if r[0] <= 0:
@@ -94,41 +95,31 @@ class StationaryGaussianSpec:
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "autocov", r)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_levels", [])  # a cache of the trapezoid levels (``_level``)
         low = _level(self, 0)[1]
-        if low <= _PSD_FLOOR:
+        if low <= _PSD_FLOOR * r[0]:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e} on the check grid")
-        n_check = min(_VALIDATION_TOEPLITZ, max(2, 2 * r.size))
-        toeplitz_cov(self, n_check)
+        toeplitz_cov(self, _VALIDATION_TOEPLITZ if rho else
+                     min(_VALIDATION_TOEPLITZ, max(2, 2 * r.size)))
 
     @classmethod
     def white_noise(cls, variance: float) -> "StationaryGaussianSpec":
         variance = float(variance)
         if variance <= 0:
             raise InvalidParameterError(f"white noise needs variance > 0, got {variance}")
-        return cls(np.array([variance]), psd_fn=lambda w: np.full_like(w, variance, dtype=float))
+        return cls(np.array([variance]))
 
     @classmethod
     def ar1(cls, rho: float, variance: float = 1.0) -> "StationaryGaussianSpec":
-        """First-order autoregression: r_k = variance * rho^k.
-
-        ``autocov`` keeps lags 0..200 (``_AR1_LAGS``); finite-n covariances
-        take every lag from the closed form, and the spectral density is
-        closed-form too.
-        """
+        """First-order autoregression: r_k = variance * rho^k at every lag
+        (rho = 0 is white noise)."""
         rho, variance = float(rho), float(variance)
         if not -1.0 < rho < 1.0:
             raise InvalidParameterError(f"ar1 needs |rho| < 1, got {rho}")
         if variance <= 0:
             raise InvalidParameterError(f"ar1 needs variance > 0, got {variance}")
-
-        def closed_autocov(lags):
-            return variance * rho ** lags
-
-        def closed_psd(w):
-            return variance * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(w) + rho * rho)
-
-        return cls(closed_autocov(np.arange(_AR1_LAGS + 1)), psd_fn=closed_psd,
-                   autocov_fn=closed_autocov)
+        return cls(np.array([variance]), rho)
 
     @classmethod
     def from_autocovariance(cls, seq) -> "StationaryGaussianSpec":
@@ -136,12 +127,13 @@ class StationaryGaussianSpec:
 
 
 def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
-    """Spectral density at angular frequencies w (closed form when known,
-    otherwise the truncated series r_0 + 2 sum r_k cos(k w))."""
+    """Spectral density at angular frequencies w: v (1 - rho^2) /
+    (1 - 2 rho cos w + rho^2) for an AR(1), the cosine series
+    r_0 + 2 sum r_k cos(k w) for a truncated series."""
     w = np.asarray(w, dtype=float)
-    if spec.psd_fn is not None:
-        return np.asarray(spec.psd_fn(w), dtype=float)
-    r = spec.autocov
+    r, rho = spec.autocov, spec.rho
+    if rho:
+        return r[0] * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(w) + rho * rho)
     acc = np.zeros_like(w)
     for k in range(1, r.size):  # one lag at a time: no (lags x points) temporaries
         acc += r[k] * np.cos(k * w)
@@ -161,13 +153,16 @@ def _level(spec: StationaryGaussianSpec, j: int) -> tuple[np.ndarray, float, flo
 
 
 def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
-    """psd on the nodes of level j: the closed form at the nodes, or the
-    cosine series on the whole 4096 2^j-point grid as one real DFT of the
-    lags folded onto 0..size/2 (lag k onto min(k mod size, -k mod size))."""
+    """psd on the nodes of level j: the AR(1) density at the nodes, r_0 for
+    white noise, or the cosine series on the whole 4096 2^j-point grid as
+    one real DFT of the lags folded onto 0..size/2 (lag k onto
+    min(k mod size, -k mod size))."""
     size = _SPECTRAL_GRID << j
-    if spec.psd_fn is not None:
+    if spec.rho:
         nodes = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
         return psd(spec, nodes[1::2] if j else nodes)
+    if spec.autocov.size == 1:
+        return np.full(size // 2 if j else size, spec.autocov[0])
     lags = np.arange(spec.autocov.size)
     fold = np.minimum(lags % size, -lags % size)
     # hfft counts the entries at 0 and size/2 once and every other twice
@@ -177,10 +172,10 @@ def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
 
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
-    """r_0..r_{n-1}: the closed form when known, else the truncated sequence
-    padded with zeros."""
-    if spec.autocov_fn is not None:
-        return np.asarray(spec.autocov_fn(np.arange(n)), dtype=float)
+    """r_0..r_{n-1}: v rho^k for an AR(1), else the truncated series padded
+    with zeros."""
+    if spec.rho:
+        return spec.autocov[0] * spec.rho ** np.arange(n)
     first = np.zeros(n)
     take = min(n, spec.autocov.size)
     first[:take] = spec.autocov[:take]
@@ -228,7 +223,7 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
                 f"spectral integral did not stabilize below {tolerance[live[0]]:.3g}"
             )
         (f, f_min, _), (g, g_min, g_log_sum) = _level(x, j), _level(y, j)
-        if g_min <= _PSD_FLOOR or f_min <= _PSD_FLOOR:
+        if g_min <= _PSD_FLOOR * y.autocov[0] or f_min <= _PSD_FLOOR * x.autocov[0]:
             raise NonpositivePsdError("spectral density not strictly positive on grid")
         ratio = f / g
         ratio_max = float(ratio.max())

@@ -249,6 +249,26 @@ class TestExpfamCommand:
                                "--alphas 0.5:2:0.5".split())
         assert code == 0 and len(out.splitlines()) == 1 + 4 and len(calls) == 1 + 4
 
+    @pytest.mark.parametrize("method", ["closed", "natural"])
+    @pytest.mark.parametrize("command", ["xent expfam", "sweep expfam"])
+    @pytest.mark.parametrize("side, name", [("p", "cov1"), ("q", "cov2")])
+    @pytest.mark.parametrize("rows, message", [
+        ("1.0,2.0\n2.0,1.0\n", "is not positive definite"),
+        ("1.0,0.5\n0.2,1.0\n", "must be symmetric"),
+        ("1.0,0.5,0.2\n0.2,1.0,0.3\n", "must be square, got shape (2, 3)"),
+    ], ids=["indefinite", "asymmetric", "not-square"])
+    def test_mv_gaussian_bad_covariance_is_named(self, tmp_path, method, command, side, name,
+                                                 rows, message):
+        # both methods name the offending side cov1 (--p) or cov2 (--q)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("2.0,0.6\n0.6,1.0\n")
+        bad.write_text(rows)
+        p, q = (bad, good) if side == "p" else (good, bad)
+        orders = "--alpha 2" if command.startswith("xent") else "--alphas 0.5:2:0.5"
+        code, out, err = run_cli(f"{command} --family mvgauss --p {p} --q {q} {orders} "
+                                 f"--method {method}".split())
+        assert (code, out, err) == (1, "", f"error: {name} {message}\n")
+
     def test_mv_gaussian_oracle_past_the_edge(self, tmp_path):
         # K_1 - 0.4 K_2 of the inverse covariances is not positive definite
         # at alpha = 0.6: the grid referee reads the same divergence
@@ -604,6 +624,11 @@ class TestGaussCommand:
         # truncated-series and closed-psd routes agree to printed precision
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0][:10] == out[1][:10]
+
+    def test_tiny_variance_is_valid(self):
+        # the density floor is relative to r_0: 1e-13 was refused as a dip
+        assert run_cli("rate gauss --x white:1e-13 --y white:1 --alpha 2".split()) == (
+            0, "0.918938533205\n", "")
 
     def test_divergence_exits_two(self, capsys):
         code = main("rate gauss --x ar1:0.6 --y ar1:-0.3,2 --alpha 0.5".split())

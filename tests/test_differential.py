@@ -18,6 +18,7 @@ from rxent import (
     InvalidParameterError,
     Method,
     MgfFunction,
+    RenyiError,
     cross_entropy_closed,
     cross_entropy_multivariate_gaussian,
     cross_entropy_natural,
@@ -172,6 +173,56 @@ class TestGaussianExtremeScales:
                 value = route(E.gaussian(mu1, v1), E.gaussian(mu2, v2), a).value
                 gap = 0.0 if value == expected else abs(value - expected)
                 assert gap <= 1e-10 * max(1.0, abs(expected)), (route.__name__, mu1, v1, mu2, v2, a)
+
+
+def _outcome(route, f1, f2, a):
+    """(value, verdict) of a route, or the type of the error it raises."""
+    try:
+        result = route(f1, f2, a)
+    except RenyiError as exc:
+        return type(exc)
+    return result.value, result.diverged
+
+
+def _laplace_pair(u):
+    """Two Laplace members at one location of either sign in 1e-6..1e6."""
+    mu = u(1e-6, 1e6) * math.copysign(1.0, u(0.5, 2.0) - 1.0)
+    return E.laplace(mu, u(1e-6, 1e6)), E.laplace(mu, u(1e-6, 1e6))
+
+
+class TestClosedEqualsNaturalWideRange:
+    # rates and scales log-uniform in 1e-6..1e6, shapes in 1e-3..1e4
+    FAMILIES = {
+        "exponential": lambda u: (E.exponential(u(1e-6, 1e6)), E.exponential(u(1e-6, 1e6))),
+        "gamma": lambda u: (E.gamma(u(1e-3, 1e4), u(1e-6, 1e6)),
+                            E.gamma(u(1e-3, 1e4), u(1e-6, 1e6))),
+        "beta": lambda u: (E.beta(u(1e-3, 1e4), u(1e-3, 1e4)), E.beta(u(1e-3, 1e4), u(1e-3, 1e4))),
+        "chi2": lambda u: (E.chi_squared(u(1e-3, 1e4)), E.chi_squared(u(1e-3, 1e4))),
+        "laplace": lambda u: _laplace_pair(u),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_seeded_table(self, family):
+        rng = np.random.default_rng([20261020, sorted(self.FAMILIES).index(family)])
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        verdicts = set()
+        for _ in range(500):
+            (f1, f2), a = self.FAMILIES[family](log_uniform), log_uniform(1e-4, 1e4)
+            closed = _outcome(cross_entropy_closed, f1, f2, a)
+            natural = _outcome(cross_entropy_natural, f1, f2, a)
+            assert type(closed) is type(natural), (f1, f2, a, closed, natural)
+            if isinstance(closed, type):
+                assert natural is closed, (f1, f2, a)
+                continue
+            (c, c_diverged), (n, n_diverged) = closed, natural
+            verdicts.add(c_diverged)
+            assert c_diverged == n_diverged, (f1, f2, a)
+            gap = 0.0 if c == n else abs(c - n)
+            assert gap <= 1e-10 * max(1.0, abs(c)), (f1, f2, a, c, n)
+        assert verdicts == {False, True}
 
 
 class TestQuadratureAgreement:
