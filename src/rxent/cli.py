@@ -170,6 +170,8 @@ def _parse_process(text: str, flag: str) -> gaussproc.StationaryGaussianSpec:
         return gaussproc.StationaryGaussianSpec.white_noise(_number(text[6:], flag))
     if text.startswith("ar1:"):
         parts = text[4:].split(",")
+        if len(parts) > 2:
+            raise UsageError(f"{flag} wants ar1:RHO[,VAR], got {text!r}")
         rho = _number(parts[0], flag)
         variance = _number(parts[1], flag) if len(parts) > 1 else 1.0
         return gaussproc.StationaryGaussianSpec.ar1(rho, variance)

@@ -13,27 +13,18 @@ where h = g + (alpha - 1) f must stay positive (it always does for
 alpha > 1; for alpha < 1 a nonpositive h certifies divergence, +inf).
 With t = alpha - 1 the integrand is ln g + log1p(t f/g) / t, and t = 0
 gives the Shannon rate, with ln g + f/g.
-The finite-n counterpart replaces the integrals with log-determinants of
-the n x n Toeplitz covariance matrices and converges to the spectral value
-as n grows.  Each log-determinant is the sum of the logs of the one-step
-prediction errors of the Levinson-Durbin recursion, so no n x n matrix is
-formed.  The prediction errors of a rational spectrum settle geometrically
-(the strong Szego limit), so the recursion stops at the first order
-k = 64, 128, ... whose predictor leaves negligible residual correlations
-over the remaining lags and adds (n - 1 - k) ln E_k: O(k^2 + n k) time
-in place of O(n^2).
+The finite-n counterpart (``rate_finite_n``) replaces the integrals with
+Toeplitz log-determinants and converges to the spectral value as n grows.
 
-The trapezoid levels of the spectral rate are nested: level 0 is the
-4096-point uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point
-grid.  Each spec keeps, per level, its density there, the minimum and the
-sum of the logs (``_levels``), so an order adds only log1p(t f/g) over the
-new nodes to running sums.  An AR(1) density is evaluated at the level's
-nodes, white noise is flat, and a longer series fills a level from one
-real FFT of its lags folded onto the whole grid of that size (the odd
-entries for j >= 1), in place of one cosine pass per lag.  The grid cap
-of 2^17 points bounds the store at about 1 MB per spec.  The orders of a
-sequence run the levels together, with one (orders x nodes) log1p per
-level.
+Construction certifies that the density exceeds 1e-12 r_0 at every
+frequency (``_certify_floor``), which makes every Toeplitz covariance
+positive definite and keeps ln f and ln g finite on every grid.  The
+trapezoid levels of the spectral rate are nested: level 0 is the 4096-point
+uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point grid.  One
+rate call fills each spec's density on a level once (an AR(1) at the nodes,
+white noise flat, a longer series by one real FFT of its folded lags), and
+the orders of a sequence add log1p(t f/g) over the new nodes to running
+sums, with one (orders x nodes) log1p per level.
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ from .linalg import cholesky_lower, toeplitz_logdet
 from .specfun import log1p_slope_sum
 
 _PSD_FLOOR = 1e-12  # relative to r_0, the density's mean over the circle
-_VALIDATION_TOEPLITZ = 64
 _SPECTRAL_GRID = 4096
 _SPECTRAL_GRID_MAX = 1 << 17
 _SPECTRAL_TOLERANCE = 1e-10
@@ -71,9 +61,8 @@ class StationaryGaussianSpec:
     ``autocov``, and r_k = 0 beyond m; white noise of variance v is the
     one-lag series [v].  An AR(1) (0 < |rho| < 1) holds its variance alone,
     ``autocov == [v]``, and r_k = v rho^k at every lag.  Construction
-    verifies r_0 > 0, that the spectral density stays above 1e-12 r_0 on a
-    4096-point grid, and positive definiteness of the Toeplitz matrix of
-    order min(64, max(2, 2 (m + 1))), or 64 for an AR(1).
+    verifies r_0 > 0 and certifies that the spectral density exceeds
+    1e-12 r_0 at every frequency (``_certify_floor``).
     """
 
     autocov: np.ndarray
@@ -96,12 +85,7 @@ class StationaryGaussianSpec:
         r.setflags(write=False)
         object.__setattr__(self, "autocov", r)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "_levels", [])  # a cache of the trapezoid levels (``_level``)
-        low = _level(self, 0)[1]
-        if low <= _PSD_FLOOR * r[0]:
-            raise NonpositivePsdError(f"spectral density dips to {low:.3e} on the check grid")
-        toeplitz_cov(self, _VALIDATION_TOEPLITZ if rho else
-                     min(_VALIDATION_TOEPLITZ, max(2, 2 * r.size)))
+        _certify_floor(r, rho)
 
     @classmethod
     def white_noise(cls, variance: float) -> "StationaryGaussianSpec":
@@ -127,48 +111,69 @@ class StationaryGaussianSpec:
 
 
 def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
-    """Spectral density at angular frequencies w: v (1 - rho^2) /
-    (1 - 2 rho cos w + rho^2) for an AR(1), the cosine series
-    r_0 + 2 sum r_k cos(k w) for a truncated series."""
+    """Spectral density at angular frequencies w: for an AR(1), v (1 - rho^2)
+    / (1 - 2 rho cos w + rho^2) = v (1 + 2 |rho| / d) / (1 + 4 |rho| s^2 / d^2)
+    with d = 1 - |rho| and s = sin(w/2) (rho > 0) or cos(w/2) (rho < 0), a
+    form without cancellation; r_0 + 2 sum r_k cos(k w) for a series."""
     w = np.asarray(w, dtype=float)
     r, rho = spec.autocov, spec.rho
     if rho:
-        return r[0] * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(w) + rho * rho)
+        a, s = abs(rho), np.sin(0.5 * w) if rho > 0 else np.cos(0.5 * w)
+        return r[0] * (1.0 + 2.0 * a / (1.0 - a)) / (1.0 + 4.0 * a * (s * s) / (1.0 - a) ** 2)
     acc = np.zeros_like(w)
     for k in range(1, r.size):  # one lag at a time: no (lags x points) temporaries
         acc += r[k] * np.cos(k * w)
     return r[0] + 2.0 * acc
 
 
-def _level(spec: StationaryGaussianSpec, j: int) -> tuple[np.ndarray, float, float]:
-    """psd on level j of the nested grids over [0, 2 pi) (the 4096-point grid
-    for j = 0, else the odd nodes of the 4096 2^j-point grid), its minimum
-    and the sum of its logs, computed once per spec and level."""
-    levels = spec._levels
-    while len(levels) <= j:
-        vals = _level_psd(spec, len(levels))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a low min is rejected
-            levels.append((vals, float(np.min(vals)), float(np.log(vals).sum())))
-    return levels[j]
+def _certify_floor(r: np.ndarray, rho: float) -> None:
+    """Raise NonpositivePsdError unless the density exceeds _PSD_FLOOR r_0
+    at every frequency.  White noise and an AR(1) have the exact minimum
+    v (1 - |rho|) / (1 + |rho|).  A series r_0..r_m takes its minimum on
+    N = max(16, 2 (m + 1)), 2 N, ... uniform nodes (powers of two, up to
+    2^17), less (pi / N)^2 sum k^2 |r_k| (the second-derivative bound: the
+    minimum lies within pi / N of a node, and |f''| <= 2 sum k^2 |r_k|) and
+    an allowance of 2 x 4 log2(2^18) eps sum |coefficients| for the rounding
+    of this transform and of a level's, so every level node clears the floor."""
+    floor = _PSD_FLOOR * r[0]
+    if r.size == 1:
+        low = r[0] * (1.0 - abs(rho)) / (1.0 + abs(rho))
+        if low <= floor:
+            raise NonpositivePsdError(f"spectral density dips to {low:.3e}")
+        return
+    k, size = np.arange(r.size), max(16, 1 << (2 * r.size - 1).bit_length())
+    dip = math.pi ** 2 * float(np.dot(k * k, np.abs(r)))  # times 1 / N^2
+    rounding = 144 * np.finfo(float).eps * (2.0 * float(np.abs(r).sum()) - r[0])
+    while True:
+        low = float(_folded_series(r, size).min())
+        if low <= floor:
+            raise NonpositivePsdError(f"spectral density dips to {low:.3e} on a {size}-point grid")
+        if low - dip / size ** 2 - rounding > floor:
+            return
+        if size >= _SPECTRAL_GRID_MAX:
+            raise NonpositivePsdError(f"spectral density not certified above {floor:.3e}")
+        size *= 2
+
+
+def _folded_series(lags: np.ndarray, size: int) -> np.ndarray:
+    """lags[0] + 2 sum lags[k] cos(k w) on the size-point grid over [0, 2 pi),
+    one real DFT of the lags folded onto 0..size/2 (lag k onto min(+-k mod size))."""
+    k = np.arange(lags.size)
+    fold = np.minimum(k % size, -k % size)
+    # hfft counts the entries at 0 and size/2 once and every other twice
+    weight = np.where((k > 0) & (fold % (size // 2) == 0), 2.0, 1.0)
+    return np.fft.hfft(np.bincount(fold, weight * lags, minlength=size // 2 + 1), size)
 
 
 def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
-    """psd on the nodes of level j: the AR(1) density at the nodes, r_0 for
-    white noise, or the cosine series on the whole 4096 2^j-point grid as
-    one real DFT of the lags folded onto 0..size/2 (lag k onto
-    min(k mod size, -k mod size))."""
-    size = _SPECTRAL_GRID << j
+    """psd on the nodes of level j, the 4096-point grid for j = 0, else the
+    odd nodes of the 4096 2^j-point grid."""
+    size, nodes = _SPECTRAL_GRID << j, slice(1, None, 2) if j else slice(None)
     if spec.rho:
-        nodes = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
-        return psd(spec, nodes[1::2] if j else nodes)
+        return psd(spec, np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)[nodes])
     if spec.autocov.size == 1:
         return np.full(size // 2 if j else size, spec.autocov[0])
-    lags = np.arange(spec.autocov.size)
-    fold = np.minimum(lags % size, -lags % size)
-    # hfft counts the entries at 0 and size/2 once and every other twice
-    weight = np.where((lags > 0) & (fold % (size // 2) == 0), 2.0, 1.0)
-    vals = np.fft.hfft(np.bincount(fold, weight * spec.autocov, minlength=size // 2 + 1), size)
-    return vals[1::2] if j else vals
+    return _folded_series(spec.autocov, size)[nodes]
 
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
@@ -201,10 +206,9 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
     The mean is the trapezoid rule on a uniform grid over [0, 2 pi), doubled
     until two successive refinements agree to 1e-10 / max(1, pi |t| / 5)
     (spectral accuracy for smooth densities), so the value's stopping error
-    is at most 5e-11 and 8e-11 / |t|.  Each doubling adds the sums over the
-    new nodes of the nested levels only.  Returns +inf when h = g + t f is
-    not strictly positive (possible only for alpha < 1).  A sequence of
-    orders gives the list of rates.
+    is at most 5e-11 and 8e-11 / |t|.  Returns +inf when h = g + t f is not
+    strictly positive (possible only for alpha < 1).  A sequence of orders
+    gives the list of rates.
     """
     return evaluate_orders(_spectral_rates, alpha, x, y)
 
@@ -222,18 +226,14 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
             raise NonConvergenceError(
                 f"spectral integral did not stabilize below {tolerance[live[0]]:.3g}"
             )
-        (f, f_min, _), (g, g_min, g_log_sum) = _level(x, j), _level(y, j)
-        if g_min <= _PSD_FLOOR * y.autocov[0] or f_min <= _PSD_FLOOR * x.autocov[0]:
-            raise NonpositivePsdError("spectral density not strictly positive on grid")
+        f, g = _level_psd(x, j), _level_psd(y, j)
         ratio = f / g
         ratio_max = float(ratio.max())
         for i in live:  # for t < 0, min fl(1 + t r) is fl(1 + t max r); t >= 0 never diverges
             if 1.0 + ts[i] * ratio_max <= 0.0:
                 rates[i] = math.inf
         live = [i for i in live if rates[i] is None]
-        # periodic integrand: the uniform-node mean is the trapezoid rule
-        # and converges spectrally fast
-        log_g += g_log_sum
+        log_g += float(np.log(g).sum())
         for i, s in zip(live, log1p_slope_sum([ts[i] for i in live], ratio)):
             log1p_sum[i] += s
         for i in live:

@@ -625,6 +625,18 @@ class TestGaussCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0][:10] == out[1][:10]
 
+    @pytest.mark.parametrize("alpha", ["0.5", "2"])
+    def test_aliased_autocov_file_refused(self, tmp_path, alpha):
+        # r_0 = 1, r_4096 = 0.75: the density 1 + 1.5 cos(4096 w) dips to -0.5
+        # between the nodes of a 4096-point grid
+        r = np.zeros(4097)
+        r[0], r[4096] = 1.0, 0.75
+        seq = tmp_path / "aliased.csv"
+        seq.write_text("\n".join(str(v) for v in r))
+        code, out, err = run_cli(f"rate gauss --x {seq} --y white:1 --alpha {alpha}".split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: spectral density") and err.count("\n") == 1
+
     def test_tiny_variance_is_valid(self):
         # the density floor is relative to r_0: 1e-13 was refused as a dip
         assert run_cli("rate gauss --x white:1e-13 --y white:1 --alpha 2".split()) == (
@@ -958,6 +970,16 @@ class TestMalformedNumbers:
         assert main("rate gauss --x white:1 --y ar1:0.5,x --alpha 2".split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "'x'" in err and "--y" in err
+
+    @pytest.mark.parametrize("args", ["--x ar1:0.5,1,7 --y white:1",
+                                      "--x white:1 --y ar1:0.5,1,7"])
+    def test_process_extra_field(self, args, capsys):
+        assert main(f"rate gauss {args} --alpha 2".split()) == 1
+        captured = capsys.readouterr()
+        flag = "--x" if args.startswith("--x ar1") else "--y"
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and "ar1:0.5,1,7" in captured.err
+        assert flag in captured.err
 
     def test_csv_cell(self, tmp_path, mass_files, capsys):
         bad = tmp_path / "bad.csv"

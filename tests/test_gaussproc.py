@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from rxent import (
     NonConvergenceError,
     NonpositivePsdError,
     NotPositiveDefiniteError,
+    RenyiError,
     StationaryGaussianSpec,
     cross_entropy_closed,
     rate_finite_n,
@@ -100,7 +103,135 @@ class TestSpecConstruction:
         for v in (1e-300, 0.3, 1.7, 2.5, 3.0, 1e300):
             white, padded = S.white_noise(v), S.from_autocovariance([v, 0.0])
             for j in range(3):
-                assert np.array_equal(gaussproc._level(white, j)[0], gaussproc._level(padded, j)[0])
+                flat, transform = gaussproc._level_psd(white, j), gaussproc._level_psd(padded, j)
+                assert np.array_equal(flat, transform)
+
+
+def aliased_series(top):
+    """r_0 = 1 and r_4096 = top: the density 1 + 2 top cos(4096 w) is 1 + 2 top
+    on every node of the 4096-point grid, and 1 - 2 |top| at its lowest."""
+    r = np.zeros(4097)
+    r[0], r[4096] = 1.0, top
+    return r
+
+
+def random_series(count=2000, seed=26):
+    """Seeded series r_0..r_m, m = 1..8, with lags uniform in (-1, 1).  The
+    even ones take r_0 between 1/2 and 5/4 of 2 sum |r_k|; the odd ones take
+    r_0 at minus the minimum of 2 sum r_k cos(k w) over a 4096-point grid,
+    times 1 +- 10^-7..10^-1, so that the density's minimum lies near 0."""
+    rng = np.random.default_rng(seed)
+    w = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    for i in range(count):
+        lags = rng.uniform(-1.0, 1.0, int(rng.integers(1, 9)))
+        if i % 2:
+            low = float((2.0 * np.cos(np.outer(w, np.arange(1, lags.size + 1))) @ lags).min())
+            r0 = -low * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -1.0))
+        else:
+            r0 = rng.uniform(0.5, 2.5) * np.abs(lags).sum()
+        yield np.concatenate([[r0], lags])
+
+
+class TestFloorCertificate:
+    FLOOR = 1e-12  # relative to r_0
+
+    def test_aliased_series_refused(self):
+        # 1 + 1.5 cos(4096 w) reads 2.5 on the 4096-point grid and dips to -0.5
+        with pytest.raises(NonpositivePsdError):
+            S.from_autocovariance(aliased_series(0.75))
+
+    def test_density_touching_zero_refused(self):
+        with pytest.raises(NonpositivePsdError):
+            S.from_autocovariance([1.0, 0.5])  # 1 + cos w is 0 at pi
+
+    def test_positive_series_accepted(self):
+        S.from_autocovariance([1.0, 0.25])  # 1 + 0.5 cos w >= 0.5
+        S.from_autocovariance(aliased_series(-0.25))  # 1 - 0.5 cos(4096 w) >= 0.5
+
+    def test_no_random_series_accepted_below_the_floor(self):
+        # r_0 > 2 sum |r_k| bounds the density above r_0 - 2 sum |r_k|; every
+        # other accepted series has its 2^18-node minimum above the floor
+        size, accepted, check = 1 << 18, 0, []
+        for r in random_series():
+            try:
+                S.from_autocovariance(r)
+            except NonpositivePsdError:
+                continue
+            accepted += 1
+            if r[0] - 2.0 * np.abs(r[1:]).sum() <= self.FLOOR * r[0]:
+                check.append(r)
+        assert 800 < accepted < 1600 and len(check) > 400
+        lags = np.zeros((8, len(check)))
+        for i, r in enumerate(check):
+            lags[:r.size - 1, i] = r[1:]
+        n, k = np.arange(size), np.arange(1, 9)
+        cosines = 2.0 * np.cos(2.0 * math.pi * (np.outer(n, k) % size) / size)
+        low = np.full(len(check), np.inf)
+        for start in range(0, size, 1 << 14):
+            low = np.minimum(low, (cosines[start:start + (1 << 14)] @ lags).min(axis=0))
+        r0 = np.array([r[0] for r in check])
+        assert np.all(r0 + low > self.FLOOR * r0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ar1_either_side_of_the_floor(self, sign):
+        # the exact minimum v (1 - |rho|) / (1 + |rho|) meets 1e-12 v near
+        # |rho| = 1 - 2e-12
+        inside, outside = 1.0 - 2e-12 * (1.0 + 1e-3), 1.0 - 2e-12 * (1.0 - 1e-3)
+        spec = S.ar1(sign * inside, 2.0)
+        assert psd(spec, [0.0, math.pi]).min() > self.FLOOR * 2.0
+        with pytest.raises(NonpositivePsdError):
+            S.ar1(sign * outside, 2.0)
+
+    def test_construction_builds_no_matrix(self, monkeypatch):
+        from rxent import gaussproc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a covariance matrix was built")
+
+        monkeypatch.setattr(gaussproc, "toeplitz_cov", refuse)
+        monkeypatch.setattr(gaussproc, "cholesky_lower", refuse)
+        for spec in (S.white_noise(2.0), S.ar1(-0.9, 0.5), S.from_autocovariance([2.0, 0.8, 0.3]),
+                     S.from_autocovariance(ma_lags(5000))):
+            assert sorted(vars(spec)) == ["autocov", "rho"]
+
+
+class TestAr1Density:
+    RHOS = [0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 3e-12]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("a", RHOS)
+    def test_extremes(self, a, sign):
+        # at w = 0 the density is v (1 + a) / (1 - a) for rho = a > 0 and
+        # v (1 - a) / (1 + a) for rho = -a; at w = pi the other way round
+        v = 1.7
+        top, bottom = v * (1.0 + a) / (1.0 - a), v * (1.0 - a) / (1.0 + a)
+        at_zero, at_pi = psd(S.ar1(sign * a, v), [0.0, math.pi])
+        assert_allclose(at_zero, top if sign > 0 else bottom, rtol=1e-15)
+        if sign > 0:  # for rho < 0, cos(w/2) at the double nearest pi is 6e-17
+            assert_allclose(at_pi, bottom, rtol=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("a", RHOS)
+    def test_matches_40_digits(self, a, sign):
+        rho, v = sign * a, 1.7
+        w = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 66)
+        w[:2] = 0.0, math.pi
+        got = psd(S.ar1(rho, v), w)
+        with mp.workdps(40):
+            r = mp.mpf(rho)
+            want = [v * (1 - r * r) / (1 - 2 * r * mp.cos(mp.mpf(x)) + r * r) for x in w]
+        assert_allclose(got, np.array(want, dtype=float), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.99999999999, -0.99999999999, 1.0 - 1e-9, -(1.0 - 1e-9)])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_rate_near_unit_root_is_a_value_or_a_typed_error(self, rho, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = rate_spectral(S.ar1(rho), S.white_noise(1.0), a)
+            except RenyiError:
+                return
+        assert not math.isnan(value)
 
 
 class TestScaleFree:
@@ -364,9 +495,7 @@ class TestSpectralGridStore:
 
         monkeypatch.setattr(gaussproc, "_level_psd", counting)
         x, y = S.from_autocovariance([2.0, 0.8, 0.3]), S.ar1(0.9)
-        for a in (0.5, 0.9, 1.5, 2.0, 3.0):
-            rate_spectral(x, y, a)
-            rate_spectral(y, x, a)
+        rate_spectral(x, y, [0.5, 0.9, 1.5, 2.0, 3.0])  # one call fills each level once
         assert calls and set(calls.values()) == {1}
         # the series spec and the closed-form one each fill levels 0 and 1
         assert {(id(spec), j) for spec in (x, y) for j in (0, 1)} <= set(calls)
@@ -388,7 +517,7 @@ class TestSeriesLevels:
         spec = S.from_autocovariance(ma_lags(m))
         nodes = np.linspace(0.0, 2.0 * math.pi, 4096 << j, endpoint=False)
         expected = psd(spec, nodes[1::2] if j else nodes)
-        assert_allclose(gaussproc._level(spec, j)[0], expected, rtol=1e-13, atol=0.0)
+        assert_allclose(gaussproc._level_psd(spec, j), expected, rtol=1e-13, atol=0.0)
 
     def test_folding_wraps_the_grid_several_times(self, monkeypatch):
         # 40 lags on a 16-point grid: lags 8, 16, 24 and 32 fold onto 8 and 0
@@ -413,7 +542,10 @@ class TestSeriesLevels:
         n = np.arange(size)
         expected = r[0] + 2.0 * sum(r[k] * np.cos(2.0 * math.pi * (k * n % size) / size)
                                     for k in range(1, m + 1))
-        assert_allclose(S.from_autocovariance(r)._levels[0][0], expected, rtol=1e-13, atol=0.0)
+        from rxent import gaussproc
+
+        level = gaussproc._level_psd(S.from_autocovariance(r), 0)
+        assert_allclose(level, expected, rtol=1e-13, atol=0.0)
 
 
 def full_grid_rate(x, y, a, n):
@@ -436,15 +568,20 @@ class TestNestedGrid:
 
     @pytest.mark.parametrize("kind", sorted(PAIRS))
     @pytest.mark.parametrize("a", [0.9, "one", 1.5, 3.0, 6.0])
-    def test_matches_full_grid_at_accepted_level(self, kind, a):
+    def test_matches_full_grid_at_accepted_level(self, kind, a, monkeypatch):
+        from rxent import gaussproc
+
         make_x, make_y = self.PAIRS[kind]
         x, y = make_x(), make_y()
+        built, fill = {x: 0, y: 0}, gaussproc._level_psd
+        monkeypatch.setattr(gaussproc, "_level_psd",
+                            lambda spec, j: built.update({spec: j + 1}) or fill(spec, j))
         value = rate_spectral(x, y, a)
-        levels = len(x._levels)  # the accepted level is the last one built
+        levels = built[x]  # the accepted level is the last one built
         if value == math.inf:
             assert (kind, a) == ("sharp-white", 0.9)
             return
-        assert levels == len(y._levels) >= (3 if kind == "sharp-white" else 2)
+        assert levels == built[y] >= (3 if kind == "sharp-white" else 2)
         expected = full_grid_rate(make_x(), make_y(), a, 4096 << (levels - 1))
         assert value == pytest.approx(expected, rel=1e-15)
 
@@ -455,7 +592,7 @@ class TestNestedGrid:
         monkeypatch.setattr(gaussproc, "psd", lambda spec, w: nodes.append(w) or psd(spec, w))
         x = S.ar1(0.9)
         for j in range(4):
-            gaussproc._level(x, j)
+            gaussproc._level_psd(x, j)
         assert [w.size for w in nodes] == [4096, 4096, 8192, 16384]
         full = np.linspace(0.0, 2.0 * math.pi, 4096 << 3, endpoint=False)
         assert np.array_equal(np.sort(np.concatenate(nodes)), full)
@@ -466,13 +603,15 @@ class TestNestedGrid:
         r = np.zeros(4097)
         r[0], r[4096] = 1.0, -0.25
         x, y = S.from_autocovariance(r), S.white_noise(1.0)
-        assert np.all(x._levels[0][0] == 0.5)
+        from rxent import gaussproc
+
+        assert np.all(gaussproc._level_psd(x, 0) == 0.5)
         a = 1.0 - 1.0 / 1.5 - 0.01
         assert rate_spectral(x, y, a) == math.inf
-        assert np.all(x._levels[1][0] == 1.5)
+        assert np.all(gaussproc._level_psd(x, 1) == 1.5)
         assert rate_spectral(x, y, 0.9) == pytest.approx(1.4496036, abs=1e-7)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
     def test_finite_where_h_stays_above_zero_by_rounding(self):
         # f = 1 + 0.5 cos w peaks at 1.5 on a node; at t = -0.6666666666666666
         # the exact h = 1 + t f is at least 5.55e-17, and the rate is finite
