@@ -142,13 +142,13 @@ def _certify_floor(r: np.ndarray, rho: float) -> None:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e}")
         return
     k, size = np.arange(r.size), max(16, 1 << (2 * r.size - 1).bit_length())
-    dip = math.pi ** 2 * float(np.dot(k * k, np.abs(r)))  # times 1 / N^2
-    rounding = 144 * np.finfo(float).eps * (2.0 * float(np.abs(r).sum()) - r[0])
+    dip = math.pi ** 2 * float(np.dot(k * k, np.abs(r / r[0])))  # times r_0 / N^2
+    rounding = 2 * 4 * 18 * np.finfo(float).eps * (2.0 * float(np.abs(r).sum()) - r[0])
     while True:
         low = float(_folded_series(r, size).min())
         if low <= floor:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e} on a {size}-point grid")
-        if low - dip / size ** 2 - rounding > floor:
+        if low - dip / size ** 2 * r[0] - rounding > floor:
             return
         if size >= _SPECTRAL_GRID_MAX:
             raise NonpositivePsdError(f"spectral density not certified above {floor:.3e}")

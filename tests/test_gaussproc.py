@@ -117,7 +117,7 @@ def aliased_series(top):
 
 def random_series(count=2000, seed=26):
     """Seeded series r_0..r_m, m = 1..8, with lags uniform in (-1, 1).  The
-    even ones take r_0 between 1/2 and 5/4 of 2 sum |r_k|; the odd ones take
+    even ones take r_0 between 1/4 and 5/4 of 2 sum |r_k|; the odd ones take
     r_0 at minus the minimum of 2 sum r_k cos(k w) over a 4096-point grid,
     times 1 +- 10^-7..10^-1, so that the density's minimum lies near 0."""
     rng = np.random.default_rng(seed)
@@ -194,6 +194,13 @@ class TestFloorCertificate:
                      S.from_autocovariance(ma_lags(5000))):
             assert sorted(vars(spec)) == ["autocov", "rho"]
 
+    @pytest.mark.parametrize("c", [1e-300, 1e305])
+    def test_long_series_at_extreme_scales(self, c):
+        # sum k^2 |r_k| is 2.1e6 r_0 here, so it is formed relative to r_0
+        S.from_autocovariance(ma_lags(5000) * c)
+        with pytest.raises(NonpositivePsdError):
+            S.from_autocovariance(aliased_series(0.75) * c)
+
 
 class TestAr1Density:
     RHOS = [0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 3e-12]
@@ -207,7 +214,7 @@ class TestAr1Density:
         top, bottom = v * (1.0 + a) / (1.0 - a), v * (1.0 - a) / (1.0 + a)
         at_zero, at_pi = psd(S.ar1(sign * a, v), [0.0, math.pi])
         assert_allclose(at_zero, top if sign > 0 else bottom, rtol=1e-15)
-        if sign > 0:  # for rho < 0, cos(w/2) at the double nearest pi is 6e-17
+        if sign > 0:  # for rho < 0 the maximum is at pi, which no double equals
             assert_allclose(at_pi, bottom, rtol=1e-15)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -535,6 +542,8 @@ class TestSeriesLevels:
         # series at float nodes carries the rounding of k w (about 2e-12
         # here), the transform does not; the reference reduces k n mod N in
         # integers before the cosine
+        from rxent import gaussproc
+
         m, size = 5000, 4096
         b = np.random.default_rng(2).standard_normal(m + 1) / math.sqrt(m + 1)
         r = np.correlate(b, b, "full")[m:]
@@ -542,8 +551,6 @@ class TestSeriesLevels:
         n = np.arange(size)
         expected = r[0] + 2.0 * sum(r[k] * np.cos(2.0 * math.pi * (k * n % size) / size)
                                     for k in range(1, m + 1))
-        from rxent import gaussproc
-
         level = gaussproc._level_psd(S.from_autocovariance(r), 0)
         assert_allclose(level, expected, rtol=1e-13, atol=0.0)
 
@@ -600,11 +607,11 @@ class TestNestedGrid:
     def test_divergence_between_coarse_nodes(self):
         # f = 1 - 0.5 cos(4096 w) is 0.5 on every level-0 node and 1.5 on every
         # odd node of level 1, so 1 + t f first fails to be positive there
+        from rxent import gaussproc
+
         r = np.zeros(4097)
         r[0], r[4096] = 1.0, -0.25
         x, y = S.from_autocovariance(r), S.white_noise(1.0)
-        from rxent import gaussproc
-
         assert np.all(gaussproc._level_psd(x, 0) == 0.5)
         a = 1.0 - 1.0 / 1.5 - 0.01
         assert rate_spectral(x, y, a) == math.inf
