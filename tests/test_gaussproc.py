@@ -115,6 +115,28 @@ def aliased_series(top):
     return r
 
 
+def peaked_series(phi, m):
+    """Lags 0..m of the autocovariance of b_j = phi^j, j = 0..m."""
+    b = phi ** np.arange(m + 1)
+    return np.correlate(b, b, "full")[m:]
+
+
+def series_minimum(lags, w):
+    """The minimum of 2 sum lags[k-1] cos(k w): Newton's method from the
+    eight lowest of the nodes w."""
+    k = np.arange(1, lags.size + 1)
+    values = 2.0 * np.cos(np.outer(w, k)) @ lags
+    low = float(values.min())
+    for x in w[np.argsort(values)[:8]]:
+        for _ in range(30):
+            slope, curve = -2.0 * (k * lags) @ np.sin(k * x), -2.0 * (k * k * lags) @ np.cos(k * x)
+            if curve <= 0.0:
+                break
+            x -= slope / curve
+        low = min(low, float(2.0 * lags @ np.cos(k * x)))
+    return low
+
+
 def random_series(count=2000, seed=26):
     """Seeded series r_0..r_m, m = 1..8, with lags uniform in (-1, 1).  The
     even ones take r_0 between 1/4 and 5/4 of 2 sum |r_k|; the odd ones take
@@ -194,12 +216,58 @@ class TestFloorCertificate:
                      S.from_autocovariance(ma_lags(5000))):
             assert sorted(vars(spec)) == ["autocov", "rho"]
 
-    @pytest.mark.parametrize("c", [1e-300, 1e305])
+    @pytest.mark.parametrize("c", [1e-300, 1e305, 1e308])
     def test_long_series_at_extreme_scales(self, c):
-        # sum k^2 |r_k| is 2.1e6 r_0 here, so it is formed relative to r_0
+        # sum k^2 |r_k| is 2.1e6 r_0 here, so the bounds are formed relative to r_0
         S.from_autocovariance(ma_lags(5000) * c)
         with pytest.raises(NonpositivePsdError):
             S.from_autocovariance(aliased_series(0.75) * c)
+
+    def test_peaked_long_series_accepted(self):
+        # 0.995^j, j = 0..5000: the density peaks at 400 r_0 and falls to
+        # 2.5e-3 r_0 at pi, where the second-derivative bound on 2^17 nodes
+        # dips 9.2e-3 r_0 and the Taylor bound 4.4e-5 r_0
+        r = peaked_series(0.995, 5000)
+        assert psd(S.from_autocovariance(r), math.pi) == pytest.approx(2.506e-3 * r[0], rel=1e-3)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ma1_near_a_unit_root_accepted(self, sign):
+        # root 1e-5 from the unit circle: minimum (1 - theta)^2 = 5e-11 r_0, where
+        # the second-derivative bound on 2^17 nodes dips 2.9e-10 r_0
+        theta = sign / (1.0 + 1e-5)
+        spec = S.from_autocovariance([1.0 + theta * theta, theta])
+        low = psd(spec, [0.0, math.pi]).min()
+        assert 4e-11 * spec.autocov[0] < low < 6e-11 * spec.autocov[0]
+
+    def test_valid_series_within_the_taylor_remainder_not_certified(self):
+        # the peaked series with r_0 lowered until its minimum, at pi, is 1e-6 r_0:
+        # valid, but the Taylor remainder on 2^17 nodes is 4.4e-5 r_0
+        r = peaked_series(0.995, 5000)
+        r[0] = (r[0] - psd(S.from_autocovariance(r), math.pi)) / (1.0 - 1e-6)
+        assert r[0] + 2.0 * np.dot(r[1:], np.cos(math.pi * np.arange(1, r.size))) > 9e-7 * r[0]
+        with pytest.raises(NonpositivePsdError, match="not certified"):
+            S.from_autocovariance(r)
+
+    def test_no_series_near_the_floor_accepted_below_it(self):
+        # 120 seeded series r_0..r_m, m = 1..40, with r_0 set so that the true
+        # minimum (Newton's method from the lowest nodes of a fine grid) is
+        # 10^-13.5..10^-8 r_0: at these margins only the Taylor bound decides
+        rng = np.random.default_rng(26)
+        w = np.linspace(0.0, 2.0 * math.pi, 1 << 14, endpoint=False)
+        clear, accepted = 0, 0  # margins above 1e-10, and those accepted
+        for _ in range(120):
+            m = int(rng.integers(1, 41))
+            lags = rng.uniform(-1.0, 1.0, m) / np.arange(1, m + 1) ** rng.uniform(0.0, 2.0)
+            low = series_minimum(lags, w)
+            margin = 10.0 ** rng.uniform(-13.5, -8.0)
+            clear += margin > 1e-10
+            try:
+                S.from_autocovariance(np.concatenate([[-low / (1.0 - margin)], lags]))
+            except NonpositivePsdError:
+                continue
+            assert margin > self.FLOOR
+            accepted += margin > 1e-10
+        assert clear > 30 and accepted > 0.9 * clear
 
 
 class TestAr1Density:
