@@ -18,13 +18,15 @@ Toeplitz log-determinants and converges to the spectral value as n grows.
 
 Construction certifies that the density exceeds 1e-12 r_0 at every
 frequency (``_certify_floor``), which makes every Toeplitz covariance
-positive definite and keeps ln f and ln g finite on every grid.  The
-trapezoid levels of the spectral rate are nested: level 0 is the 4096-point
-uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point grid.  One
-rate call fills each spec's density on a level once (an AR(1) at the nodes,
-white noise flat, a longer series by one real FFT of its folded lags), and
-the orders of a sequence add log1p(t f/g) over the new nodes to running
-sums, with one (orders x nodes) log1p per level.
+positive definite and keeps ln f and ln g finite on every grid.  When both
+processes are white noise or AR(1), the spectral rate has a closed form
+(``_one_lag_rate``), whose divergence verdict is exact.  A pair with a
+longer series takes the trapezoid rule on nested levels: level 0 is the
+4096-point uniform grid, level j >= 1 the odd nodes of the 4096 2^j-point
+grid.  One rate call fills each spec's density on a level once (an AR(1) at
+the nodes, white noise flat, a longer series by one real FFT of its folded
+lags), and the orders of a sequence add log1p(t f/g) over the new nodes to
+running sums, with one (orders x nodes) log1p per level.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 from .alpha import AlphaOrder, evaluate_orders
 from .errors import (
+    DoubleRangeError,
     InvalidAlphaError,
     InvalidParameterError,
     NonConvergenceError,
@@ -230,12 +233,15 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
     """Cross-entropy rate (1/2) ln 2 pi + (1/2) mean[ln g + log1p(t f/g) / t]
     over the circle, t = alpha - 1; at t = 0 the mean is of ln g + f/g.
 
-    The mean is the trapezoid rule on a uniform grid over [0, 2 pi), doubled
-    until two successive refinements agree to 1e-10 / max(1, pi |t| / 5)
-    (spectral accuracy for smooth densities), so the value's stopping error
-    is at most 5e-11 and 8e-11 / |t|.  Returns +inf when h = g + t f is not
-    strictly positive (possible only for alpha < 1).  A sequence of orders
-    gives the list of rates.
+    When x and y are both white noise or AR(1), the mean is in closed form
+    (``_one_lag_rate``), and +inf exactly when h = g + t f < 0 at some
+    frequency for the double inputs as given.  For any other pair it is the
+    trapezoid rule on a uniform grid over [0, 2 pi), doubled until two
+    successive refinements agree to 1e-10 / max(1, pi |t| / 5) (spectral
+    accuracy for smooth densities), so the value's stopping error is at most
+    5e-11 and 8e-11 / |t|; it returns +inf when h is not strictly positive on
+    the grid (possible only for alpha < 1).  A sequence of orders gives the
+    list of rates.
     """
     return evaluate_orders(_spectral_rates, alpha, x, y)
 
@@ -243,6 +249,8 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
 def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders: list) -> list:
     if any(alpha.is_inf for alpha in orders):
         raise InvalidAlphaError("Gaussian process rates need a finite order")
+    if x.autocov.size == 1 and y.autocov.size == 1:  # white noise or AR(1) on both sides
+        return [_one_lag_rate(x, y, alpha.value) for alpha in orders]
     ts = [alpha.value - 1.0 for alpha in orders]
     tolerance = [_SPECTRAL_TOLERANCE / max(1.0, 0.2 * math.pi * abs(t)) for t in ts]
     rates, previous, log1p_sum = [None] * len(ts), [None] * len(ts), [0.0] * len(ts)
@@ -271,6 +279,65 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
         live = [i for i in live if rates[i] is None]
         n, j = 2 * n, j + 1
     return rates
+
+
+def _one_lag_rate(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: float) -> float:
+    """The rate of two white-noise or AR(1) specs in closed form.
+
+    With D = 1 + rho^2 - 2 rho cos w and c = v (1 - rho^2), f = c_f / D_f and
+    g = c_g / D_g, so h D_f D_g / c_g = A - B cos w with A = A0 + t A1 and
+    B = B0 + t B1, where A0 = 1 + rho_f^2, B0 = 2 rho_f, A1 = k (1 + rho_g^2),
+    B1 = 2 k rho_g and k = c_f / c_g.  Over the circle ln D has mean 0 (the
+    Kolmogorov-Szego formula), and ln(A - B cos w) has mean ln S with
+    S = (A + sqrt(A^2 - B^2)) / 2 = ((sqrt(A - |B|) + sqrt(A + |B|)) / 2)^2
+    for A >= |B| (the log-cosine integral), so the rate is
+    (1/2) [ln 2 pi + ln c_g + ln S / t], and S(0) = 1.  Near S = 1, write
+    S = 1 + t dS: ln S / t = log1p(t dS) / (t dS) dS, which is the Shannon
+    rate at t = 0; elsewhere ln S / t = 2 ln sqrt(S) / t, since 1 + t dS
+    would lose a small S.  A < |B|, possible only for t < 0, is divergence;
+    where A - |B| is within 1e-9 of the size of its terms, the verdict is
+    exact (``_exact_ends``).
+    """
+    t, a, b = alpha - 1.0, x.rho, y.rho
+    q_f, q_g = (1.0 - abs(a)) * (1.0 + abs(a)), (1.0 - abs(b)) * (1.0 + abs(b))
+    v_g = float(y.autocov[0])
+    k = float(x.autocov[0]) / v_g * (q_f / q_g)
+    if k == math.inf:
+        raise DoubleRangeError("the density ratio c_f / c_g exceeds the double range")
+    # A - |B| and A + |B|: h D_f D_g / c_g at w = 0 and at w = pi
+    low, high = sorted(((1.0 - a) ** 2 + t * k * (1.0 - b) ** 2,
+                        (1.0 + a) ** 2 + t * k * (1.0 + b) ** 2))
+    if t < 0.0 and abs(low) <= 1e-9 * (1.0 + a * a - t * k * (1.0 + b * b)):
+        low, high = _exact_ends(x, y, alpha)
+        if low < 0 or high == 0:  # h < 0 somewhere, or h = 0 everywhere
+            return math.inf
+        low, high = float(low), float(high)
+    elif low < 0.0:
+        return math.inf
+    if high == math.inf:
+        raise DoubleRangeError(f"h / g exceeds the double range at order {alpha}")
+    root_low, root_high = math.sqrt(low), math.sqrt(high)
+    root = 0.5 * (root_low + root_high)  # sqrt(S)
+    if 0.7 < root < 1.4:
+        # 2 (A0 A1 - B0 B1) = 2 k ((1 - ab)^2 + (a - b)^2) and A1^2 - B1^2 = k^2 q_g^2
+        ds = 0.5 * k * (1.0 + b * b + (2.0 * ((1.0 - a * b) ** 2 + (a - b) ** 2)
+                                       + t * k * q_g * q_g) / (root_low * root_high + q_f))
+        u = t * ds
+        mean = math.log1p(u) / u * ds if u else ds
+    else:
+        mean = 2.0 * math.log(root) / t
+    return 0.5 * (LOG_2PI + math.log(v_g) + math.log(q_g) + mean)
+
+
+def _exact_ends(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: float) -> tuple:
+    """A - |B| and A + |B| of ``_one_lag_rate``, in rational arithmetic on the
+    double inputs: the sign of the first is the exact verdict."""
+    from fractions import Fraction  # a 2-3 ms import, paid only next to an edge
+
+    a, b, t = Fraction(x.rho), Fraction(y.rho), Fraction(alpha) - 1
+    k = (Fraction(float(x.autocov[0])) * (1 - a) * (1 + a)
+         / (Fraction(float(y.autocov[0])) * (1 - b) * (1 + b)))
+    return tuple(sorted(((1 - a) ** 2 + t * k * (1 - b) ** 2, (1 + a) ** 2 + t * k * (1 + b) ** 2)))
 
 
 def rate_finite_n(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha, n: int) -> float:

@@ -647,6 +647,22 @@ class TestGaussCommand:
         assert code == 2
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_value_next_to_the_edge(self):
+        # ar1:0.6 against white:1 is 1.1e-17 from its edge at 0.75, relative
+        # to the density; the true rate is 1.94058977213346476
+        assert run_cli("rate gauss --x ar1:0.6 --y white:1 --alpha 0.75".split()) == (
+            0, "1.94058977213\n", "")
+        assert run_cli("sweep gauss --x ar1:0.6 --y white:1 --alphas 0.7:0.8:0.05".split()) == (
+            2, "alpha,value\n0.7,inf\n0.75,1.94058977213\n0.8,1.61992768657\n", "")
+
+    def test_near_unit_root_prints_the_value(self):
+        # (1/2) (ln 2 pi + log1p(sqrt(1 - rho^2))) at order 2 against white:1
+        code, out, err = run_cli(
+            "rate gauss --x ar1:0.99999999999 --y white:1 --alpha 2".split())
+        rho = 0.99999999999
+        expected = 0.5 * (math.log(2 * math.pi) + math.log1p(math.sqrt((1 - rho) * (1 + rho))))
+        assert (code, out, err) == (0, f"{expected:.12g}\n", "")
+
     def test_shannon_marker(self, capsys):
         # (1/2) ln 2 pi + (1/2) (ln w + v / w) for white noise v against w
         code = main("rate gauss --x white:1 --y white:2 --alpha 1".split())
@@ -929,9 +945,10 @@ class TestSweepParsesOnce:
         ("sweep markov --p {p} --q {zero} --alphas 0.5:2:0.5",
          "rate markov --p {p} --q {zero} --alpha 0.5",
          "strictly positive reference"),
-        # 0.7 diverges, 0.75 is the edge where the trapezoid cannot settle
-        ("sweep gauss --x ar1:0.6 --y white:1 --alphas 0.7:0.8:0.05",
-         "rate gauss --x ar1:0.6 --y white:1 --alpha 0.75",
+        # 1e-9 above the series' edge, where the trapezoid cannot settle
+        ("sweep gauss --x {series} --y white:1 "
+         "--alphas 0.3782383429689119:0.4782383429689119:0.05",
+         "rate gauss --x {series} --y white:1 --alpha 0.3782383429689119",
          "did not stabilize"),
     ])
     def test_first_error_unchanged(self, chain_files, tmp_path, sweep, single, message):
@@ -939,7 +956,10 @@ class TestSweepParsesOnce:
         bad.write_text("0.5,0.4\n0.5,0.5\n")
         zero = tmp_path / "zero.csv"
         zero.write_text("1.0,0.0\n0.5,0.5\n")
-        names = {"bad": bad, "q": chain_files[1], "p": chain_files[0], "zero": zero}
+        series = tmp_path / "series.csv"
+        series.write_text("1\n0.1\n-0.3\n")
+        names = {"bad": bad, "q": chain_files[1], "p": chain_files[0], "zero": zero,
+                 "series": series}
         swept = run_cli(sweep.format(**names).split())
         alone = run_cli(single.format(**names).split())
         assert swept == alone

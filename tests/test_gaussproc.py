@@ -1,6 +1,12 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from rxent import (
     AlphaOrder,
+    DoubleRangeError,
     ExpFamilyDistribution,
     InvalidAlphaError,
     InvalidParameterError,
@@ -300,13 +307,20 @@ class TestAr1Density:
     @pytest.mark.parametrize("rho", [0.99999999999, -0.99999999999, 1.0 - 1e-9, -(1.0 - 1e-9)])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_rate_near_unit_root_is_a_value_or_a_typed_error(self, rho, a):
+        # a value at every order from 1 up; below 1 a value or a typed error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 value = rate_spectral(S.ar1(rho), S.white_noise(1.0), a)
             except RenyiError:
+                assert a < 1.0
                 return
         assert not math.isnan(value)
+        if a >= 1.0:
+            # the Shannon rate is (1/2) (ln 2 pi + r_0); at 2 it is
+            # (1/2) (ln 2 pi + log1p(sqrt(1 - rho^2)))
+            shift = 1.0 if a == 1.0 else math.log1p(math.sqrt((1.0 - rho) * (1.0 + rho)))
+            assert value == pytest.approx(0.5 * (math.log(2.0 * math.pi) + shift), rel=1e-14)
 
 
 class TestScaleFree:
@@ -378,6 +392,151 @@ class TestWhiteNoiseRates:
         mean = math.log((big_a + math.sqrt(big_a**2 - 4.0 * rho * rho)) / 2.0) / t
         want = 0.5 * math.log(2 * math.pi) + 0.5 * (math.log(w) + mean)
         assert_allclose(rate_spectral(S.ar1(rho, v), S.white_noise(w), a), want, rtol=1e-12)
+
+
+def one_lag_rate_mp(x, y, a, bump=0):
+    """The white-noise / AR(1) closed form in 40-digit mpmath on the exact
+    double inputs, with the source variance scaled by 1 + bump: h D_f D_g =
+    A - B cos w has circle mean ln S, S = (A + sqrt(A^2 - B^2)) / 2, and
+    +inf where A < |B|.  Not at alpha = 1."""
+    with mp.workdps(40):
+        rf, rg = mp.mpf(x.rho), mp.mpf(y.rho)
+        c_f = mp.mpf(float(x.autocov[0])) * (1 + bump) * (1 - rf) * (1 + rf)
+        c_g = mp.mpf(float(y.autocov[0])) * (1 - rg) * (1 + rg)
+        t = mp.mpf(a) - 1
+        big_a = c_g * (1 + rf * rf) + t * c_f * (1 + rg * rg)
+        big_b = abs(2 * (c_g * rf + t * c_f * rg))
+        if big_a < big_b:
+            return math.inf
+        s = (big_a + mp.sqrt((big_a - big_b) * (big_a + big_b))) / 2
+        return float((mp.log(2 * mp.pi) + mp.log(c_g) + (mp.log(s) - mp.log(c_g)) / t) / 2)
+
+
+def one_lag_edge(x, y):
+    """The exact order 1 - 1 / max(f / g) below which the pair diverges, as a
+    Fraction of the double inputs: f / g = k D_g / D_f is monotone in cos w,
+    so its maximum is at w = 0 or w = pi."""
+    from fractions import Fraction
+
+    rf, rg = Fraction(x.rho), Fraction(y.rho)
+    k = (Fraction(float(x.autocov[0])) * (1 - rf) * (1 + rf)
+         / (Fraction(float(y.autocov[0])) * (1 - rg) * (1 + rg)))
+    return 1 - 1 / (k * max((1 - rg) ** 2 / (1 - rf) ** 2, (1 + rg) ** 2 / (1 + rf) ** 2))
+
+
+def random_one_lag_spec(rng):
+    v = math.exp(rng.uniform(-3.0, 3.0))
+    return S.white_noise(v) if rng.random() < 0.3 else S.ar1(rng.uniform(-0.95, 0.95), v)
+
+
+class TestOneLagClosedForm:
+    """White-noise and AR(1) pairs take the closed form, not the trapezoid."""
+
+    # each side white noise or an AR(1), among them lp0385's pair, a near
+    # unit root and a pair whose densities are proportional
+    EDGE_PAIRS = [
+        (S.ar1(0.6), S.white_noise(1.0)),
+        (S.white_noise(1.7), S.ar1(-0.4, 0.8)),
+        (S.ar1(0.3, 2.0), S.ar1(-0.5, 1.1)),
+        (S.ar1(-0.9, 0.5), S.ar1(0.2, 3.0)),
+        (S.ar1(0.99999999999), S.white_noise(1.0)),
+        (S.ar1(-0.7, 3.0), S.ar1(-0.7, 1.3)),
+        (S.white_noise(4.0), S.white_noise(1.0)),
+        (S.white_noise(0.24917134), S.white_noise(0.054872)),
+    ]
+
+    def test_equals_the_full_grid_away_from_the_edge(self):
+        # 2^17 nodes take the trapezoid to rounding for |rho| <= 0.95 and
+        # orders at least 0.01 above the edge
+        rng = np.random.default_rng(27)
+        checked = 0
+        while checked < 300:
+            x, y = random_one_lag_spec(rng), random_one_lag_spec(rng)
+            a = math.exp(rng.uniform(-4.0, 2.5)) if checked % 10 else 1.0
+            if a < float(one_lag_edge(x, y)) + 0.01:
+                continue
+            value = rate_spectral(x, y, a)
+            expected = full_grid_rate(x, y, "one" if a == 1.0 else a, 1 << 17)
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), (x, y, a)
+            checked += 1
+
+    @pytest.mark.parametrize("pair", range(len(EDGE_PAIRS)))
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-9, 1e-6])
+    def test_matches_40_digits_at_and_above_the_edge(self, pair, offset):
+        # the nearest double to the edge, then the doubles nearest to edge +
+        # offset.  Up to 1e-12 above the edge both ends of A - B cos w are
+        # formed exactly, and the value is within 1e-14.  Further up they are
+        # formed in floats: the tolerance adds the move of the exact value
+        # when the source variance moves by 4 units in its last place, the
+        # size of the rounding they carry (large where h nearly vanishes
+        # everywhere, as for the proportional pairs)
+        x, y = self.EDGE_PAIRS[pair]
+        a = float(one_lag_edge(x, y) + offset)
+        value, expected = rate_spectral(x, y, a), one_lag_rate_mp(x, y, a)
+        if math.isinf(expected):
+            assert value == expected
+            return
+        moved = expected if offset <= 1e-12 else one_lag_rate_mp(x, y, a, bump=-mp.mpf(2) ** -50)
+        assert abs(value - expected) <= 1e-14 * abs(expected) + abs(moved - expected)
+
+    def test_boundary_op_gives_the_true_rate(self):
+        # ar1:0.6 against white:1 at 0.75, 1.1e-17 from the edge relative to
+        # the density: the trapezoid did not settle there
+        value = rate_spectral(S.ar1(0.6), S.white_noise(1.0), 0.75)
+        assert value == pytest.approx(1.94058977213346476, rel=1e-15)
+
+    @pytest.mark.parametrize("pair", range(len(EDGE_PAIRS)))
+    def test_exact_verdict_at_the_doubles_next_to_the_edge(self, pair, monkeypatch):
+        from rxent import gaussproc
+
+        calls, exact = [], gaussproc._exact_ends
+        monkeypatch.setattr(gaussproc, "_exact_ends",
+                            lambda *args: calls.append(args) or exact(*args))
+        x, y = self.EDGE_PAIRS[pair]
+        edge = one_lag_edge(x, y)
+        near = float(edge)
+        below = near if Fraction(near) < edge else math.nextafter(near, 0.0)
+        above = near if Fraction(near) > edge else math.nextafter(near, 2.0)
+        assert rate_spectral(x, y, below) == math.inf
+        assert rate_spectral(x, y, above) == pytest.approx(one_lag_rate_mp(x, y, above), rel=1e-14)
+        if Fraction(near) == edge:  # h touches 0 at one frequency, or is 0 at all
+            flat = x.rho == y.rho
+            assert (rate_spectral(x, y, near) == math.inf) == flat
+        assert len(calls) >= 2  # each verdict was exact, not a rounded margin's
+
+    def test_white_pair_equals_the_scalar_gaussian(self):
+        # iid sequences: the rate is the one-letter cross-entropy, verdict and value
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            v_f, v_g = np.exp(rng.uniform(-3.0, 3.0, 2))
+            a = math.exp(rng.uniform(-4.0, 2.5))
+            scalar = cross_entropy_closed(ExpFamilyDistribution.gaussian(0.0, v_f),
+                                          ExpFamilyDistribution.gaussian(0.0, v_g), a).value
+            value = rate_spectral(S.white_noise(v_f), S.white_noise(v_g), a)
+            if math.isinf(scalar):
+                assert value == scalar
+            else:
+                assert abs(value - scalar) <= 1e-14 * abs(scalar)
+
+    def test_extreme_variance_ratio_is_a_typed_error(self):
+        with pytest.raises(DoubleRangeError):
+            rate_spectral(S.white_noise(1e300), S.white_noise(1e-300), 2.0)
+
+    def test_fractions_loaded_only_next_to_an_edge(self):
+        # the exact verdict's import is paid where the float margin is in doubt
+        script = textwrap.dedent("""
+            import sys
+            from rxent import StationaryGaussianSpec as S, rate_spectral
+            rate_spectral(S.ar1(0.6), S.ar1(-0.3, 1.5), [0.5, 0.9, 1.0, 2.0])
+            print("fractions" in sys.modules)
+            rate_spectral(S.ar1(0.6), S.white_noise(1.0), 0.75)
+            print("fractions" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestCorrelatedRates:
@@ -623,21 +782,39 @@ class TestSeriesLevels:
         assert_allclose(level, expected, rtol=1e-13, atol=0.0)
 
 
+def grid_psd(spec, n):
+    """psd on the n-point grid; a series of fewer than n / 2 lags by one
+    unfolded real transform, r_0 + 2 sum r_k cos(2 pi k j / n)."""
+    if spec.autocov.size <= 1 or 2 * spec.autocov.size > n:
+        return psd(spec, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    return np.fft.hfft(np.pad(spec.autocov, (0, n // 2 + 1 - spec.autocov.size)), n)
+
+
 def full_grid_rate(x, y, a, n):
     """The trapezoid rate on the n-point grid, every node evaluated afresh."""
-    w = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    f, g = psd(x, w), psd(y, w)
+    f, g = grid_psd(x, n), grid_psd(y, n)
     t = 0.0 if a == "one" else a - 1.0
     body = f / g if t == 0.0 else np.log1p(t * f / g) / t
     return 0.5 * (math.log(2.0 * math.pi) + float(np.mean(np.log(g) + body)))
 
 
+def sharp_lags():
+    """A series with a sharp peak: 0.998^k for k = 0..8000, plus 0.5 at lag 0."""
+    r = 0.998 ** np.arange(8001)
+    r[0] += 0.5
+    return r
+
+
 class TestNestedGrid:
     PAIRS = {
-        "ar1-white": (lambda: S.ar1(0.5, 2.0), lambda: S.white_noise(1.0)),
         "csv-ar1": (lambda: S.from_autocovariance([2.0, 0.8, 0.3]), lambda: S.ar1(-0.4)),
+        # a sharp peak: 3 levels, and +inf at 0.9
+        "sharp-series": (lambda: S.from_autocovariance(sharp_lags()), lambda: S.white_noise(1.0)),
+    }
+    # pairs of white noise or AR(1), which take the closed form
+    ONE_LAG_PAIRS = {
+        "ar1-white": (lambda: S.ar1(0.5, 2.0), lambda: S.white_noise(1.0)),
         "ar1-ar1": (lambda: S.ar1(0.7), lambda: S.ar1(-0.3, 1.5)),
-        # a sharp peak: 3 or 4 levels, and +inf at 0.9
         "sharp-white": (lambda: S.ar1(0.998), lambda: S.white_noise(1.0)),
     }
 
@@ -654,11 +831,27 @@ class TestNestedGrid:
         value = rate_spectral(x, y, a)
         levels = built[x]  # the accepted level is the last one built
         if value == math.inf:
-            assert (kind, a) == ("sharp-white", 0.9)
+            assert (kind, a) == ("sharp-series", 0.9)
             return
-        assert levels == built[y] >= (3 if kind == "sharp-white" else 2)
+        assert levels == built[y] >= (3 if kind == "sharp-series" else 2)
         expected = full_grid_rate(make_x(), make_y(), a, 4096 << (levels - 1))
         assert value == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", sorted(ONE_LAG_PAIRS))
+    @pytest.mark.parametrize("a", [0.9, "one", 1.5, 3.0, 6.0])
+    def test_one_lag_pairs_equal_the_full_grid(self, kind, a, monkeypatch):
+        # no level is built, and the closed form is the 2^17-point trapezoid
+        # to 1e-12 (that rule converges geometrically for these densities)
+        from rxent import gaussproc
+
+        make_x, make_y = self.ONE_LAG_PAIRS[kind]
+        monkeypatch.setattr(gaussproc, "_level_psd", None)
+        value = rate_spectral(make_x(), make_y(), a)
+        if value == math.inf:
+            assert (kind, a) == ("sharp-white", 0.9)
+            return
+        expected = full_grid_rate(make_x(), make_y(), a, 1 << 17)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_levels_are_the_full_grid_bit_for_bit(self, monkeypatch):
         from rxent import gaussproc
@@ -697,6 +890,9 @@ class TestNestedGrid:
         assert value == pytest.approx(2.26275812143812, abs=1e-9)
 
     def test_nonconvergence_message_unchanged(self):
+        # the series [1, 0.1, -0.3] against white:1 at 1e-9 above its edge
+        # (ROADMAP item 3): the trapezoid does not settle by 2^17 nodes
         with pytest.raises(NonConvergenceError) as info:
-            rate_spectral(S.ar1(0.6), S.white_noise(1.0), 0.75)
+            rate_spectral(S.from_autocovariance([1.0, 0.1, -0.3]), S.white_noise(1.0),
+                          0.3782383429689119)
         assert str(info.value) == "spectral integral did not stabilize below 1e-10"

@@ -119,6 +119,19 @@ def test_closed_form_sweeps_load_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_imports_load_no_exact_arithmetic():
+    """Importing the package and the CLI loads neither fractions nor decimal:
+    the exact verdict of the Gaussian-process closed form imports fractions
+    only next to an edge, so that start-up does not pay for it."""
+    script = ("import sys, rxent, rxent.cli; "
+              "print(sorted(n for n in sys.modules if n in ('fractions', 'decimal')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # Functions that may fork on the alpha = 1 marker: the referees, which have
 # their own alpha = 1 code.  Every other value, the MGF reducers included,
 # gets its Shannon limit from its own formula at t = alpha - 1 = 0.
