@@ -235,7 +235,7 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
 
     When x and y are both white noise or AR(1), the mean is in closed form
     (``_one_lag_rate``), and +inf exactly when h = g + t f < 0 at some
-    frequency for the double inputs as given.  For any other pair it is the
+    frequency or h = 0 at every frequency, for the double inputs as given.  For any other pair it is the
     trapezoid rule on a uniform grid over [0, 2 pi), doubled until two
     successive refinements agree to 1e-10 / max(1, pi |t| / 5) (spectral
     accuracy for smooth densities), so the value's stopping error is at most
@@ -294,21 +294,21 @@ def _one_lag_rate(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: f
     (1/2) [ln 2 pi + ln c_g + ln S / t], and S(0) = 1.  Near S = 1, write
     S = 1 + t dS: ln S / t = log1p(t dS) / (t dS) dS, which is the Shannon
     rate at t = 0; elsewhere ln S / t = 2 ln sqrt(S) / t, since 1 + t dS
-    would lose a small S.  A < |B|, possible only for t < 0, is divergence;
-    where A - |B| is within 1e-9 of the size of its terms, the verdict is
-    exact (``_exact_ends``).
+    would lose a small S.  A < |B|, or A = |B| = 0 (h = 0 everywhere),
+    possible only for t < 0, is divergence; where A - |B| is within 1e-9 of
+    the size of its terms, the verdict is exact: the ends are formed again
+    from Fractions of the double inputs.
     """
     t, a, b = alpha - 1.0, x.rho, y.rho
-    q_f, q_g = (1.0 - abs(a)) * (1.0 + abs(a)), (1.0 - abs(b)) * (1.0 + abs(b))
-    v_g = float(y.autocov[0])
-    k = float(x.autocov[0]) / v_g * (q_f / q_g)
+    v_f, v_g = float(x.autocov[0]), float(y.autocov[0])
+    k, low, high = _ends(v_f, v_g, a, b, t)
     if k == math.inf:
         raise DoubleRangeError("the density ratio c_f / c_g exceeds the double range")
-    # A - |B| and A + |B|: h D_f D_g / c_g at w = 0 and at w = pi
-    low, high = sorted(((1.0 - a) ** 2 + t * k * (1.0 - b) ** 2,
-                        (1.0 + a) ** 2 + t * k * (1.0 + b) ** 2))
     if t < 0.0 and abs(low) <= 1e-9 * (1.0 + a * a - t * k * (1.0 + b * b)):
-        low, high = _exact_ends(x, y, alpha)
+        from fractions import Fraction  # a 2-3 ms import, paid only next to an edge
+
+        _, low, high = _ends(Fraction(v_f), Fraction(v_g), Fraction(a), Fraction(b),
+                             Fraction(alpha) - 1)
         if low < 0 or high == 0:  # h < 0 somewhere, or h = 0 everywhere
             return math.inf
         low, high = float(low), float(high)
@@ -318,6 +318,7 @@ def _one_lag_rate(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: f
         raise DoubleRangeError(f"h / g exceeds the double range at order {alpha}")
     root_low, root_high = math.sqrt(low), math.sqrt(high)
     root = 0.5 * (root_low + root_high)  # sqrt(S)
+    q_f, q_g = (1.0 - a) * (1.0 + a), (1.0 - b) * (1.0 + b)
     if 0.7 < root < 1.4:
         # 2 (A0 A1 - B0 B1) = 2 k ((1 - ab)^2 + (a - b)^2) and A1^2 - B1^2 = k^2 q_g^2
         ds = 0.5 * k * (1.0 + b * b + (2.0 * ((1.0 - a * b) ** 2 + (a - b) ** 2)
@@ -329,15 +330,12 @@ def _one_lag_rate(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: f
     return 0.5 * (LOG_2PI + math.log(v_g) + math.log(q_g) + mean)
 
 
-def _exact_ends(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha: float) -> tuple:
-    """A - |B| and A + |B| of ``_one_lag_rate``, in rational arithmetic on the
-    double inputs: the sign of the first is the exact verdict."""
-    from fractions import Fraction  # a 2-3 ms import, paid only next to an edge
-
-    a, b, t = Fraction(x.rho), Fraction(y.rho), Fraction(alpha) - 1
-    k = (Fraction(float(x.autocov[0])) * (1 - a) * (1 + a)
-         / (Fraction(float(y.autocov[0])) * (1 - b) * (1 + b)))
-    return tuple(sorted(((1 - a) ** 2 + t * k * (1 - b) ** 2, (1 + a) ** 2 + t * k * (1 + b) ** 2)))
+def _ends(v_f, v_g, a, b, t) -> tuple:
+    """k = c_f / c_g and the sorted A - |B| and A + |B| of ``_one_lag_rate``
+    (h D_f D_g / c_g at w = 0 and at w = pi); exact on Fraction arguments."""
+    k = v_f / v_g * ((1 - a) * (1 + a) / ((1 - b) * (1 + b)))
+    zero, pi = (1 - a) ** 2 + t * k * (1 - b) ** 2, (1 + a) ** 2 + t * k * (1 + b) ** 2
+    return (k, zero, pi) if zero <= pi else (k, pi, zero)
 
 
 def rate_finite_n(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha, n: int) -> float:
