@@ -452,15 +452,12 @@ def _prepare_special(opts):
     p = _make_distribution(_require(opts, "p_family", variant), _require(opts, "p", variant))
     if variant == "q-exponential":
         rate = _require(opts, "rate", variant)
-    else:
-        variance = _require(opts, "var", variant)
-
-    if variant == "q-exponential":
         mgf = differential.mgf_of(p)
         return _with_numeric_oracle(
             lambda alpha: differential.cross_entropy_q_exponential(mgf, rate, alpha).value,
             lambda: (p.support, p.logpdf, ExpFamilyDistribution.exponential(rate).logpdf))
 
+    variance = _require(opts, "var", variant)
     half_normal = variant == "q-half-normal"
     mean = 0.0 if half_normal else opts["mean"]
     mgf = differential.mgf_of_centered_square(p, mean)
@@ -524,12 +521,7 @@ def _fmt(v: float) -> str:
     return format(v + 0.0 if v == 0.0 else v, ".12g")
 
 
-def _alpha_text(a: AlphaOrder) -> str:
-    if a.is_one:
-        return "1"
-    if a.is_inf:
-        return "inf"
-    return format(a.value, ".12g")
+_COLUMNS = ("alpha", "value", "oracle", "gap")
 
 
 def _json_number(v: float | None):
@@ -541,44 +533,25 @@ def _json_number(v: float | None):
 
 
 def _render(job: JobSpec, rows) -> str:
+    # each row as (alpha, value, oracle, gap); the same infinity twice is
+    # agreement, not nan
+    rows = [(a.value, v, o, None if o is None else 0.0 if v == o else abs(v - o))
+            for a, v, o in rows]
     fmt = job.output_format
-    if job.sweep:
-        if fmt is OutputFormat.JSON:
-            payload = [
-                {"command": job.command, "alpha": _json_number(a.value),
-                 "value": _json_number(v), "oracle": None, "gap": None}
-                for a, v, _ in rows
-            ]
-            return json.dumps(payload)
-        lines = ["alpha,value"] if fmt is OutputFormat.CSV else []
-        sep = "," if fmt is OutputFormat.CSV else " "
-        lines += [f"{_alpha_text(a)}{sep}{_fmt(v)}" for a, v, _ in rows]
-        return "\n".join(lines)
-
-    alpha, value, oracle_value = rows[0]
-    if oracle_value is None:
-        gap = None
-    else:  # the same infinity twice is agreement, not nan
-        gap = 0.0 if value == oracle_value else abs(value - oracle_value)
     if fmt is OutputFormat.JSON:
-        payload = {
-            "command": job.command,
-            "alpha": _json_number(alpha.value),
-            "value": _json_number(value),
-            "oracle": _json_number(oracle_value),
-            "gap": _json_number(gap),
-        }
-        return json.dumps(payload)
+        payload = [{"command": job.command,
+                    **{key: _json_number(x) for key, x in zip(_COLUMNS, row)}} for row in rows]
+        return json.dumps(payload if job.sweep else payload[0])
     if fmt is OutputFormat.CSV:
-        lines = ["alpha,value"] if oracle_value is None else ["alpha,value,oracle,gap"]
-        row = f"{_alpha_text(alpha)},{_fmt(value)}"
-        if oracle_value is not None:
-            row += f",{_fmt(oracle_value)},{_fmt(gap)}"
-        return "\n".join([lines[0], row])
+        width = 4 if any(row[2] is not None for row in rows) else 2
+        return "\n".join([",".join(_COLUMNS[:width])]
+                         + [",".join(map(_fmt, row[:width])) for row in rows])
+    if job.sweep:
+        return "\n".join(f"{_fmt(a)} {_fmt(v)}" for a, v, _, _ in rows)
+    _, value, oracle_value, gap = rows[0]
     out = [_fmt(value)]
     if oracle_value is not None:
-        out.append(f"oracle {_fmt(oracle_value)}")
-        out.append(f"gap {_fmt(gap)}")
+        out += [f"oracle {_fmt(oracle_value)}", f"gap {_fmt(gap)}"]
     return "\n".join(out)
 
 
@@ -599,13 +572,10 @@ def run(job: JobSpec) -> tuple[int, str]:
                 oracle_value = oracle_value / math.log(2)
         rows.append((alpha, value, oracle_value))
     if job.sweep:
-        finite = [(a, v) for a, v, _ in rows]
-        for (_, earlier), (later_a, later) in zip(finite, finite[1:]):
+        for (_, earlier, _), (later_a, later, _) in zip(rows, rows[1:]):
             if later > earlier + 1e-9:
-                print(
-                    f"warning: sweep is not non-increasing at alpha={_alpha_text(later_a)}",
-                    file=sys.stderr,
-                )
+                print(f"warning: sweep is not non-increasing at alpha={_fmt(later_a.value)}",
+                      file=sys.stderr)
                 break
     code = 2 if any(math.isinf(v) for _, v, _ in rows) else 0
     if failure is not None:

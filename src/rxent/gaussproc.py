@@ -104,9 +104,7 @@ class StationaryGaussianSpec:
     def ar1(cls, rho: float, variance: float = 1.0) -> "StationaryGaussianSpec":
         """First-order autoregression: r_k = variance * rho^k at every lag
         (rho = 0 is white noise)."""
-        rho, variance = float(rho), float(variance)
-        if not -1.0 < rho < 1.0:
-            raise InvalidParameterError(f"ar1 needs |rho| < 1, got {rho}")
+        variance = float(variance)
         if variance <= 0:
             raise InvalidParameterError(f"ar1 needs variance > 0, got {variance}")
         return cls(np.array([variance]), rho)
@@ -136,53 +134,50 @@ def _certify_floor(r: np.ndarray, rho: float) -> None:
     """Raise NonpositivePsdError unless the density is certified above
     _PSD_FLOOR r_0 at every frequency.  White noise and an AR(1) have the
     exact minimum v (1 - |rho|) / (1 + |rho|).  A series, over r_0 the cosine
-    series sum a_k cos(k w) with a_0 = 1 and a_k = 2 r_k / r_0, takes its
-    minimum on N = max(16, 2 (m + 1)), 2 N, ... uniform nodes up to 2^17, less
-    (h^2 / 2) sum k^2 |a_k| with h = pi / N (the second-derivative bound), or
-    at 2^17 nodes ``_taylor_floor``; less, too, the rounding allowance of this
-    transform and of a level's, so that no level node falls below the floor."""
+    series sum a_k cos(k w) with a_0 = 1 and a_k = 2 r_k / r_0, is bounded by
+    ``_taylor_floor`` on N = max(16, 2 (m + 1)), 2 N, ... uniform nodes up to
+    2^17, and refused as soon as a node falls to the floor."""
     if r.size == 1:
         low = r[0] * (1.0 - abs(rho)) / (1.0 + abs(rho))
         if low <= _PSD_FLOOR * r[0]:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e}")
         return
-    c, k, size = r / r[0], np.arange(r.size), max(16, 1 << (2 * r.size - 1).bit_length())
-    a = np.abs(c) * np.where(k > 0, 2.0, 1.0)
-    rounding = 2.0 * _FFT_ROUNDING * a.sum()
+    c, size = r / r[0], max(16, 1 << (2 * r.size - 1).bit_length())
     while True:
-        low = float(_folded_series(c, size).min())
+        low, bound = _taylor_floor(c, size)
         if low <= _PSD_FLOOR:
             raise NonpositivePsdError(
                 f"spectral density dips to {low * r[0]:.3e} on a {size}-point grid"
             )
-        if low - 0.5 * (math.pi / size) ** 2 * np.dot(k * k, a) - rounding > _PSD_FLOOR:
+        if bound > _PSD_FLOOR:
             return
         if size >= _SPECTRAL_GRID_MAX:
-            if _taylor_floor(c, size) - rounding > _PSD_FLOOR:
-                return
             raise NonpositivePsdError(
                 f"spectral density not certified above {_PSD_FLOOR * r[0]:.3e}"
             )
         size *= 2
 
 
-def _taylor_floor(c: np.ndarray, size: int) -> float:
-    """Lower bound on the cosine series f of the lags c from f, f' and f'' at
-    size uniform nodes, one FFT each of the folded a_k k^p: within h = pi /
-    size of a node, f is at least the least value of f + f' d + f'' d^2 / 2
-    over |d| <= h, less (h^3 / 6) sum k^3 |a_k|, which shrinks as h^3 where
-    the second-derivative bound shrinks as h^2.  Less, too, the rounding
-    allowance of the two derivative transforms; that of f is the caller's."""
+def _taylor_floor(c: np.ndarray, size: int) -> tuple[float, float]:
+    """The least value of the cosine series f of the lags c (c.size <= size /
+    2) at size uniform nodes, and a lower bound on f at every frequency.  One
+    real FFT of the a_k k^p, p = 0, 1, 2, gives f, f' and f'' at the nodes in
+    [0, pi]; f and f'' are even and f' odd, so the bound at -w is that at w.
+    Within h = pi / size of a node, f is at least the least value of
+    f + f' d + f'' d^2 / 2 over |d| <= h, less (h^3 / 6) sum k^3 |a_k|.  Less,
+    too, the rounding allowance of the three transforms, that of f twice, so
+    that no node of a level (``_level_psd``, a transform of its own) falls
+    below the bound."""
     k, h = np.arange(c.size), math.pi / size
     moments = np.where(k > 0, 2.0 * c, c) * k.astype(float) ** np.arange(4)[:, None]
-    t = np.fft.fft([np.bincount(k % size, m, size) for m in moments[:3]])
+    t = np.fft.rfft(moments[:3], size)
     f, slope, curve = t[0].real, np.abs(t[1].imag), -t[2].real
     vertex = curve * h > slope  # the quadratic takes its least value inside (-h, h)
     low = np.where(vertex, f - slope * slope / (2.0 * np.where(vertex, curve, 1.0)),
                    f - slope * h + 0.5 * curve * h * h)
     norms = np.abs(moments).sum(axis=1)  # sum k^p |a_k|, p = 0..3
-    rounding = _FFT_ROUNDING * (h * norms[1] + 0.5 * h * h * norms[2])
-    return float(low.min()) - h ** 3 / 6.0 * norms[3] - rounding
+    rounding = _FFT_ROUNDING * (2.0 * norms[0] + h * norms[1] + 0.5 * h * h * norms[2])
+    return float(f.min()), float(low.min()) - h ** 3 / 6.0 * norms[3] - rounding
 
 
 def _folded_series(lags: np.ndarray, size: int) -> np.ndarray:
@@ -235,13 +230,15 @@ def rate_spectral(x: StationaryGaussianSpec, y: StationaryGaussianSpec, alpha):
 
     When x and y are both white noise or AR(1), the mean is in closed form
     (``_one_lag_rate``), and +inf exactly when h = g + t f < 0 at some
-    frequency or h = 0 at every frequency, for the double inputs as given.  For any other pair it is the
-    trapezoid rule on a uniform grid over [0, 2 pi), doubled until two
-    successive refinements agree to 1e-10 / max(1, pi |t| / 5) (spectral
-    accuracy for smooth densities), so the value's stopping error is at most
-    5e-11 and 8e-11 / |t|; it returns +inf when h is not strictly positive on
-    the grid (possible only for alpha < 1).  A sequence of orders gives the
-    list of rates.
+    frequency or h = 0 at every frequency, for the double inputs as given.
+    For any other pair it is the trapezoid rule on a uniform grid over
+    [0, 2 pi), doubled until two successive refinements agree to
+    1e-10 / max(1, pi |t| / 5) (spectral accuracy for smooth densities), so
+    the value's stopping error is at most 5e-11 and 8e-11 / |t|; it returns
+    +inf when h is not strictly positive on the grid (possible only for
+    alpha < 1), and raises DoubleRangeError where f / g, or t f / g for
+    t > 0, exceeds the double range.  A sequence of orders gives the list of
+    rates.
     """
     return evaluate_orders(_spectral_rates, alpha, x, y)
 
@@ -262,11 +259,17 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
                 f"spectral integral did not stabilize below {tolerance[live[0]]:.3g}"
             )
         f, g = _level_psd(x, j), _level_psd(y, j)
-        ratio = f / g
+        with np.errstate(over="ignore"):
+            ratio = f / g
         ratio_max = float(ratio.max())
+        if ratio_max == math.inf:
+            raise DoubleRangeError("the density ratio f / g exceeds the double range")
         for i in live:  # for t < 0, min fl(1 + t r) is fl(1 + t max r); t >= 0 never diverges
             if 1.0 + ts[i] * ratio_max <= 0.0:
                 rates[i] = math.inf
+            elif ts[i] * ratio_max == math.inf:
+                raise DoubleRangeError(
+                    f"h / g exceeds the double range at order {orders[i].value}")
         live = [i for i in live if rates[i] is None]
         log_g += float(np.log(g).sum())
         for i, s in zip(live, log1p_slope_sum([ts[i] for i in live], ratio)):

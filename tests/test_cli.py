@@ -772,6 +772,105 @@ class TestOutputFormats:
         assert "not non-increasing" in capsys.readouterr().err
 
 
+_EXP = "xent expfam --family exponential --p lambda=2 --q lambda=3 --alpha 2"
+_BETA_AT_1 = "xent expfam --family beta --p a=2,b=0.5 --q a=3,b=2 --alpha 1 --oracle"
+_SWEEP = "sweep expfam --family exponential --p lambda=1 --q lambda=2 --alphas 0.5:1.5:0.5"
+
+
+def _json_row(command, alpha, value, oracle="null", gap="null"):
+    return (f'{{"command": "{command}", "alpha": {alpha}, "value": {value}, '
+            f'"oracle": {oracle}, "gap": {gap}}}')
+
+
+# (argv, exit code, stdout) for each output shape: a single order, with
+# --oracle (zero gap, a nonzero gap, matching infinities, alpha = inf), with a
+# referee that fails (exit 1, no oracle column), a sweep, and --bits
+_OUTPUT_TABLE = {
+    "single-plain": (f"{_EXP} --format plain", 0, "-0.182321556794\n"),
+    "single-csv": (f"{_EXP} --format csv", 0, "alpha,value\n2,-0.182321556794\n"),
+    "single-json": (f"{_EXP} --format json", 0,
+                    _json_row("xent expfam", "2.0", "-0.18232155679395468") + "\n"),
+    "oracle-plain": (f"{_EXP} --oracle --format plain", 0,
+                     "-0.182321556794\noracle -0.182321556794\ngap 0\n"),
+    "oracle-csv": (f"{_EXP} --oracle --format csv", 0,
+                   "alpha,value,oracle,gap\n2,-0.182321556794,-0.182321556794,0\n"),
+    "oracle-json": (f"{_EXP} --oracle --format json", 0,
+                    _json_row("xent expfam", "2.0", "-0.18232155679395468",
+                              "-0.18232155679395468", "0.0") + "\n"),
+    "oracle-bits-plain": (f"{_EXP} --oracle --bits --format plain", 0,
+                          "-0.263034405834\noracle -0.263034405834\ngap 0\n"),
+    "oracle-bits-csv": (f"{_EXP} --oracle --bits --format csv", 0,
+                        "alpha,value,oracle,gap\n2,-0.263034405834,-0.263034405834,0\n"),
+    "oracle-bits-json": (f"{_EXP} --oracle --bits --format json", 0,
+                         _json_row("xent expfam", "2.0", "-0.2630344058337939",
+                                   "-0.2630344058337939", "0.0") + "\n"),
+    "gap-plain": ("xent discrete --p {p} --q {q} --definition alternate --alpha 3 --oracle "
+                  "--format plain", 0,
+                  "0.986171703062\noracle 0.986171703062\ngap 1.11022302463e-16\n"),
+    "gap-csv": ("xent discrete --p {p} --q {q} --definition alternate --alpha 3 --oracle "
+                "--format csv", 0,
+                "alpha,value,oracle,gap\n3,0.986171703062,0.986171703062,1.11022302463e-16\n"),
+    "gap-json": ("xent discrete --p {p} --q {q} --definition alternate --alpha 3 --oracle "
+                 "--format json", 0,
+                 _json_row("xent discrete", "3.0", "0.9861717030617343", "0.9861717030617344",
+                           "1.1102230246251565e-16") + "\n"),
+    "inf-plain": ("xent expfam --family gaussian --p mu=0,var=1 --q mu=0,var=0.01 --alpha 0.5 "
+                  "--oracle --format plain", 2, "inf\noracle inf\ngap 0\n"),
+    "inf-csv": ("xent expfam --family gaussian --p mu=0,var=1 --q mu=0,var=0.01 --alpha 0.5 "
+                "--oracle --format csv", 2, "alpha,value,oracle,gap\n0.5,inf,inf,0\n"),
+    "inf-json": ("xent expfam --family gaussian --p mu=0,var=1 --q mu=0,var=0.01 --alpha 0.5 "
+                 "--oracle --format json", 2,
+                 _json_row("xent expfam", "0.5", '"inf"', '"inf"', "0.0") + "\n"),
+    "alpha-inf-plain": ("xent discrete --p {p} --q {q} --alpha inf --oracle --format plain", 0,
+                        "0.916290731874\noracle 0.916290731874\ngap 0\n"),
+    "alpha-inf-csv": ("xent discrete --p {p} --q {q} --alpha inf --oracle --format csv", 0,
+                      "alpha,value,oracle,gap\ninf,0.916290731874,0.916290731874,0\n"),
+    "alpha-inf-json": ("xent discrete --p {p} --q {q} --alpha inf --oracle --format json", 0,
+                       _json_row("xent discrete", '"inf"', "0.916290731874155",
+                                 "0.916290731874155", "0.0") + "\n"),
+    "referee-fails-plain": (f"{_BETA_AT_1} --format plain", 1, "0.742504627972\n"),
+    "referee-fails-csv": (f"{_BETA_AT_1} --format csv", 1, "alpha,value\n1,0.742504627972\n"),
+    "referee-fails-json": (f"{_BETA_AT_1} --format json", 1,
+                           _json_row("xent expfam", "1.0", "0.7425046279722172") + "\n"),
+    "referee-fails-bits-plain": (f"{_BETA_AT_1} --bits --format plain", 1, "1.07120774461\n"),
+    "referee-fails-bits-csv": (f"{_BETA_AT_1} --bits --format csv", 1,
+                               "alpha,value\n1,1.07120774461\n"),
+    "referee-fails-bits-json": (f"{_BETA_AT_1} --bits --format json", 1,
+                                _json_row("xent expfam", "1.0", "1.0712077446126225") + "\n"),
+    "sweep-plain": (f"{_SWEEP} --format plain", 2,
+                    "0.5 inf\n1 1.30685281944\n1.5 0.69314718056\n"),
+    "sweep-csv": (f"{_SWEEP} --format csv", 2,
+                  "alpha,value\n0.5,inf\n1,1.30685281944\n1.5,0.69314718056\n"),
+    "sweep-json": (f"{_SWEEP} --format json", 2,
+                   "[" + ", ".join([_json_row("xent expfam", "0.5", '"inf"'),
+                                    _json_row("xent expfam", "1.0", "1.3068528194400546"),
+                                    _json_row("xent expfam", "1.5", "0.6931471805599453")])
+                   + "]\n"),
+    "sweep-bits-plain": (f"{_SWEEP} --bits --format plain", 2,
+                         "0.5 inf\n1 1.88539008178\n1.5 1\n"),
+    "sweep-bits-csv": (f"{_SWEEP} --bits --format csv", 2,
+                       "alpha,value\n0.5,inf\n1,1.88539008178\n1.5,1\n"),
+    "sweep-bits-json": (f"{_SWEEP} --bits --format json", 2,
+                        "[" + ", ".join([_json_row("xent expfam", "0.5", '"inf"'),
+                                         _json_row("xent expfam", "1.0", "1.8853900817779268"),
+                                         _json_row("xent expfam", "1.5", "1.0")])
+                        + "]\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUT_TABLE))
+def test_output_table(case, mass_files):
+    """Exact stdout and exit code of every output shape in every format."""
+    argv, expected_code, expected_out = _OUTPUT_TABLE[case]
+    p, q = mass_files
+    code, out, err = run_cli(argv.format(p=p, q=q).split())
+    assert (code, out) == (expected_code, expected_out)
+    if case.startswith("referee-fails"):
+        assert err.startswith("error: oracle: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 class TestEnvironment:
     def test_module_entry_point(self):
         import subprocess

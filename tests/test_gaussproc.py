@@ -99,7 +99,7 @@ class TestSpecConstruction:
         for rho in (1.0, -1.0, math.nan):
             with pytest.raises(InvalidParameterError, match="rho"):
                 S(np.array([1.0]), rho)
-        # the coefficient is checked first, as ar1 always did
+        # construction checks the coefficient before the variance's finiteness
         with pytest.raises(InvalidParameterError, match="rho"):
             S.ar1(1.5, math.nan)
 
@@ -232,15 +232,15 @@ class TestFloorCertificate:
 
     def test_peaked_long_series_accepted(self):
         # 0.995^j, j = 0..5000: the density peaks at 400 r_0 and falls to
-        # 2.5e-3 r_0 at pi, where the second-derivative bound on 2^17 nodes
-        # dips 9.2e-3 r_0 and the Taylor bound 4.4e-5 r_0
+        # 2.5e-3 r_0 at pi; the Taylor bound first clears the floor on 2^16
+        # nodes, 3.5e-4 r_0 below the least node
         r = peaked_series(0.995, 5000)
         assert psd(S.from_autocovariance(r), math.pi) == pytest.approx(2.506e-3 * r[0], rel=1e-3)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_ma1_near_a_unit_root_accepted(self, sign):
-        # root 1e-5 from the unit circle: minimum (1 - theta)^2 = 5e-11 r_0, where
-        # the second-derivative bound on 2^17 nodes dips 2.9e-10 r_0
+        # root 1e-5 from the unit circle: minimum (1 - theta)^2 = 5e-11 r_0, which
+        # the Taylor bound first clears on 8192 nodes
         theta = sign / (1.0 + 1e-5)
         spec = S.from_autocovariance([1.0 + theta * theta, theta])
         low = psd(spec, [0.0, math.pi]).min()
@@ -885,3 +885,24 @@ class TestNestedGrid:
             rate_spectral(S.from_autocovariance([1.0, 0.1, -0.3]), S.white_noise(1.0),
                           0.3782383429689119)
         assert str(info.value) == "spectral integral did not stabilize below 1e-10"
+
+    @pytest.mark.parametrize("x, y", [
+        (S.from_autocovariance([1e300, 1e299]), S.white_noise(1e-300)),
+        (S.white_noise(1e300), S.from_autocovariance([1e-300, 1e-301])),
+        (S.ar1(0.5, 1e300), S.from_autocovariance([1e-300, 1e-301])),
+    ], ids=["series-white", "white-series", "ar1-series"])
+    def test_density_ratio_past_the_double_range(self, x, y):
+        # f / g overflows at every node: a typed error, and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleRangeError, match="f / g"):
+                rate_spectral(x, y, 2.0)
+
+    def test_order_times_ratio_past_the_double_range(self):
+        # t max f / g = 1.5e308 * 1.6 overflows; 1e308 * 1.6 does not
+        x, y = S.from_autocovariance([1.0, 0.3]), S.white_noise(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(rate_spectral(x, y, 1e308))
+            with pytest.raises(DoubleRangeError, match="at order 1.5e"):
+                rate_spectral(x, y, [2.0, 1.5e308])

@@ -163,7 +163,7 @@ def test_alpha_one_forks_only_where_allowed(name):
 
 
 def test_marker_readers_are_found():
-    assert _marker_readers(PACKAGE / "cli.py") >= {"_discrete_oracle", "_alpha_text"}
+    assert _marker_readers(PACKAGE / "cli.py") >= {"_discrete_oracle"}
 
 
 def test_production_never_calls_the_slope_referee():

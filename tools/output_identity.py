@@ -24,7 +24,7 @@ import tempfile
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark worker runs
 
-DEFAULT_WORKLOADS = "lib_pointwise,cli_sweep,oracle_check"
+DEFAULT_WORKLOADS = "lib_pointwise,cli_sweep,oracle_check,cli_oneshot"
 
 
 def _seeds(text: str) -> list[int]:
