@@ -18,9 +18,9 @@ File formats (CSV)
 
 A command reads, parses and validates its inputs once (CSV files, family
 parameters, process specifications), then evaluates them at every order of
-its grid, which the markov, gauss and closed-form mvgauss targets take in
-one call; a value that does not parse as a number, or a file with none, is
-a usage error.
+its grid, which every target but the closed form of a scalar family and the
+special reducers takes in one call; a value that does not parse as a
+number, or a file with none, is a usage error.
 
 Values print in nats (``--bits`` divides by ln 2) with 12 significant
 digits.  A divergent value prints ``inf`` or ``-inf`` and the process exits
@@ -358,14 +358,26 @@ def _prepare_discrete(opts):
     p = _read_masses(opts["p"])
     q = _read_masses(opts["q"])
     definition = opts["definition"]
-    value_at = (discrete.renyi_cross_entropy if definition == "standard"
-                else discrete.alt_cross_entropy)
-    return (lambda alphas: [value_at(p, q, alpha) for alpha in alphas],
+    values = (discrete.renyi_cross_entropy if definition == "standard"
+              else discrete.alt_cross_entropy)
+    return (lambda alphas: values(p, q, alphas),
             lambda alpha: _discrete_oracle(p, q, alpha, definition))
 
 
-def _with_numeric_oracle(value_at, log_densities, kinks=()):
-    """Per-order values and the quadrature cross-entropy as the referee.
+def _each(value_at):
+    """The values over a grid of a function of one order, one call per order."""
+    return lambda alphas: [value_at(alpha) for alpha in alphas]
+
+
+def _result_values(results, *inputs):
+    """The values over a grid of a library function that takes the whole
+    grid and returns one result per order."""
+    return lambda alphas: [r.value for r in results(*inputs, alphas)]
+
+
+def _with_numeric_oracle(values, log_densities, kinks=()):
+    """The grid function ``values`` and the quadrature cross-entropy as the
+    referee.
 
     ``log_densities()`` returns (support, p logpdf, q logpdf); it runs only
     under ``--oracle``, after the value.  ``kinks`` are points where the
@@ -376,7 +388,7 @@ def _with_numeric_oracle(value_at, log_densities, kinks=()):
         return oracle.cross_entropy_numeric(supp, alpha, p_logpdf=p_logpdf,
                                             q_logpdf=q_logpdf, points=kinks)
 
-    return (lambda alphas: [value_at(alpha) for alpha in alphas]), referee
+    return values, referee
 
 
 def _kinks(d: ExpFamilyDistribution) -> tuple[float, ...]:
@@ -393,19 +405,18 @@ def _prepare_expfam(opts):
             return oracle.cross_entropy_grid2d_gaussian(cov1, cov2, alpha)
 
         if opts["method"] == "closed":
-            values = differential.cross_entropy_multivariate_gaussian
-            return (lambda alphas: [r.value for r in values(cov1, cov2, alphas)]), referee
+            return _result_values(differential.cross_entropy_multivariate_gaussian,
+                                  cov1, cov2), referee
         f1 = ExpFamilyDistribution.mv_gaussian(cov1, name="cov1")
         f2 = ExpFamilyDistribution.mv_gaussian(cov2, name="cov2")
-        return (lambda alphas: [differential.cross_entropy_natural(f1, f2, alpha).value
-                                for alpha in alphas]), referee
+        return _result_values(differential.cross_entropy_natural, f1, f2), referee
     f1 = _make_distribution(opts["family"], opts["p"])
     f2 = _make_distribution(opts["family"], opts["q"])
-    engine = (differential.cross_entropy_natural if opts["method"] == "natural"
-              else differential.cross_entropy_closed)
-    return _with_numeric_oracle(
-        lambda alpha: engine(f1, f2, alpha).value,
-        lambda: (f1.support, f1.logpdf, f2.logpdf), _kinks(f1))
+    if opts["method"] == "natural":
+        values = _result_values(differential.cross_entropy_natural, f1, f2)
+    else:
+        values = _each(lambda alpha: differential.cross_entropy_closed(f1, f2, alpha).value)
+    return _with_numeric_oracle(values, lambda: (f1.support, f1.logpdf, f2.logpdf), _kinks(f1))
 
 
 def _uniform_logpdf(supp: SupportSpec):
@@ -440,13 +451,14 @@ def _prepare_special(opts):
     if variant == "q-uniform":
         supp = SupportSpec.interval(opts["lower"], opts["upper"])
         return _with_numeric_oracle(
-            lambda alpha: differential.cross_entropy_q_uniform(supp),
+            _each(lambda alpha: differential.cross_entropy_q_uniform(supp)),
             lambda: (supp, _uniform_logpdf(supp), _uniform_logpdf(supp)))
 
     if variant == "p-uniform":
         q = _make_distribution("beta", _require(opts, "q", variant))
         return _with_numeric_oracle(
-            lambda alpha: differential.cross_entropy_p_uniform(UNIT_INTERVAL, q, alpha).value,
+            _each(lambda alpha: differential.cross_entropy_p_uniform(
+                UNIT_INTERVAL, q, alpha).value),
             lambda: (UNIT_INTERVAL, _uniform_logpdf(UNIT_INTERVAL), q.logpdf))
 
     p = _make_distribution(_require(opts, "p_family", variant), _require(opts, "p", variant))
@@ -454,7 +466,7 @@ def _prepare_special(opts):
         rate = _require(opts, "rate", variant)
         mgf = differential.mgf_of(p)
         return _with_numeric_oracle(
-            lambda alpha: differential.cross_entropy_q_exponential(mgf, rate, alpha).value,
+            _each(lambda alpha: differential.cross_entropy_q_exponential(mgf, rate, alpha).value),
             lambda: (p.support, p.logpdf, ExpFamilyDistribution.exponential(rate).logpdf))
 
     variance = _require(opts, "var", variant)
@@ -468,8 +480,8 @@ def _prepare_special(opts):
         return p.support, p.logpdf, q_logpdf
 
     return _with_numeric_oracle(
-        lambda alpha: differential.cross_entropy_q_gaussian(mgf, mean, variance, alpha,
-                                                            half_normal=half_normal).value,
+        _each(lambda alpha: differential.cross_entropy_q_gaussian(
+            mgf, mean, variance, alpha, half_normal=half_normal).value),
         log_densities, _kinks(p))
 
 
@@ -503,8 +515,9 @@ class _Target(NamedTuple):
 # Each target's command group, option builder and preparer.  A preparer
 # reads, builds and validates the inputs once and returns
 # (values(alphas) -> one value per order, referee(alpha) -> the oracle
-# value).  The markov, gauss and closed-form mvgauss values take the whole
-# grid in one call; the other targets evaluate one order at a time.
+# value).  The values take the whole grid in one library call, but for the
+# closed form of a scalar family and the special reducers, which ``_each``
+# evaluates one order at a time.
 _TARGETS = {
     "discrete": _Target("xent", _add_discrete_opts, _prepare_discrete),
     "expfam": _Target("xent", _add_expfam_opts, _prepare_expfam),

@@ -55,6 +55,7 @@ from .expfam import (
     ExpFamilyDistribution,
     Family,
     combine_natural,
+    constant_log_base,
     gaussian_log_partition_gap,
     log_base_expectation,
     log_partition,
@@ -128,32 +129,45 @@ def _check_pair(f1: ExpFamilyDistribution, f2: ExpFamilyDistribution):
         )
 
 
-def cross_entropy_natural(
-    f1: ExpFamilyDistribution, f2: ExpFamilyDistribution, alpha
-) -> CrossEntropyResult:
+def cross_entropy_natural(f1: ExpFamilyDistribution, f2: ExpFamilyDistribution, alpha):
     """Cross-entropy through the combined natural parameter.
 
     Uses only the family's (b, T, eta, A) representation (see the module
     docstring); at t = 0 the divided differences give the Shannon value
     -E_1[ln b] - eta2 . E_1[T] - A(eta2).  The combined parameter leaves the
-    natural domain exactly when the defining integral diverges.
+    natural domain exactly when the defining integral diverges.  A sequence
+    of orders gives the list of results, from one check of the pair, one
+    natural parameter per side, one A(eta2) and, where the base measure is
+    constant, one ln b.
     """
+    return evaluate_orders(_natural, alpha, f1, f2)
+
+
+def _natural(f1: ExpFamilyDistribution, f2: ExpFamilyDistribution, orders: list) -> list:
     _check_pair(f1, f2)
-    alpha = AlphaOrder.coerce(alpha)
-    if alpha.is_inf:
-        raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
     eta1, eta2 = to_natural(f1), to_natural(f2)
-    t = alpha.value - 1.0
-    try:
-        eta_h = combine_natural(eta1, eta2, alpha)
-        if f1.family is Family.GAUSSIAN:
-            value = gaussian_log_partition_gap(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
-        else:
-            value = (log_partition_slope(eta1, eta2, t) - log_base_expectation(eta_h, alpha)
-                     - log_partition(eta2))
-    except OutOfDomainError:
-        return _diverged(alpha, Method.NATURAL_PARAMS)
-    return _finite(value, Method.NATURAL_PARAMS)
+    gaussian = f1.family is Family.GAUSSIAN
+    # order-free: A(eta2) (the Gaussian gap holds its own), and ln b where the
+    # base measure is constant, so that E_h[b^t] is b^t at every order
+    a2 = 0.0 if gaussian else log_partition(eta2)
+    log_b = constant_log_base(f1.family, len(eta1.components))
+    results = []
+    for alpha in orders:
+        if alpha.is_inf:
+            raise InvalidAlphaError("no differential form at the alpha -> infinity limit")
+        t = alpha.value - 1.0
+        try:
+            eta_h = combine_natural(eta1, eta2, alpha)
+            base = log_base_expectation(eta_h, alpha) if log_b is None else log_b
+            if gaussian:
+                value = gaussian_log_partition_gap(eta1, eta2, t) - base
+            else:
+                value = log_partition_slope(eta1, eta2, t) - base - a2
+        except OutOfDomainError:
+            results.append(_diverged(alpha, Method.NATURAL_PARAMS))
+            continue
+        results.append(_finite(value, Method.NATURAL_PARAMS))
+    return results
 
 
 def cross_entropy_closed(

@@ -371,7 +371,7 @@ def combine_natural(eta1: NaturalParam, eta2: NaturalParam, alpha) -> NaturalPar
     combined = NaturalParam(
         eta1.family,
         c1 + t * c2 if eta1.family is Family.MV_GAUSSIAN_ZERO_MEAN
-        else tuple(a + t * b for a, b in zip(c1, c2)),
+        else tuple([a + t * b for a, b in zip(c1, c2)]),
         eta1.anchor,
     )
     if not natural_in_domain(combined):

@@ -191,14 +191,26 @@ def _folded_series(lags: np.ndarray, size: int) -> np.ndarray:
 
 
 def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
-    """psd on the nodes of level j, the 4096-point grid for j = 0, else the
-    odd nodes of the 4096 2^j-point grid."""
+    """psd / 2^e (``_level_exponent``) on the nodes of level j, the
+    4096-point grid for j = 0, else the odd nodes of the 4096 2^j-point
+    grid."""
     size, nodes = _SPECTRAL_GRID << j, slice(1, None, 2) if j else slice(None)
+    e = _level_exponent(spec)
     if spec.rho:
-        return psd(spec, np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)[nodes])
+        level = psd(spec, np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)[nodes])
+        return np.ldexp(level, -e) if e else level
     if spec.autocov.size == 1:
-        return np.full(size // 2 if j else size, spec.autocov[0])
-    return _folded_series(spec.autocov, size)[nodes]
+        return np.full(size // 2 if j else size, math.ldexp(spec.autocov[0], -e))
+    return _folded_series(np.ldexp(spec.autocov, -e), size)[nodes]
+
+
+def _level_exponent(spec: StationaryGaussianSpec) -> int:
+    """The binary exponent of r_0 rounded toward zero to a multiple of 512.
+
+    Dividing the lags by 2^e is exact, leaves an r_0 within 2^+-512 of 1 as
+    it is, and brings any other within that range, where a series' density
+    (at most (2 m + 1) r_0) and its floor (1e-12 r_0) are normal doubles."""
+    return int(math.frexp(spec.autocov[0])[1] / 512) * 512
 
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
@@ -252,6 +264,9 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
     tolerance = [_SPECTRAL_TOLERANCE / max(1.0, 0.2 * math.pi * abs(t)) for t in ts]
     rates, previous, log1p_sum = [None] * len(ts), [None] * len(ts), [0.0] * len(ts)
     log_g = 0.0  # sum of ln g over the nodes of levels 0..j
+    # the levels come as f / 2^e_x and g / 2^e_y (``_level_psd``)
+    e_x, e_y = _level_exponent(x), _level_exponent(y)
+    shift, log_scale_g = e_x - e_y, e_y * math.log(2.0)
     live, n, j = list(range(len(ts))), _SPECTRAL_GRID, 0
     while live:
         if n > _SPECTRAL_GRID_MAX:
@@ -260,7 +275,7 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
             )
         f, g = _level_psd(x, j), _level_psd(y, j)
         with np.errstate(over="ignore"):
-            ratio = f / g
+            ratio = np.ldexp(f / g, shift) if shift else f / g
         ratio_max = float(ratio.max())
         if ratio_max == math.inf:
             raise DoubleRangeError("the density ratio f / g exceeds the double range")
@@ -271,7 +286,7 @@ def _spectral_rates(x: StationaryGaussianSpec, y: StationaryGaussianSpec, orders
                 raise DoubleRangeError(
                     f"h / g exceeds the double range at order {orders[i].value}")
         live = [i for i in live if rates[i] is None]
-        log_g += float(np.log(g).sum())
+        log_g += float(np.log(g).sum()) + g.size * log_scale_g
         for i, s in zip(live, log1p_slope_sum([ts[i] for i in live], ratio)):
             log1p_sum[i] += s
         for i in live:

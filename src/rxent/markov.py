@@ -20,15 +20,17 @@ the rate is the Shannon rate -u (P o ln Q) 1; at t = 0 the chain's rate
 weights the reachable closed classes by their absorption probabilities.
 The block-entropy slope n H_n - (n-1) H_{n-1} is kept as its referee.
 
-Class eigenvalues come from LAPACK (``numpy.linalg.eig``).  The classes
-come from the boolean reachability closure of I + pattern, taken by
-repeated squaring in float matrix products.  The classes the start reaches
-depend only on P and the positivity patterns of R and s, so a sequence of
-orders is one stack of weights, grouped by zero pattern, classified once
-per group (a new group only where t changes sign or Q^t underflows), with
-one batched eigen-solve per class and group.  Matrix powers (the finite-n
-blocks and the slope's state occupation) are taken by binary powering with
-scaling, O(K^3 log n) work.
+Class eigenvalues come from LAPACK (``numpy.linalg.eig``), but for a
+class of one state, whose eigenvalue is its self-loop weight R_ii and whose
+Perron vector is [1].  The classes come from the boolean reachability
+closure of I + pattern, taken by repeated squaring in float matrix
+products.  The classes the start reaches depend only on P and the
+positivity patterns of R and s, so a sequence of orders is one stack of
+weights, grouped by zero pattern, classified once per group (a new group
+only where t changes sign or Q^t underflows), with one batched eigen-solve
+per larger class and group.  Matrix powers (the finite-n blocks and the
+slope's state occupation) are taken by binary powering with scaling,
+O(K^3 log n) work.
 """
 
 from __future__ import annotations
@@ -314,7 +316,10 @@ def _rates(p_src: MarkovSource, q_src: MarkovSource, orders: list) -> list:
         for c, (idx, is_closed) in enumerate(classes):
             use = np.arange(group.size) if is_closed else moving
             block = (group[use, None, None], idx[:, None], idx)
-            lam, u = perron_eigenpair(weighted[block].transpose(0, 2, 1))
+            if idx.size == 1:  # a self-loop: lambda = R_ii and u = [1]
+                lam, u = weighted[block][:, 0, 0], np.ones((use.size, 1))
+            else:
+                lam, u = perron_eigenpair(weighted[block].transpose(0, 2, 1))
             # a closed class has lambda = 1 + t slope; another one only lambda
             slope = ((u[:, None, :] @ d[block].sum(axis=2)[:, :, None]).ravel().tolist()
                      if is_closed else [math.inf] * use.size)

@@ -248,19 +248,26 @@ def log_kummer_slope(a: float, b: float, t: float) -> float:
     return q if direct else 1.0 - q
 
 
-def logsumexp(terms: np.ndarray) -> float:
-    """ln sum exp(terms) of a 1-D array.
+def logsumexp(terms: np.ndarray):
+    """ln sum exp over the last axis: a float for a 1-D array, a list of one
+    float per row for a 2-D one.
 
-    The largest term is shifted out and the rest enter through log1p, so a
-    sum dominated by one term keeps its digits.  An empty or all -inf array
-    gives -inf, a +inf term +inf, and a NaN term NaN.
+    The largest term of a row is shifted out and the rest enter through
+    log1p, so a sum dominated by one term keeps its digits.  An empty or
+    all -inf row gives -inf, a +inf term +inf, and a NaN term NaN.
     """
-    if terms.size == 0:
-        return -math.inf
-    k = int(np.argmax(terms))
-    top = float(terms[k])
-    if not math.isfinite(top):
-        return top
-    rest = np.exp(terms - top)
-    rest[k] = 0.0
-    return top + math.log1p(float(rest.sum()))
+    if terms.ndim == 1:
+        return logsumexp(terms[None])[0]
+    m, n = terms.shape
+    if n == 0:
+        return [-math.inf] * m
+    at = terms.argmax(axis=1) + np.arange(0, m * n, n)  # each row's top, flat
+    top = terms.take(at)
+    tops = top.tolist()
+    if not all(map(math.isfinite, tops)):  # such a row's value is its top
+        finite = np.isfinite(top)
+        terms, top = np.where(finite[:, None], terms, 0.0), np.where(finite, top, 0.0)
+    rest = np.exp(terms - top[:, None])
+    rest.put(at, 0.0)
+    return [u + math.log1p(s) if math.isfinite(u) else u
+            for u, s in zip(tops, np.add.reduce(rest, axis=1).tolist())]

@@ -229,7 +229,8 @@ class TestExpfamCommand:
         assert float(lines[2].split()[1]) < 1e-4
 
     def test_mv_gaussian_natural_method(self, tmp_path, monkeypatch):
-        # --method natural runs the natural engine once per order and prints its value
+        # --method natural runs the natural engine once per command (a sweep
+        # passes its whole grid) and prints its value
         from rxent import differential
 
         c1, c2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
@@ -247,7 +248,7 @@ class TestExpfamCommand:
         assert abs(float(out) - closed) < 1e-10 * abs(closed)
         code, out, _ = run_cli(f"sweep expfam --family mvgauss --p {c1} --q {c2} --method natural "
                                "--alphas 0.5:2:0.5".split())
-        assert code == 0 and len(out.splitlines()) == 1 + 4 and len(calls) == 1 + 4
+        assert code == 0 and len(out.splitlines()) == 1 + 4 and len(calls) == 1 + 1
 
     @pytest.mark.parametrize("method", ["closed", "natural"])
     @pytest.mark.parametrize("command", ["xent expfam", "sweep expfam"])
@@ -1006,6 +1007,35 @@ class TestSweepParsesOnce:
         code, out, _ = run_cli(f"sweep gauss {opts} --alphas 1.05:3.5:0.05".split())
         assert code == 0 and len(out.splitlines()) == 1 + 50
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("definition, name", [("standard", "renyi_cross_entropy"),
+                                                  ("alternate", "alt_cross_entropy")])
+    def test_discrete_sweep_is_one_library_call(self, sweep_inputs, monkeypatch, definition,
+                                                name):
+        from rxent import discrete
+
+        calls = []
+        original = getattr(discrete, name)
+        monkeypatch.setattr(discrete, name,
+                            lambda p, q, alpha: calls.append(alpha) or original(p, q, alpha))
+        _, opts, _ = sweep_inputs["discrete"]
+        code, out, _ = run_cli(f"sweep discrete {opts} --definition {definition} "
+                               "--alphas 0.1:5:0.1".split())
+        assert code in (0, 2) and len(out.splitlines()) == 1 + 50
+        assert len(calls) == 1 and len(calls[0]) == 50
+
+    def test_natural_sweep_is_one_library_call(self, monkeypatch):
+        # the mvgauss natural route: test_mv_gaussian_natural_method
+        from rxent import differential
+
+        calls = []
+        original = differential.cross_entropy_natural
+        monkeypatch.setattr(differential, "cross_entropy_natural",
+                            lambda f1, f2, alpha: calls.append(alpha) or original(f1, f2, alpha))
+        code, out, _ = run_cli("sweep expfam --family gaussian --p mu=0.3,var=1.7 "
+                               "--q mu=-0.4,var=0.8 --method natural --alphas 0.1:5:0.1".split())
+        assert code in (0, 2) and len(out.splitlines()) == 1 + 50
+        assert len(calls) == 1 and len(calls[0]) == 50
 
     def test_gauss_sweep_evaluates_each_level_once(self, sweep_inputs, monkeypatch):
         from rxent import gaussproc

@@ -225,6 +225,64 @@ class TestClosedEqualsNaturalWideRange:
         assert verdicts == {False, True}
 
 
+class TestNaturalOrderGrids:
+    """A grid call of the natural route equals its per-order calls: one
+    check of the pair and one natural parameter per side, then the orders."""
+
+    # orders below each pair's edge of existence, at it and above it
+    ORDERS = [0.05, 0.3, 0.5, 0.7, 0.9, AlphaOrder.one(), 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 2.0,
+              5.0, 40.0]
+
+    # references much narrower than the source: each diverges below some order
+    DIVERGING = [
+        (E.beta(0.4, 3.0), E.beta(4.0, 0.5)),
+        (E.chi_squared(1.5), E.chi_squared(12.0)),
+        (E.exponential(0.5), E.exponential(9.0)),
+        (E.gamma(0.7, 4.0), E.gamma(5.0, 0.25)),
+        (E.gaussian(2.0, 9.0), E.gaussian(-1.0, 0.5)),
+        (E.laplace(-0.3, 6.0), E.laplace(-0.3, 0.4)),
+        (E.mv_gaussian([[2.0, 0.6], [0.6, 1.0]]), E.mv_gaussian([[0.5, -0.1], [-0.1, 0.3]])),
+    ]
+
+    @pytest.mark.parametrize("pair", FAMILY_PAIRS + DIVERGING, ids=lambda p: p[0].family.value)
+    def test_grid_equals_each_order(self, pair):
+        f1, f2 = pair
+        grid = cross_entropy_natural(f1, f2, self.ORDERS)
+        assert grid == [cross_entropy_natural(f1, f2, a) for a in self.ORDERS]
+        assert cross_entropy_natural(f1, f2, tuple(self.ORDERS[::-1])) == grid[::-1]
+        if pair in self.DIVERGING:
+            assert {r.diverged for r in grid} == {True, False}
+
+    def test_an_order_past_the_double_range_still_fails_first(self):
+        # 1 + t r is 4e-12 at alpha = 0.75 + 1e-12, and delta^2 / (1 + t r)
+        # overflows there; 0.7 diverges and 2.0 is finite
+        f1, f2 = E.gaussian(1e150, 4.0), E.gaussian(0.0, 1.0)
+        with pytest.raises(DoubleRangeError) as one:
+            cross_entropy_natural(f1, f2, 0.75 + 1e-12)
+        with pytest.raises(DoubleRangeError) as grid:
+            cross_entropy_natural(f1, f2, [0.7, 2.0, 0.75 + 1e-12, 3.0])
+        assert str(grid.value) == str(one.value)
+        assert cross_entropy_natural(f1, f2, [0.7, 2.0])[0].diverged
+
+    def test_errors_of_the_pair_and_of_the_limit(self):
+        with pytest.raises(InvalidParameterError, match="share a family"):
+            cross_entropy_natural(E.gaussian(0.0, 1.0), E.exponential(1.0), [0.5, 2.0])
+        with pytest.raises(InvalidAlphaError, match="infinity"):
+            cross_entropy_natural(E.gaussian(0.0, 1.0), E.gaussian(0.0, 2.0),
+                                  [2.0, AlphaOrder.inf()])
+
+    def test_one_natural_parameter_per_side(self, monkeypatch):
+        from rxent import differential
+
+        calls = []
+        original = differential.to_natural
+        monkeypatch.setattr(differential, "to_natural",
+                            lambda d: calls.append(d) or original(d))
+        f1, f2 = FAMILY_PAIRS[4]
+        cross_entropy_natural(f1, f2, self.ORDERS)
+        assert calls == [f1, f2]
+
+
 class TestQuadratureAgreement:
     @pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=lambda p: p[0].family.value)
     def test_order_two(self, pair):

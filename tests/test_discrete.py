@@ -198,3 +198,96 @@ class TestDivergence:
 
         with pytest.raises(DimensionMismatchError):
             renyi_cross_entropy(P, DiscreteDistribution.uniform(4), 2.0)
+
+
+def _bits(values):
+    """repr of each value, so that -0.0, inf and nan compare by their bits."""
+    return [repr(v) for v in values]
+
+
+_HALF_ULP_ORDERS = [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),  # t = -0.5 -+ an ulp
+                    np.nextafter(1.5, 1.0), np.nextafter(1.5, 2.0)]  # t = 0.5 -+ an ulp
+
+
+class TestOrderGrids:
+    """A grid call equals the per-order calls bit for bit: each order's sum
+    is its own, whatever branch (t = 0, |t| < 1/2, log-space) it takes."""
+
+    PAIRS = {
+        "full": ([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
+        "q-zero-on-support": ([0.5, 0.5, 0.0], [0.5, 0.0, 0.5]),
+        "p-zero": ([0.6, 0.0, 0.4, 0.0], [0.1, 0.2, 0.3, 0.4]),
+        "disjoint": ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7]),
+        # most of the mass of p where q is tiny: the mean of expm1(t ln q)
+        # is below -1/2 at t = 0.4, and t ln(p/q) passes the log of the
+        # largest double at t = 10
+        "mean-below-half": ([0.9, 0.1], [1e-300, 1.0 - 1e-300]),
+        "subnormal": ([0.5, 0.5], [1e-320, 1.0]),
+    }
+    ORDERS = ([0.05, 0.3, 0.7, 0.9, AlphaOrder.one(), 1.0 - 1e-9, 1.0 + 1e-9, 1.4, 2.0,
+               11.0, 1000.0, AlphaOrder.inf()] + _HALF_ULP_ORDERS)
+
+    def random_pairs(self):
+        rng = np.random.default_rng(29)
+        for k in (1, 2, 5, 40):
+            for _ in range(5):
+                p, q = rng.random(k) ** 3, rng.random(k) ** 3
+                p[rng.random(k) < 0.2] = 0.0
+                q[rng.random(k) < 0.2] = 0.0
+                p[0], q[-1] = p[0] + 0.1, q[-1] + 0.1
+                yield p / p.sum(), q / q.sum()
+
+    def pairs(self):
+        for p, q in self.PAIRS.values():
+            yield np.array(p), np.array(q)
+        yield from self.random_pairs()
+
+    @pytest.mark.parametrize("measure", [renyi_cross_entropy, alt_cross_entropy,
+                                         renyi_divergence])
+    def test_pair_measures(self, measure):
+        for p, q in self.pairs():
+            p, q = DiscreteDistribution(p), DiscreteDistribution(q)
+            orders = list(self.ORDERS)
+            grid = measure(p, q, orders)
+            assert isinstance(grid, list) and len(grid) == len(orders)
+            assert _bits(grid) == _bits(measure(p, q, a) for a in orders)
+            assert _bits(measure(p, q, tuple(orders[::-1]))) == _bits(grid[::-1])
+
+    def test_entropy(self):
+        for p, _ in self.pairs():
+            p = DiscreteDistribution(p)
+            grid = renyi_entropy(p, np.array([0.3, 0.9, 1.0, 1.5, 4.0]))
+            assert _bits(grid) == _bits(renyi_entropy(p, a) for a in (0.3, 0.9, 1.0, 1.5, 4.0))
+            orders = list(self.ORDERS)
+            assert _bits(renyi_entropy(p, orders)) == _bits(renyi_entropy(p, a) for a in orders)
+
+    def test_rows_take_the_expected_branch(self):
+        # the log-space rows of a grid go through one logsumexp call
+        from rxent import discrete
+
+        calls = []
+        original = discrete.logsumexp
+
+        def counting(terms):
+            calls.append(terms.shape)
+            return original(terms)
+
+        p, q = (DiscreteDistribution(np.array(v)) for v in self.PAIRS["mean-below-half"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrete, "logsumexp", counting)
+            grid = renyi_cross_entropy(p, q, [1.0, 1.001, 1.4, 2.0, 5.0])
+        # t = 0.001 keeps its log1p mean (about -0.45); at t = 0.4 the mean is
+        # about -0.9, and that row joins those of t = 1 and 4
+        assert calls == [(3, 2)]
+        assert grid[0] == shannon_cross_entropy(p, q)
+
+    def test_one_order_returns_a_float_and_a_grid_a_list(self):
+        assert isinstance(renyi_cross_entropy(P, Q, 2.0), float)
+        assert isinstance(renyi_cross_entropy(P, Q, np.float64(2.0)), float)
+        assert renyi_cross_entropy(P, Q, []) == []
+
+    def test_size_mismatch_on_a_grid(self):
+        from rxent.errors import DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError):
+            renyi_cross_entropy(P, DiscreteDistribution.uniform(4), [0.5, 2.0])

@@ -898,6 +898,38 @@ class TestNestedGrid:
             with pytest.raises(DoubleRangeError, match="f / g"):
                 rate_spectral(x, y, 2.0)
 
+    def test_series_above_the_double_range(self):
+        # the density of [1.5e308, 0.7e308] peaks at 2.9e308: its levels are
+        # filled over 2^1024, so f / g against white:1 is a typed error, and the
+        # series against itself has the rate of the scaled series plus
+        # (k / 2) ln 2, with no overflow on the way
+        x = S.from_autocovariance([1.5e308, 0.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DoubleRangeError, match="f / g"):
+                rate_spectral(x, S.white_noise(1.0), 2.0)
+            orders = [0.5, "one", 2.0, 7.0]
+            for k in (600, 1000, 1024):
+                scaled = S.from_autocovariance([math.ldexp(v, -k) for v in x.autocov])
+                for big, small in zip(rate_spectral(x, x, orders),
+                                      rate_spectral(scaled, scaled, orders)):
+                    assert big == pytest.approx(small + k / 2 * math.log(2.0), rel=1e-14)
+
+    def test_level_scale_leaves_ordinary_series_as_they_are(self):
+        # r_0 within 2^+-512 of 1 keeps its levels bit for bit; the two sides
+        # of a pair scale by their own powers of two
+        from rxent import gaussproc
+
+        for r0, e in ((1.0, 0), (3e153, 0), (1e-150, 0), (2.0 ** 512, 512), (1e300, 512),
+                      (1e-300, -512), (1.5e308, 1024), (1e-310, -1024)):
+            spec = S.from_autocovariance([r0, 0.25 * r0])
+            assert gaussproc._level_exponent(spec) == e
+            w = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+            level = gaussproc._level_psd(spec, 0)
+            assert np.all(np.isfinite(level)) and level.min() > 0.0
+            if e == 0:
+                assert_allclose(level, psd(spec, w), rtol=1e-13, atol=0.0)
+
     def test_order_times_ratio_past_the_double_range(self):
         # t max f / g = 1.5e308 * 1.6 overflows; 1e308 * 1.6 does not
         x, y = S.from_autocovariance([1.0, 0.3]), S.white_noise(1.0)

@@ -294,6 +294,32 @@ class TestClassPlanMemo:
         assert all(math.isfinite(v) for v in seen[4:10])
 
 
+class TestSingletonClasses:
+    """A class of one state has lambda = R_ii and u = [1]: no eigen-solve."""
+
+    def test_self_loop_is_the_lapack_eigenpair(self):
+        for w in (1e-320, 2.5e-300, 0.3, 1.0, 7.0, 1e300):
+            lam, u = perron_eigenpair(np.array([[w]]))
+            assert lam == w and u.tolist() == [1.0]
+
+    def test_absorbing_chain_takes_no_eigen_solve(self, monkeypatch):
+        # an upper-triangular source: each state is its own class, the last closed
+        p = MarkovSource.of(np.array([[0.5, 0.3, 0.2], [0.0, 0.6, 0.4], [0.0, 0.0, 1.0]]))
+        q = MarkovSource.of(np.array([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.1, 0.8, 0.1]]))
+        solves, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: solves.append(m.shape) or eig(m))
+        orders = [0.5, "one", 2.0, 5.0]
+        rates = cross_entropy_rate(p, q, orders)
+        assert solves == []
+        for a, rate in zip(orders, rates):
+            t = AlphaOrder.coerce(a).value - 1.0
+            if t == 0.0:  # the chain ends in state 2
+                assert rate == pytest.approx(-math.log(0.1), rel=1e-14)
+                continue
+            lam = [0.5 * 0.2 ** t, 0.6 * 0.3 ** t, 0.1 ** t]  # the largest one counts
+            assert rate == pytest.approx(-math.log(max(lam)) / t, rel=1e-13)
+
+
 class TestShannonSlope:
     def test_matches_stationary_formula(self):
         p = MarkovSource.of(P_CHAIN)

@@ -26,3 +26,15 @@ def test_one_line_per_op_and_independent_of_the_input_directory():
     for line in first:
         workload, seed, _, digest, _ = line.split()
         assert (workload, seed, len(digest)) == ("oracle_check", "1", 64)
+
+
+def test_show_appends_the_hashed_outcome():
+    import hashlib
+
+    plain = fingerprints(["--workloads", "cli_oneshot", "--seeds", "1"])
+    shown = fingerprints(["--workloads", "cli_oneshot", "--seeds", "1", "--show"])
+    assert len(shown) == len(plain) > 10
+    for short, line in zip(plain, shown):
+        assert line.startswith(short + " ")
+        outcome = line[len(short) + 1:]
+        assert hashlib.sha256(outcome.encode()).hexdigest() == short.split()[3]

@@ -1,6 +1,7 @@
 """Fingerprint every benchmark op's outcome, to compare two checkouts.
 
     python tools/output_identity.py [--root CHECKOUT] [--workloads A,B,...] [--seeds 1-5]
+                                    [--show]
 
 Builds the ops of each workload and seed with ``bench/gen.py`` and runs
 them once, in this process, through ``bench/ops.py`` (``prepare``, then
@@ -12,6 +13,8 @@ kind.  The CSV inputs are written to a temporary directory whose path is
 replaced by ``<tmp>`` before hashing, so that output does not depend on
 where it ran.  Run it once per checkout, each in its own process, and
 ``diff`` the two outputs: an empty diff means byte-identical outcomes.
+``--show`` appends the outcome repr itself to each line, so that a
+difference can be quoted digit for digit.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=DEFAULT_WORKLOADS,
                         help=f"comma-separated, run in process (default: {DEFAULT_WORKLOADS})")
     parser.add_argument("--seeds", default="1-5", help="'1-5' or '1,3,7' (default: 1-5)")
+    parser.add_argument("--show", action="store_true",
+                        help="append each op's outcome repr to its line")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -57,7 +62,8 @@ def main(argv=None) -> int:
                     run = opmod.run_lib if op["call"] == "lib" else opmod.run_cli_inprocess
                     outcome = repr(run(op)).replace(tmp, "<tmp>")
                     digest = hashlib.sha256(outcome.encode()).hexdigest()
-                    print(workload, seed, op["id"], digest, op["kind"])
+                    print(workload, seed, op["id"], digest, op["kind"],
+                          *([outcome] if args.show else []))
     return 0
 
 
