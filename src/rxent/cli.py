@@ -16,6 +16,10 @@ File formats (CSV)
 * transition matrix: K lines of K comma-separated probabilities
 * autocovariance: one value per line, starting at lag 0
 
+``#`` starts a comment and empty lines are skipped; every row holds as
+many values as the first, and a value is an ASCII number (``inf`` and
+``nan`` too), the input ``np.loadtxt`` takes.
+
 A command reads, parses and validates its inputs once (CSV files, family
 parameters, process specifications), then evaluates them at every order of
 its grid, which every target but the closed form of a scalar family and the
@@ -44,7 +48,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -139,29 +142,57 @@ def _make_distribution(family: str, spec: str) -> ExpFamilyDistribution:
     return getattr(ExpFamilyDistribution, constructor)(*(kv[n] for n in names))
 
 
-def _loadtxt(path: str, **kwargs) -> np.ndarray:
+def _read_rows(path: str, delimiter: str | None) -> list[list[float]]:
+    """The rows of numbers of a text file, its cells split at ``delimiter``
+    ("," or None for any whitespace); it refuses what ``np.loadtxt`` refuses.
+
+    ``#`` starts a comment, and a line with nothing before it is skipped:
+    one that is empty or, between whitespace-separated values, blank
+    (between commas a blank line is a row of one empty cell).  Every row
+    has as many cells as the first, and every cell is an ASCII number,
+    whitespace around it allowed.
+    """
     try:
-        with warnings.catch_warnings():  # numpy warns of an empty input, refused below
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(path, **kwargs)
-    except ValueError as exc:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path} not found.") from None
+    except ValueError as exc:  # bytes that do not decode
         raise UsageError(f"cannot parse {path}: {exc}") from None
-    if values.size == 0:
+    rows = []
+    for number, line in enumerate(lines, 1):
+        text = line.partition("#")[0]
+        if not (text if delimiter else text.strip()):
+            continue
+        # stripped of all that numpy strips, \x1c-\x1f included, which float() keeps
+        cells = [cell.strip() for cell in text.split(delimiter)]
+        try:
+            if "_" in text or not text.isascii():  # float() alone takes 1_000, other digits
+                for cell in cells:
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError(f"{cell!r} is not an ASCII number without '_'")
+            row = [float(cell) for cell in cells]
+        except ValueError as exc:
+            raise UsageError(f"cannot parse {path}: line {number}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise UsageError(f"cannot parse {path}: line {number} has {len(row)} values, "
+                             f"the first row {len(rows[0])}")
+        rows.append(row)
+    if not rows:
         raise UsageError(f"{path} holds no numbers")
-    return values
+    return rows
 
 
 def _read_masses(path: str) -> discrete.DiscreteDistribution:
-    values = _loadtxt(path, delimiter=",", ndmin=1).reshape(-1)
-    return discrete.DiscreteDistribution(values)
+    return discrete.DiscreteDistribution(np.array(_read_rows(path, ",")).reshape(-1))
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    return _loadtxt(path, delimiter=",", ndmin=2)
+    return np.array(_read_rows(path, ","))
 
 
 def _read_autocov(path: str) -> np.ndarray:
-    return _loadtxt(path, ndmin=1).reshape(-1)
+    return np.array(_read_rows(path, None)).reshape(-1)
 
 
 def _parse_process(text: str, flag: str) -> gaussproc.StationaryGaussianSpec:
@@ -277,22 +308,38 @@ _GROUPS = {
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+    """The argument parser, built once per process (parsing leaves it
+    unchanged); ``leaves`` maps each (group, target) to its own parser."""
     parser = _Parser(prog="rxent", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="group", required=True)
     groups = {name: top.add_parser(name, help=text).add_subparsers(dest="target", required=True)
               for name, text in _GROUPS.items()}
+    parser.leaves = {}
     for name, target in _TARGETS.items():
         for group in (target.group, "sweep"):
-            sp = groups[group].add_parser(name)
+            sp = parser.leaves[group, name] = groups[group].add_parser(name)
             target.add_options(sp)
             _add_common(sp, sweep=group == "sweep")
     return parser
 
 
+def _namespace(argv: list) -> argparse.Namespace:
+    """The parsed options of ``<group> <target> ...``, from that target's
+    own parser: what the full parser would hand it, without the two outer
+    parses.  Any other argv goes to the full parser, for its help or its
+    usage error."""
+    parser = build_parser()
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    ns = leaf.parse_args(argv[2:])
+    ns.group, ns.target = argv[:2]
+    return ns
+
+
 def parse_args(argv) -> JobSpec:
-    ns = build_parser().parse_args(argv)
+    ns = _namespace(list(argv))
     sweep = ns.group == "sweep"
     command = f"{_TARGETS[ns.target].group} {ns.target}"
     if sweep:
@@ -555,12 +602,12 @@ def _render(job: JobSpec, rows) -> str:
         payload = [{"command": job.command,
                     **{key: _json_number(x) for key, x in zip(_COLUMNS, row)}} for row in rows]
         return json.dumps(payload if job.sweep else payload[0])
-    if fmt is OutputFormat.CSV:
-        width = 4 if any(row[2] is not None for row in rows) else 2
-        return "\n".join([",".join(_COLUMNS[:width])]
-                         + [",".join(map(_fmt, row[:width])) for row in rows])
-    if job.sweep:
-        return "\n".join(f"{_fmt(a)} {_fmt(v)}" for a, v, _, _ in rows)
+    if fmt is OutputFormat.CSV and any(row[2] is not None for row in rows):
+        return "\n".join([",".join(_COLUMNS)] + [",".join(map(_fmt, row)) for row in rows])
+    if fmt is OutputFormat.CSV or job.sweep:  # as _fmt: -0.0 + 0.0 is 0.0
+        line = "%.12g,%.12g" if fmt is OutputFormat.CSV else "%.12g %.12g"
+        return "\n".join((["alpha,value"] if fmt is OutputFormat.CSV else [])
+                         + [line % (a + 0.0, v + 0.0) for a, v, _, _ in rows])
     _, value, oracle_value, gap = rows[0]
     out = [_fmt(value)]
     if oracle_value is not None:

@@ -122,12 +122,18 @@ def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     r, rho = spec.autocov, spec.rho
     if rho:
-        a, s = abs(rho), np.sin(0.5 * w) if rho > 0 else np.cos(0.5 * w)
-        return r[0] * (1.0 + 2.0 * a / (1.0 - a)) / (1.0 + 4.0 * a * (s * s) / (1.0 - a) ** 2)
+        return _ar1_psd(r[0], rho, w)
     acc = np.zeros_like(w)
     for k in range(1, r.size):  # one lag at a time: no (lags x points) temporaries
         acc += r[k] * np.cos(k * w)
     return r[0] + 2.0 * acc
+
+
+def _ar1_psd(variance: float, rho: float, w: np.ndarray) -> np.ndarray:
+    """The AR(1) density of ``psd``: the variance times the peak factor
+    1 + 2 |rho| / d, over the shape 1 + 4 |rho| s^2 / d^2."""
+    a, s = abs(rho), np.sin(0.5 * w) if rho > 0 else np.cos(0.5 * w)
+    return variance * (1.0 + 2.0 * a / (1.0 - a)) / (1.0 + 4.0 * a * (s * s) / (1.0 - a) ** 2)
 
 
 def _certify_floor(r: np.ndarray, rho: float) -> None:
@@ -196,9 +202,9 @@ def _level_psd(spec: StationaryGaussianSpec, j: int) -> np.ndarray:
     grid."""
     size, nodes = _SPECTRAL_GRID << j, slice(1, None, 2) if j else slice(None)
     e = _level_exponent(spec)
-    if spec.rho:
-        level = psd(spec, np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)[nodes])
-        return np.ldexp(level, -e) if e else level
+    if spec.rho:  # scaled before the peak factor, which can take v past the double range
+        w = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)[nodes]
+        return _ar1_psd(math.ldexp(spec.autocov[0], -e), spec.rho, w)
     if spec.autocov.size == 1:
         return np.full(size // 2 if j else size, math.ldexp(spec.autocov[0], -e))
     return _folded_series(np.ldexp(spec.autocov, -e), size)[nodes]

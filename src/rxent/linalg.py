@@ -40,9 +40,11 @@ def spd_logdet(a: np.ndarray, name: str = "matrix") -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-# The Levinson recursion checks, at orders 64, 128, 256, ..., whether the
-# rest of ln det is certified to within _STOP_BOUND (see _neglected_bound).
-_FIRST_CHECK = 64
+# The Levinson recursion checks, at orders 1, 2, 4, ..., whether the rest
+# of ln det is certified to within _STOP_BOUND (see _neglected_bound).  A
+# check at order k is one O(n k) convolution, so the checks up to order k
+# cost O(n k) together, the order of the stop they can make.
+_FIRST_CHECK = 1
 _STOP_BOUND = 1e-15
 
 
@@ -52,14 +54,15 @@ def toeplitz_logdet(first_column, name: str = "matrix") -> float:
     Levinson-Durbin recursion: det T_n is the product of the one-step
     prediction errors E_0 = r_0, E_k = E_{k-1} (1 - kappa_k^2), so the
     log-determinant accumulates ln E_k in O(n) memory.  At the orders
-    k = 64, 128, 256, ... below n - 1 the recursion tries to stop: when
-    the residual correlations of the order-k predictor over the remaining
-    lags are negligible, every later prediction error is E_k, to within
-    1e-15 in ln det (exactly, when the first n lags are those of an AR(k)
-    process), and the sum closes with (n - 1 - k) ln E_k.  A column that
-    settles at order k costs O(k^2 + n k) time; one that never does (a
-    unit root, a symbol touching zero, structure that appears only at a
-    late lag) runs all n - 1 steps in O(n^2).  Raises
+    k = 1, 2, 4, ... below n - 1 the recursion tries to stop: when the
+    residual correlations of the order-k predictor over the remaining lags
+    are negligible, every later prediction error is E_k, to within 1e-15 in
+    ln det (exactly, when the first n lags are those of an AR(k) process),
+    and the sum closes with (n - 1 - k) ln E_k; a white column stops at
+    order 1, with n ln r_0.  A column that settles at order k costs
+    O(k^2 + n k) time; one that never does (a unit root, a symbol touching
+    zero, structure that appears only at a late lag) runs all n - 1 steps
+    in O(n^2).  Raises
     NotPositiveDefiniteError on a nonpositive prediction error.
     """
     return _levinson_logdet(first_column, name)[0]

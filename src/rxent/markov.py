@@ -178,11 +178,17 @@ def classify(matrix: np.ndarray) -> ClassStructure:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
     pattern = m > 0
     reach = _closure(pattern)
-    mutual = reach & reach.T
-    reps, labels = np.unique(np.argmax(mutual, axis=1), return_inverse=True)
-    classes = tuple(tuple(np.flatnonzero(row).tolist()) for row in mutual[reps])
-    self_comm = tuple(len(c) > 1 or bool(pattern[c[0], c[0]]) for c in classes)
-    return ClassStructure(classes, self_comm, reach[np.ix_(reps, reps)], labels)
+    smallest = np.argmax(reach & reach.T, axis=1).tolist()  # of each state's class
+    members = {}  # the classes in the order of their smallest states
+    for state, rep in enumerate(smallest):
+        members.setdefault(rep, []).append(state)
+    number = {rep: c for c, rep in enumerate(members)}
+    classes = tuple(map(tuple, members.values()))
+    loops = np.diagonal(pattern).tolist()
+    self_comm = tuple(len(c) > 1 or loops[c[0]] for c in classes)
+    reps = list(members)
+    return ClassStructure(classes, self_comm, reach[np.ix_(reps, reps)],
+                          np.array([number[rep] for rep in smallest]))
 
 
 def _irreducible(pattern: np.ndarray) -> bool:
@@ -242,13 +248,14 @@ def _class_plan(p: np.ndarray, weighted: np.ndarray, start: np.ndarray):
     reachable self-communicating class of R in class order, (index set,
     closed), where a closed class is one no move of the source P leaves."""
     structure = classify(weighted)
-    reachable = structure.reach[np.unique(structure.labels[start > 0])].any(axis=0)
-    # P 1 = 1 on a closed class's block
-    leaves = ((p > 0) & (structure.labels[:, None] != structure.labels)).any(axis=1)
-    cycling = [np.asarray(structure.classes[ci]) for ci in np.flatnonzero(reachable)
-               if structure.self_communicating[ci]]
-    return (np.flatnonzero(reachable[structure.labels]),
-            [(idx, not leaves[idx].any()) for idx in cycling])
+    labels = structure.labels
+    reachable = structure.reach[labels[start > 0]].any(axis=0)
+    # the moves of P out of each class; P 1 = 1 on the block of one with none
+    leaving = ((p > 0) & (labels[:, None] != labels)).any(axis=1)
+    exits = np.bincount(labels[leaving], minlength=len(structure.classes)).tolist()
+    return (np.flatnonzero(reachable[labels]),
+            [(np.array(structure.classes[c]), not exits[c])
+             for c in np.flatnonzero(reachable).tolist() if structure.self_communicating[c]])
 
 
 def _absorption_weights(p, start, states, closed: list) -> np.ndarray:
@@ -307,30 +314,49 @@ def _rates(p_src: MarkovSource, q_src: MarkovSource, orders: list) -> list:
         if shannon.any() and np.isneginf(d[group[shannon][0], states]).any():
             rates[group[shannon]] = math.inf  # the source makes a move the reference forbids
             group, shannon = group[~shannon], shannon[~shannon]
+        if not group.size:
+            continue
         closed = [c for c, (_, is_closed) in enumerate(classes) if is_closed]
-        if group.size and not (classes and (closed or not shannon.any())):
+        if not (classes and (closed or not shannon.any())):
             raise DegenerateRateError(
                 "no reachable class has a cycle; the weighted products vanish")
-        table = np.full((group.size, len(classes)), np.nan)  # rate per order and class
-        moving = np.flatnonzero(~shannon)  # the orders a class that is not closed counts for
-        for c, (idx, is_closed) in enumerate(classes):
-            use = np.arange(group.size) if is_closed else moving
-            block = (group[use, None, None], idx[:, None], idx)
-            if idx.size == 1:  # a self-loop: lambda = R_ii and u = [1]
-                lam, u = weighted[block][:, 0, 0], np.ones((use.size, 1))
+        every = range(group.size)
+        moving = [i for i in every if not shannon[i]]  # where a class that is not closed counts
+        by_order = [[] for _ in every]  # the rates of the classes each order counts
+        ts = t[group].tolist()
+        # a self-loop class has lambda = R_ii and u = [1], so its slope is D_ii
+        # (+ 0.0, as from a sum): all of them from one index
+        loops = [idx[0] for idx, _ in classes if idx.size == 1]
+        loop_pairs = zip(weighted[group[:, None], loops, loops].T.tolist(),
+                         (d[group[:, None], loops, loops] + 0.0).T.tolist())
+        for idx, is_closed in classes:
+            use = every if is_closed else moving
+            if idx.size == 1:
+                lam, slope = next(loop_pairs)
+                lam, slope = [lam[i] for i in use], [slope[i] for i in use]
+            elif not use:
+                continue
             else:
+                rows = group[use]
+                block = ((rows,) if idx.size == p.shape[0]  # every state
+                         else (rows[:, None, None], idx[:, None], idx))
                 lam, u = perron_eigenpair(weighted[block].transpose(0, 2, 1))
-            # a closed class has lambda = 1 + t slope; another one only lambda
-            slope = ((u[:, None, :] @ d[block].sum(axis=2)[:, :, None]).ravel().tolist()
-                     if is_closed else [math.inf] * use.size)
-            table[use, c] = [-log1p_slope(tc, sc) if abs(tc * sc) < 0.5 else -math.log(lc) / tc
-                             for tc, sc, lc in zip(t[group[use]].tolist(), slope, lam.tolist())]
-        rates[group] = np.where(t[group] > 0.0, table.min(axis=1), table.max(axis=1))
-        if shannon.any():  # every order at t = 0 has the same rate
-            first = np.flatnonzero(shannon)[0]
-            rates[group[shannon]] = table[first, closed[0]] if len(closed) == 1 else float(
-                _absorption_weights(p, start[group[first]], states,
-                                    [classes[c][0] for c in closed]) @ table[first, closed])
+                lam = lam.tolist()
+                if is_closed:
+                    slope = (u[:, None, :] @ d[block].sum(axis=2)[:, :, None]).ravel().tolist()
+            if not is_closed:  # a closed class has lambda = 1 + t slope; another one only lambda
+                slope = [math.inf] * len(use)
+            for i, sc, lc in zip(use, slope, lam):
+                tc = ts[i]
+                by_order[i].append(-log1p_slope(tc, sc) if abs(tc * sc) < 0.5
+                                   else -math.log(lc) / tc)
+        for i in moving:
+            rates[group[i]] = min(by_order[i]) if ts[i] > 0.0 else max(by_order[i])
+        if shannon.any():  # every order at t = 0 has the same rate, from the closed classes
+            first = by_order[np.flatnonzero(shannon)[0]]
+            rates[group[shannon]] = first[0] if len(closed) == 1 else float(
+                _absorption_weights(p, start[group[shannon][0]], states,
+                                    [classes[c][0] for c in closed]) @ np.array(first))
     return rates.tolist()
 
 

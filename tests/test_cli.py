@@ -942,14 +942,16 @@ class TestSweepParsesOnce:
                 assert json.dumps(json.loads(one)) == json.dumps(row)
 
     def test_each_file_read_once(self, sweep_inputs, chain_files, tmp_path, monkeypatch):
+        from rxent import cli
+
         reads = []
-        original = np.loadtxt
+        original = cli._read_rows
 
-        def counting(path, *args, **kwargs):
+        def counting(path, delimiter):
             reads.append(str(path))
-            return original(path, *args, **kwargs)
+            return original(path, delimiter)
 
-        monkeypatch.setattr(np, "loadtxt", counting)
+        monkeypatch.setattr(cli, "_read_rows", counting)
         p, q = chain_files
         init = tmp_path / "i.csv"
         code, _, _ = run_cli(f"sweep markov --p {p} --q {q} --p-init {init} --q-init {init} "
@@ -1137,3 +1139,169 @@ class TestMalformedNumbers:
         assert main(f"xent discrete --p {bad} --q {mass_files[1]} --alpha 2".split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and str(bad) in err and "abc" in err
+
+
+# each target's options, with a placeholder file name where it takes one
+LEAF_OPTIONS = {
+    "discrete": "--p p.csv --q q.csv --definition alternate",
+    "expfam": "--family gaussian --p mu=0,var=1 --q mu=1,var=2",
+    "special": "q-exponential --p-family gamma --p k=2,theta=1 --rate 2",
+    "markov": "--p P.csv --q Q.csv --finite-n 100",
+    "gauss": "--x white:1 --y ar1:0.5,2",
+}
+LEAVES = [(group, target) for target, group in (("discrete", "xent"), ("expfam", "xent"),
+                                                ("special", "xent"), ("markov", "rate"),
+                                                ("gauss", "rate"))
+          for group in (group, "sweep")]
+
+
+def parse_outcome(parse, argv):
+    """The namespace, the usage error or the exit (with its stdout) of a parse."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parse(argv))
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+class TestLeafDispatch:
+    @pytest.mark.parametrize("group, target", LEAVES)
+    @pytest.mark.parametrize("case", ["valid", "flags", "missing order", "missing option",
+                                      "unknown option", "bad format", "extra positional",
+                                      "double dash", "abbreviated", "help", "help first"])
+    def test_leaf_parse_equals_the_full_parse(self, group, target, case):
+        from rxent import cli
+
+        order = "--alphas 0.5:2:0.5" if group == "sweep" else "--alpha 2"
+        options = LEAF_OPTIONS[target]
+        words = {
+            "valid": f"{options} {order}",
+            "flags": f"{order} --format json --bits --oracle {options}",
+            "missing order": options,
+            "missing option": f"{options.split(' ', 2)[-1]} {order}",
+            "unknown option": f"{options} {order} --bogus 3",
+            "bad format": f"{options} {order} --format xml",
+            "extra positional": f"{options} {order} stray",
+            "double dash": f"{options} {order} -- stray",
+            "abbreviated": f"{options} --alp {order.split()[1]} --form=json",
+            "help": f"{options} -h",
+            "help first": f"-h {options}",
+        }[case]
+        argv = [group, target, *words.split()]
+        leaf = parse_outcome(cli._namespace, argv)
+        full = parse_outcome(cli.build_parser().parse_args, argv)
+        assert leaf == full
+        assert leaf[0] == {"valid": "namespace", "flags": "namespace", "abbreviated": "namespace",
+                           "help": "exit", "help first": "exit"}.get(case, "usage error")
+
+    @pytest.mark.parametrize("argv", [[], ["xent"], ["rate", "discrete"], ["sweep", "nope"],
+                                      ["nope", "gauss"], ["-h"], ["xent", "-h"],
+                                      ["--alpha", "2"]])
+    def test_other_argv_take_the_full_parser(self, argv):
+        from rxent import cli
+
+        assert parse_outcome(cli._namespace, argv) == parse_outcome(
+            cli.build_parser().parse_args, argv)
+
+    def test_every_leaf_is_recorded(self):
+        from rxent import cli
+
+        leaves = cli.build_parser().leaves
+        assert sorted(leaves) == sorted(LEAVES)
+        assert all(isinstance(leaf, cli._Parser) for leaf in leaves.values())
+
+    def test_leaf_errors_are_usage_lines(self, mass_files):
+        code, out, err = run_cli(f"xent discrete --p {mass_files[0]} --q {mass_files[1]} "
+                                 "--alpha 2 --bogus 3".split())
+        assert (code, out, err) == (1, "", "usage error: unrecognized arguments: --bogus 3\n")
+
+
+# file contents, each read as comma-separated and as whitespace-separated
+READER_CASES = {
+    "plain": "1,2,3\n", "column": "1\n2\n3\n", "single": "5", "no newline": "1,2",
+    "spaces around": " 1 , 2 ,3 \n", "tabs": "\t1,\t2\n", "whitespace": "1 2\n3 4\n",
+    "trailing whitespace": "1\t2\t\n", "crlf": "1,2\r\n3,4\r\n", "cr": "1,2\r3,4\r",
+    "empty line": "1,2\n\n3,4\n", "blank line": "1,2\n   \n3,4\n", "tab line": "1\n\t\n2\n",
+    "blank file": "  \n", "empty file": "", "comment": "# head\n1,2 # tail\n",
+    "comment only": "#x\n", "indented comment": "  # c\n1,2\n", "comment after": "1,2\n # c\n",
+    "comment in a row": "1,#2\n", "trailing comma": "1,2,\n", "comma only": ",\n",
+    "ragged": "1,2\n3\n", "ragged whitespace": "1 2\n3\n", "inner space": "1 2,3\n",
+    "underscore": "1_000,2\n", "arabic digit": "١,2\n", "nbsp": "1 ,2\n",
+    "nbsp inside": "1 2\n", "vertical tab": "1\x0b,2\n", "file separator": "1\x1c,2\n",
+    "line separator": "1,2 3,4\n", "nel": "1,2\x853,4\n", "bom": "﻿1,2\n",
+    "separator line": "1\n\x1c\n2\n", "leading separator": "\x1f1,2\n", "nul": "1\x00,2\n", "hex": "0x10,2\n", "quoted": '"1",2\n', "imaginary": "1j,2\n",
+    "signs and dots": "+1,-2,.5,5.,1e-3\n", "specials": "inf,-Infinity,nan,NaN\n",
+    "overflow": "1e400,2\n", "word": "0.5,abc,0.2\n",
+}
+
+
+class TestReader:
+    @pytest.mark.parametrize("delimiter", [",", None], ids=["comma", "whitespace"])
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_same_verdict_and_values_as_loadtxt(self, tmp_path, name, delimiter):
+        import warnings
+
+        from rxent import cli
+
+        path = tmp_path / "in.csv"
+        path.write_text(READER_CASES[name])
+        try:
+            with warnings.catch_warnings():  # numpy warns of an empty input
+                warnings.simplefilter("ignore", UserWarning)
+                expected = np.loadtxt(str(path), delimiter=delimiter, ndmin=2)
+        except ValueError:
+            expected = None
+        if expected is not None and expected.size == 0:
+            with pytest.raises(UsageError, match="^.* holds no numbers$"):
+                cli._read_rows(str(path), delimiter)
+        elif expected is None:
+            with pytest.raises(UsageError, match=f"^cannot parse {path}: line "):
+                cli._read_rows(str(path), delimiter)
+        else:
+            got = np.array(cli._read_rows(str(path), delimiter))
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_random_contents_as_loadtxt(self, tmp_path):
+        # strings over digits, signs, separators, comments and characters
+        # that float() and numpy treat differently
+        import random
+        import warnings
+
+        from rxent import cli
+
+        alphabet = (list("0123456789") * 3 + list(".,,,e+-  \t\n\n\n#_")
+                    + ["\xa0", "\x1c", "\r", "\u0661", "inf", "nan", "\x0b"])
+        rng = random.Random(11)
+        for i in range(300):
+            path = tmp_path / f"in{i}.csv"
+            path.write_text("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14))))
+            for delimiter in (",", None):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        expected = np.loadtxt(str(path), delimiter=delimiter, ndmin=2).tolist()
+                except ValueError:
+                    expected = "refused"
+                try:
+                    got = np.array(cli._read_rows(str(path), delimiter)).tolist()
+                except UsageError as exc:
+                    got = [] if str(exc).endswith("holds no numbers") else "refused"
+                assert repr(got) == repr(expected), path.read_text()
+
+    def test_missing_file_is_the_io_line_numpy_gave(self, tmp_path, mass_files):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(f"xent discrete --p {missing} --q {mass_files[1]} "
+                                 "--alpha 2".split())
+        assert (code, out, err) == (1, "", f"io error: {missing} not found.\n")
+
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, mass_files):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0.5,0.5\xff\n")
+        code, out, err = run_cli(f"xent discrete --p {bad} --q {mass_files[1]} "
+                                 "--alpha 2".split())
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: cannot parse {bad}: ")

@@ -845,8 +845,9 @@ class TestNestedGrid:
     def test_levels_are_the_full_grid_bit_for_bit(self, monkeypatch):
         from rxent import gaussproc
 
-        nodes = []
-        monkeypatch.setattr(gaussproc, "psd", lambda spec, w: nodes.append(w) or psd(spec, w))
+        nodes, ar1_psd = [], gaussproc._ar1_psd
+        monkeypatch.setattr(gaussproc, "_ar1_psd",
+                            lambda v, rho, w: nodes.append(w) or ar1_psd(v, rho, w))
         x = S.ar1(0.9)
         for j in range(4):
             gaussproc._level_psd(x, j)
@@ -914,6 +915,23 @@ class TestNestedGrid:
                 for big, small in zip(rate_spectral(x, x, orders),
                                       rate_spectral(scaled, scaled, orders)):
                     assert big == pytest.approx(small + k / 2 * math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("k", [-1000, -512, 0, 511, 512, 1000, 1023])
+    def test_ar1_above_the_double_range(self, k):
+        # an AR(1) level takes r_0 / 2^e before its peak factor (here 3): at
+        # k = 1023 the pair is [1e308, 0.3e308] against ar1:0.5,1.5e308, whose
+        # density passes the largest double; rate(c x, c y) = rate(x, y) +
+        # (1/2) ln c for c = 2^k, either way round, with no overflow
+        x = S.from_autocovariance([math.ldexp(v, k - 1023) for v in (1e308, 0.3e308)])
+        y = S.ar1(0.5, math.ldexp(1.5e308, k - 1023))
+        x0, y0 = (S.from_autocovariance([math.ldexp(v, -k) for v in x.autocov]),
+                  S.ar1(0.5, math.ldexp(y.autocov[0], -k)))
+        orders = [0.5, "one", 2.0, 7.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair, unit in (((x, y), (x0, y0)), ((y, x), (y0, x0))):
+                for got, want in zip(rate_spectral(*pair, orders), rate_spectral(*unit, orders)):
+                    assert got == pytest.approx(want + k / 2 * math.log(2.0), rel=1e-13)
 
     def test_level_scale_leaves_ordinary_series_as_they_are(self):
         # r_0 within 2^+-512 of 1 keeps its levels bit for bit; the two sides

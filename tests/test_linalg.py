@@ -73,8 +73,30 @@ class TestCertifiedStop:
         # every residual correlation of the AR(1) predictor is 0
         r = 2.0 * 0.6 ** np.arange(2048)
         logdet, order = _levinson_logdet(r)
-        assert order == 64
+        assert order == 1
         assert_allclose(logdet, np.log(2.0) + 2047 * np.log(2.0 * 0.64), rtol=1e-14)
+
+    def test_white_column_stops_at_order_one(self):
+        logdet, order = _levinson_logdet(np.r_[3.0, np.zeros(511)])
+        assert order == 1
+        assert_allclose(logdet, 512 * np.log(3.0), rtol=1e-15)
+
+    # B = r_y + t r_x for the white-noise and AR(1) pairs of the finite-n
+    # referee: ARMA(1,1) columns, or sums of two AR(1) columns
+    S = StationaryGaussianSpec
+    ARMA = [(S.white_noise(1.3), S.ar1(0.8, 0.7), 2.5), (S.ar1(-0.6, 2.0), S.white_noise(0.5), 4.0),
+            (S.white_noise(0.4), S.ar1(-0.9, 2.9), 6.6), (S.ar1(0.5, 1.0), S.white_noise(1.0), -0.3),
+            (S.ar1(0.9, 1.0), S.ar1(-0.5, 2.0), 1.5)]
+
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("case", range(len(ARMA)))
+    def test_arma_columns_stop_early_and_match_slogdet(self, n, case):
+        y, x, t = self.ARMA[case]
+        column = autocov_lags(y, n) + t * autocov_lags(x, n)
+        logdet, order = _levinson_logdet(column)
+        _, expected = np.linalg.slogdet(scipy.linalg.toeplitz(column))
+        assert_allclose(logdet, expected, rtol=1e-13)
+        assert order <= 64
 
     @pytest.mark.parametrize("column, past", [
         (random_spd_column(np.random.default_rng(7), 1024), 0),
@@ -89,7 +111,7 @@ class TestCertifiedStop:
         assert order > past
 
     def test_lost_definiteness_after_several_checks_raises(self):
-        # white up to lag 299, so the checks at 64, 128 and 256 see r_300
+        # white up to lag 299, so the checks at 1, 2, 4, ..., 256 see r_300
         with pytest.raises(NotPositiveDefiniteError):
             toeplitz_logdet(spike_column(512, 300, 2.0))
 

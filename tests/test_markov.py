@@ -108,6 +108,20 @@ class TestClassify:
         flags = dict(zip((frozenset(c) for c in s.classes), s.self_communicating))
         assert flags[frozenset({0})] is False and flags[frozenset({1})] is True
 
+    def test_interleaved_classes_are_labelled_by_state(self):
+        # classes {0, 2}, {1} (a self-loop) and {3, 4}, in that order
+        m = np.zeros((5, 5))
+        for i, j in ((0, 2), (2, 0), (0, 1), (1, 1), (1, 3), (3, 4), (4, 3)):
+            m[i, j] = 0.5
+        s = classify(m)
+        assert s.classes == ((0, 2), (1,), (3, 4))
+        assert s.self_communicating == (True, True, True)
+        assert s.labels.tolist() == [0, 1, 0, 2, 2]
+        assert s.reach.tolist() == [[True, True, True], [False, True, True],
+                                    [False, False, True]]
+        m[1, 1] = 0.0
+        assert classify(m).self_communicating == (True, False, True)
+
     def test_identity_gives_singletons(self):
         s = classify(np.eye(300))
         assert s.classes == tuple((i,) for i in range(300))
