@@ -32,23 +32,23 @@ _MASS_TOLERANCE = 1e-12
 class DiscreteDistribution:
     """Probability vector over a finite alphabet.
 
-    Masses must be nonnegative and sum to 1 within 1e-12.
+    Masses must be nonnegative and sum to 1 within 1e-12.  Construction
+    checks them on its own read-only copy with one min and one sum: a NaN
+    or -inf mass fails the sign test and a +inf mass the sum test, so only
+    a failed test looks at each mass to say which came first.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidParameterError("need a nonempty 1-D probability vector")
-        if not np.isfinite(p).all():
-            raise InvalidParameterError("probabilities must be finite")
-        if (p < 0).any():
-            raise InvalidParameterError("probabilities must be nonnegative")
+        if not p.min() >= 0:  # a NaN or a negative mass
+            _refuse(p, "probabilities must be nonnegative")
         total = float(p.sum())
         if abs(total - 1.0) > _MASS_TOLERANCE:
-            raise InvalidParameterError(f"probabilities sum to {total!r}, not 1")
-        p = p.copy()
+            _refuse(p, f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -62,6 +62,14 @@ class DiscreteDistribution:
     @property
     def alphabet_size(self) -> int:
         return int(self.probs.size)
+
+
+def _refuse(values: np.ndarray, reason: str, what: str = "probabilities"):
+    """Raise InvalidParameterError with ``reason``, or, where a value is not
+    finite, the finiteness check that comes before it."""
+    if not np.isfinite(values).all():
+        reason = f"{what} must be finite"
+    raise InvalidParameterError(reason)
 
 
 def _support(p: DiscreteDistribution, q: DiscreteDistribution):

@@ -78,16 +78,20 @@ class StationaryGaussianSpec:
         rho = float(self.rho)
         if not -1.0 < rho < 1.0:
             raise InvalidParameterError(f"ar1 needs |rho| < 1, got {rho}")
-        r = np.asarray(self.autocov, dtype=float)
+        r = np.array(self.autocov, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise InvalidParameterError("autocovariance must be a nonempty 1-D sequence")
-        if rho and r.size != 1:
+        if r.size == 1:  # white noise or AR(1): the variance as one float
+            r_0 = float(r[0])
+            finite = math.isfinite(r_0)
+        elif rho:
             raise InvalidParameterError(f"an AR(1) holds its variance alone, got {r.size} lags")
-        if not np.all(np.isfinite(r)):
+        else:
+            r_0, finite = float(r[0]), np.isfinite(r).all()
+        if not finite:
             raise InvalidParameterError("autocovariance values must be finite")
-        if r[0] <= 0:
-            raise InvalidParameterError(f"lag-0 autocovariance must be positive, got {r[0]}")
-        r = r.copy()
+        if r_0 <= 0:
+            raise InvalidParameterError(f"lag-0 autocovariance must be positive, got {r_0}")
         r.setflags(write=False)
         object.__setattr__(self, "autocov", r)
         object.__setattr__(self, "rho", rho)
@@ -98,7 +102,7 @@ class StationaryGaussianSpec:
         variance = float(variance)
         if variance <= 0:
             raise InvalidParameterError(f"white noise needs variance > 0, got {variance}")
-        return cls(np.array([variance]))
+        return cls([variance])
 
     @classmethod
     def ar1(cls, rho: float, variance: float = 1.0) -> "StationaryGaussianSpec":
@@ -107,11 +111,11 @@ class StationaryGaussianSpec:
         variance = float(variance)
         if variance <= 0:
             raise InvalidParameterError(f"ar1 needs variance > 0, got {variance}")
-        return cls(np.array([variance]), rho)
+        return cls([variance], rho)
 
     @classmethod
     def from_autocovariance(cls, seq) -> "StationaryGaussianSpec":
-        return cls(np.asarray(seq, dtype=float))
+        return cls(seq)
 
 
 def psd(spec: StationaryGaussianSpec, w) -> np.ndarray:
@@ -144,8 +148,9 @@ def _certify_floor(r: np.ndarray, rho: float) -> None:
     ``_taylor_floor`` on N = max(16, 2 (m + 1)), 2 N, ... uniform nodes up to
     2^17, and refused as soon as a node falls to the floor."""
     if r.size == 1:
-        low = r[0] * (1.0 - abs(rho)) / (1.0 + abs(rho))
-        if low <= _PSD_FLOOR * r[0]:
+        v, a = float(r[0]), abs(rho)
+        low = v * (1.0 - a) / (1.0 + a)
+        if low <= _PSD_FLOOR * v:
             raise NonpositivePsdError(f"spectral density dips to {low:.3e}")
         return
     c, size = r / r[0], max(16, 1 << (2 * r.size - 1).bit_length())
@@ -221,10 +226,18 @@ def _level_exponent(spec: StationaryGaussianSpec) -> int:
 
 def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
     """r_0..r_{n-1}: v rho^k for an AR(1), else the truncated series padded
-    with zeros."""
-    if spec.rho:
-        return spec.autocov[0] * spec.rho ** np.arange(n)
+    with zeros.  An AR(1) forms rho^k only up to the k from which it rounds
+    to 0 (-0.0 for rho < 0 and k odd), as numpy's power is several times
+    slower where its result is subnormal or 0."""
+    rho = spec.rho
     first = np.zeros(n)
+    if rho:
+        # |rho|^k < 2^-1075 |rho|^2, which rounds to 0, from k = stop on
+        stop = min(n, int(-1075.0 * math.log(2.0) / math.log(abs(rho))) + 3)
+        first[:stop] = spec.autocov[0] * rho ** np.arange(stop)
+        if rho < 0.0:
+            first[stop | 1::2] = -0.0
+        return first
     take = min(n, spec.autocov.size)
     first[:take] = spec.autocov[:take]
     return first

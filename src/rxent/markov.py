@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import AlphaOrder, evaluate_orders
-from .discrete import DiscreteDistribution
+from .discrete import DiscreteDistribution, _refuse
 from .errors import (
     DegenerateRateError,
     DimensionMismatchError,
@@ -60,30 +60,31 @@ _SHANNON_SLOPE_N = 4096
 
 @dataclass(frozen=True, eq=False)
 class MarkovSource:
-    """Row-stochastic transition matrix plus a start distribution."""
+    """Row-stochastic transition matrix plus a start distribution.
+
+    Construction checks the matrix on its own read-only copy with one min
+    and one row sum, as ``DiscreteDistribution`` checks its masses.
+    """
 
     transition: np.ndarray
     initial: DiscreteDistribution
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
+        t = np.array(self.transition, dtype=float, order="C")
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidParameterError(f"transition matrix must be square, got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise InvalidParameterError("transition probabilities must be finite")
-        if np.any(t < 0):
-            raise InvalidParameterError("transition probabilities must be nonnegative")
+        if not t.min(initial=0.0) >= 0:  # a NaN or a negative entry; a 0 x 0 t passes
+            _refuse(t, "transition probabilities must be nonnegative", "transition probabilities")
         rows = t.sum(axis=1)
         bad = np.abs(rows - 1.0) > _ROW_SUM_TOLERANCE
-        if np.any(bad):
+        if bad.any():
             i = int(np.argmax(bad))
-            raise InvalidParameterError(f"row {i} sums to {rows[i]!r}, not 1")
+            _refuse(t, f"row {i} sums to {rows[i]!r}, not 1", "transition probabilities")
         if self.initial.alphabet_size != t.shape[0]:
             raise DimensionMismatchError(
                 f"start distribution has {self.initial.alphabet_size} states, "
                 f"matrix has {t.shape[0]}"
             )
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
 
@@ -93,7 +94,7 @@ class MarkovSource:
         if initial is None:
             initial = DiscreteDistribution.uniform(t.shape[0])
         elif not isinstance(initial, DiscreteDistribution):
-            initial = DiscreteDistribution(np.asarray(initial, dtype=float))
+            initial = DiscreteDistribution(initial)
         return cls(t, initial)
 
     @property
@@ -158,6 +159,8 @@ def build_weighted(p_src: MarkovSource, q_src: MarkovSource, alpha) -> WeightedM
 def _closure(pattern: np.ndarray) -> np.ndarray:
     """Inclusive reachability of I + pattern by ceil(log2 K) boolean squarings."""
     reach = pattern | np.eye(pattern.shape[0], dtype=bool)
+    if reach.all():  # every state steps to every other: no squaring adds a path
+        return reach
     for _ in range((pattern.shape[0] - 1).bit_length()):  # covers paths of length 2^j
         closure = reach.astype(float)
         reach = closure @ closure > 0
@@ -171,13 +174,18 @@ def classify(matrix: np.ndarray) -> ClassStructure:
     ceil(log2 K) boolean squarings.  Two states share a class exactly when
     they reach each other, so the classes are the distinct rows of R & R^T;
     each is labelled by its smallest state, and the class reachability is R
-    restricted to those representatives.
+    restricted to those representatives.  An R that is all true is one
+    class, returned at once.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"need a square matrix, got shape {m.shape}")
     pattern = m > 0
     reach = _closure(pattern)
+    n = pattern.shape[0]
+    if n and reach.all():  # one class
+        return ClassStructure((tuple(range(n)),), (n > 1 or bool(pattern[0, 0]),),
+                              np.ones((1, 1), dtype=bool), np.zeros(n, dtype=int))
     smallest = np.argmax(reach & reach.T, axis=1).tolist()  # of each state's class
     members = {}  # the classes in the order of their smallest states
     for state, rep in enumerate(smallest):
@@ -187,7 +195,7 @@ def classify(matrix: np.ndarray) -> ClassStructure:
     loops = np.diagonal(pattern).tolist()
     self_comm = tuple(len(c) > 1 or loops[c[0]] for c in classes)
     reps = list(members)
-    return ClassStructure(classes, self_comm, reach[np.ix_(reps, reps)],
+    return ClassStructure(classes, self_comm, reach[reps][:, reps],
                           np.array([number[rep] for rep in smallest]))
 
 
@@ -214,8 +222,10 @@ def perron_eigenpair(matrix: np.ndarray):
     if (m < 0).any():
         raise InvalidParameterError("matrix entries must be nonnegative")
     stack = m.reshape((-1,) + m.shape[-2:])
+    one = len(stack) == 1
     pattern = stack > 0
-    if not _irreducible(np.logical_and.reduce(pattern)):  # else no member is reducible
+    if not _irreducible(pattern[0] if one else np.logical_and.reduce(pattern)):
+        # else no member is reducible
         for member, member_pattern in zip(stack, pattern):
             if not _irreducible(member_pattern):
                 raise NotIrreducibleError(
@@ -225,9 +235,12 @@ def perron_eigenpair(matrix: np.ndarray):
         values, vectors = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue solver failed: {exc}") from exc
-    members, top = np.arange(len(stack)), np.argmax(values.real, axis=1)
-    lam = values[members, top].real
-    v = np.abs(vectors[members, :, top])
+    top = np.argmax(values.real, axis=1)
+    if one:
+        lam, v = values[:, top[0]].real, np.abs(vectors[:, :, top[0]])
+    else:
+        members = np.arange(len(stack))
+        lam, v = values[members, top].real, np.abs(vectors[members, :, top])
     v /= v.sum(axis=1, keepdims=True)
     residual = np.abs((stack @ v[:, :, None])[:, :, 0] - lam[:, None] * v).max(axis=1)
     bad = residual > _RESIDUAL_FACTOR * stack.sum(axis=2).max(axis=1)
@@ -246,8 +259,13 @@ def perron_eigenvalue(matrix: np.ndarray) -> float:
 def _class_plan(p: np.ndarray, weighted: np.ndarray, start: np.ndarray):
     """The states the start s reaches under the weights R and, for each
     reachable self-communicating class of R in class order, (index set,
-    closed), where a closed class is one no move of the source P leaves."""
+    closed), where a closed class is one no move of the source P leaves.
+    One self-communicating class that the start reaches is every state,
+    and closed."""
     structure = classify(weighted)
+    if len(structure.classes) == 1 and structure.self_communicating[0] and (start > 0).any():
+        states = np.arange(p.shape[0])
+        return states, [(states, True)]
     labels = structure.labels
     reachable = structure.reach[labels[start > 0]].any(axis=0)
     # the moves of P out of each class; P 1 = 1 on the block of one with none
@@ -327,8 +345,9 @@ def _rates(p_src: MarkovSource, q_src: MarkovSource, orders: list) -> list:
         # a self-loop class has lambda = R_ii and u = [1], so its slope is D_ii
         # (+ 0.0, as from a sum): all of them from one index
         loops = [idx[0] for idx, _ in classes if idx.size == 1]
-        loop_pairs = zip(weighted[group[:, None], loops, loops].T.tolist(),
-                         (d[group[:, None], loops, loops] + 0.0).T.tolist())
+        if loops:
+            loop_pairs = zip(weighted[group[:, None], loops, loops].T.tolist(),
+                             (d[group[:, None], loops, loops] + 0.0).T.tolist())
         for idx, is_closed in classes:
             use = every if is_closed else moving
             if idx.size == 1:

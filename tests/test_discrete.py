@@ -33,6 +33,47 @@ class TestDistribution:
         with pytest.raises(InvalidParameterError):
             DiscreteDistribution(np.array([]))
 
+    @pytest.mark.parametrize("masses, message", [
+        ([[0.5], [0.5]], "need a nonempty 1-D probability vector"),
+        ([], "need a nonempty 1-D probability vector"),
+        ([math.nan, -0.5, 1.5], "probabilities must be finite"),  # finite comes before sign
+        ([-0.5, math.nan, 1.5], "probabilities must be finite"),
+        ([math.inf, -math.inf], "probabilities must be finite"),
+        ([-0.5, math.inf], "probabilities must be finite"),
+        ([0.5, 0.5, math.inf], "probabilities must be finite"),  # before the sum
+        ([1.2, -0.2], "probabilities must be nonnegative"),
+        ([1.0, -1e-300], "probabilities must be nonnegative"),  # before the sum
+        ([0.5, 0.6], "probabilities sum to 1.1, not 1"),
+        ([0.5, 0.5 + 2e-12], "probabilities sum to 1.000000000002, not 1"),
+    ])
+    def test_refusals_in_check_order(self, masses, message):
+        with pytest.raises(InvalidParameterError) as info:
+            DiscreteDistribution(np.array(masses))
+        assert str(info.value) == message
+
+    def test_sum_that_overflows_is_a_sum_refusal(self):
+        # finite masses whose total overflows: numpy warns, the sum test refuses
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidParameterError) as info:
+                DiscreteDistribution(np.array([1e308, 1e308]))
+        assert str(info.value) == "probabilities sum to inf, not 1"
+
+    def test_negative_zero_is_a_zero_mass(self):
+        d = DiscreteDistribution(np.array([0.5, -0.0, 0.5]))
+        assert d.probs.tobytes() == np.array([0.5, -0.0, 0.5]).tobytes()
+        assert renyi_cross_entropy(d, Q, 2.0) == renyi_cross_entropy(
+            DiscreteDistribution(np.array([0.5, 0.0, 0.5])), Q, 2.0)
+
+    @pytest.mark.parametrize("masses", [[0.5, 0.5], (0.25, 0.75), np.array([0.1, 0.9])])
+    def test_owns_a_read_only_copy(self, masses):
+        d = DiscreteDistribution(masses)
+        assert not d.probs.flags.writeable and d.probs.dtype == float
+        assert d.probs is not masses and not np.shares_memory(d.probs, masses)
+        if isinstance(masses, np.ndarray):
+            assert masses.flags.writeable  # the caller's array is left as it was
+            masses[0] = 0.9
+            assert d.probs[0] == 0.1
+
     def test_uniform(self):
         u = DiscreteDistribution.uniform(4)
         assert u.alphabet_size == 4

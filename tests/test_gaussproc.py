@@ -103,6 +103,65 @@ class TestSpecConstruction:
         with pytest.raises(InvalidParameterError, match="rho"):
             S.ar1(1.5, math.nan)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: S(np.array([math.nan])), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S(np.array([math.inf]), 0.5), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S(np.array([-math.inf]), -0.5), InvalidParameterError,
+         "autocovariance values must be finite"),  # finite comes before sign
+        (lambda: S.white_noise(math.nan), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S.ar1(-0.5, math.inf), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S.white_noise(-math.inf), InvalidParameterError,
+         "white noise needs variance > 0, got -inf"),
+        (lambda: S(np.array([0.0])), InvalidParameterError,
+         "lag-0 autocovariance must be positive, got 0.0"),
+        (lambda: S(np.array([-0.0]), 0.5), InvalidParameterError,
+         "lag-0 autocovariance must be positive, got -0.0"),
+        (lambda: S.white_noise(-0.0), InvalidParameterError,
+         "white noise needs variance > 0, got -0.0"),
+        (lambda: S.ar1(0.5, 0.0), InvalidParameterError, "ar1 needs variance > 0, got 0.0"),
+        (lambda: S.ar1(-0.5, 5e-324), NonpositivePsdError, "spectral density dips to 0.000e+00"),
+        (lambda: S.ar1(np.nextafter(1.0, 0.0)), NonpositivePsdError,
+         "spectral density dips to 5.551e-17"),
+        (lambda: S.ar1(np.nextafter(-1.0, 0.0), 1.5e308), NonpositivePsdError,
+         "spectral density dips to 8.327e+291"),
+        (lambda: S.ar1(np.nextafter(1.0, 0.0), math.nan), InvalidParameterError,
+         "autocovariance values must be finite"),  # the floor comes last
+        (lambda: S(np.array([math.nan, 0.1])), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S(np.array([-1.0, math.nan])), InvalidParameterError,
+         "autocovariance values must be finite"),
+        (lambda: S(np.array([-0.0, 0.1])), InvalidParameterError,
+         "lag-0 autocovariance must be positive, got -0.0"),
+    ])
+    def test_refusals_in_check_order(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("make, lags, rho", [
+        (lambda: S.white_noise(5e-324), [5e-324], 0.0),
+        (lambda: S.white_noise(1.5e308), [1.5e308], 0.0),
+        (lambda: S.ar1(-0.5, 1.5e308), [1.5e308], -0.5),
+        (lambda: S(np.array([1.5e308]), 0.5), [1.5e308], 0.5),
+    ])
+    def test_one_lag_extremes_accepted(self, make, lags, rho):
+        spec = make()
+        assert (spec.autocov.tolist(), spec.rho) == (lags, rho)
+
+    @pytest.mark.parametrize("lags", [[2.0], (1.0, 0.3), np.array([1.5]), np.array([1.0, -0.2])])
+    def test_owns_a_read_only_copy(self, lags):
+        spec = S.from_autocovariance(lags)
+        assert not spec.autocov.flags.writeable and spec.autocov.dtype == float
+        assert spec.autocov is not lags and not np.shares_memory(spec.autocov, lags)
+        if isinstance(lags, np.ndarray):
+            assert lags.flags.writeable  # the caller's array is left as it was
+            lags[0] = 9.0
+            assert spec.autocov[0] != 9.0
+
     def test_white_noise_levels_equal_the_fft_fill(self):
         # the flat fill of a one-lag series is bit-identical to the FFT of [v, 0]
         from rxent import gaussproc
@@ -634,6 +693,22 @@ class TestAr1AllLags:
         r = autocov_lags(self.X, 2048)
         assert_allclose(r, 0.99 ** np.arange(2048), rtol=1e-12)
         assert (self.X.autocov.tolist(), self.X.rho) == ([1.0], 0.99)
+
+    def test_lags_are_the_powers_bit_for_bit(self):
+        # the powers stop where rho^k rounds to 0; the tail is the same zeros,
+        # -0.0 at odd lags for rho < 0
+        rng = np.random.default_rng(2026)
+        for i in range(3000):
+            if i % 3 == 0:
+                rho = rng.uniform(-1.0, 1.0)
+            elif i % 3 == 1:
+                rho = rng.uniform(-0.75, 0.75)
+            else:
+                rho = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, -0.2)
+            spec = S.ar1(rho, 10.0 ** rng.uniform(-300.0, 300.0))
+            n = int(rng.integers(1, 2049))
+            want = spec.autocov[0] * spec.rho ** np.arange(n)
+            assert autocov_lags(spec, n).tobytes() == want.tobytes(), (spec.rho, n)
 
     def test_finite_n_error_halves_with_n(self):
         limit = rate_spectral(self.X, self.Y, 2.0)

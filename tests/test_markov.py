@@ -42,6 +42,41 @@ class TestMarkovSource:
         with pytest.raises(DimensionMismatchError):
             MarkovSource.of(P_CHAIN, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5]], "transition matrix must be square, got (1, 2)"),
+        ([[math.nan, 0.6], [0.5, 0.5]], "transition probabilities must be finite"),
+        ([[0.5, 0.4], [0.5, math.nan]], "transition probabilities must be finite"),
+        ([[math.nan, -0.5], [0.5, 0.5]], "transition probabilities must be finite"),
+        ([[math.inf, -math.inf], [0.5, 0.5]], "transition probabilities must be finite"),
+        ([[0.5, 0.4], [math.inf, 0.0]], "transition probabilities must be finite"),
+        ([[0.5, 0.4], [1.5, -0.5]], "transition probabilities must be nonnegative"),
+        ([[0.5, 0.4], [0.5, 0.5]], f"row 0 sums to {np.float64(0.9)!r}, not 1"),
+        ([[0.5, 0.5], [0.2, 0.2]], f"row 1 sums to {np.float64(0.4)!r}, not 1"),
+    ])
+    def test_refusals_in_check_order(self, rows, message):
+        with pytest.raises(InvalidParameterError) as info:
+            MarkovSource.of(np.array(rows))
+        assert str(info.value) == message
+
+    def test_row_sum_that_overflows_is_a_sum_refusal(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidParameterError) as info:
+                MarkovSource.of(np.array([[1e308, 1e308], [0.5, 0.5]]))
+        assert str(info.value) == f"row 0 sums to {np.float64(math.inf)!r}, not 1"
+
+    def test_negative_zero_is_a_zero_entry(self):
+        src = MarkovSource.of(np.array([[-0.0, 1.0], [0.5, 0.5]]))
+        assert math.copysign(1.0, src.transition[0, 0]) == -1.0
+
+    def test_owns_a_read_only_copy(self):
+        rows = np.array([[0.9, 0.1], [0.2, 0.8]])
+        for given in (rows, rows.tolist(), rows.T.copy().T):  # the last is Fortran-ordered
+            src = MarkovSource.of(given, [0.5, 0.5])
+            assert not src.transition.flags.writeable and src.transition.flags.c_contiguous
+            assert src.transition is not given and not np.shares_memory(src.transition, given)
+            assert src.transition.tolist() == rows.tolist()
+        assert rows.flags.writeable
+
     def test_default_start_is_uniform(self):
         src = MarkovSource.of(P_CHAIN)
         assert_allclose(src.initial.probs, 0.5)
@@ -121,6 +156,26 @@ class TestClassify:
                                     [False, False, True]]
         m[1, 1] = 0.0
         assert classify(m).self_communicating == (True, False, True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_one_class_equals_the_general_path(self, k):
+        # an irreducible pattern classified alone (one class) and with a
+        # state of its own appended (the general path): same first class
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            m = (rng.random((k, k)) < 0.5) * rng.random((k, k))
+            m[np.arange(k), (np.arange(k) + 1) % k] = 0.3  # a cycle through every state
+            m[0, 0] = rng.choice([0.0, 0.2])
+            one = classify(m)
+            wider = classify(np.pad(m, ((0, 1), (0, 1))))
+            assert wider.classes[:1] == one.classes == (tuple(range(k)),)
+            assert wider.self_communicating[:1] == one.self_communicating
+            assert type(one.self_communicating[0]) is bool
+            assert one.self_communicating == (k > 1 or m[0, 0] > 0,)
+            assert one.reach.dtype == wider.reach.dtype and one.reach.tolist() == [[True]]
+            assert wider.reach[:1, :1].tolist() == [[True]]
+            assert one.labels.dtype == wider.labels.dtype
+            assert one.labels.tolist() == wider.labels[:k].tolist() == [0] * k
 
     def test_identity_gives_singletons(self):
         s = classify(np.eye(300))
