@@ -232,8 +232,9 @@ def autocov_lags(spec: StationaryGaussianSpec, n: int) -> np.ndarray:
     rho = spec.rho
     first = np.zeros(n)
     if rho:
-        # |rho|^k < 2^-1075 |rho|^2, which rounds to 0, from k = stop on
-        stop = min(n, int(-1075.0 * math.log(2.0) / math.log(abs(rho))) + 3)
+        # |rho|^k < 2^-1077 |rho|^2 from k = stop on: a quarter of the least
+        # subnormal, which rounds to 0 even under a pow that is off by an ulp
+        stop = min(n, int(-1077.0 * math.log(2.0) / math.log(abs(rho))) + 3)
         first[:stop] = spec.autocov[0] * rho ** np.arange(stop)
         if rho < 0.0:
             first[stop | 1::2] = -0.0

@@ -710,6 +710,14 @@ class TestAr1AllLags:
             want = spec.autocov[0] * spec.rho ** np.arange(n)
             assert autocov_lags(spec, n).tobytes() == want.tobytes(), (spec.rho, n)
 
+    def test_long_lags_near_unit_rho_are_the_powers_bit_for_bit(self):
+        # n past the lag where |rho|^k first rounds to 0 when |rho| is near 1
+        for rho, n in ((0.999, 760_000), (-0.999, 760_000), (0.995, 150_000), (-0.99, 80_000)):
+            spec = S.ar1(rho, 3.0)
+            want = spec.autocov[0] * spec.rho ** np.arange(n)
+            assert want[-1] == 0.0 and want[:n // 2].all(), rho
+            assert autocov_lags(spec, n).tobytes() == want.tobytes(), rho
+
     def test_finite_n_error_halves_with_n(self):
         limit = rate_spectral(self.X, self.Y, 2.0)
         errors = [rate_finite_n(self.X, self.Y, 2.0, n) - limit

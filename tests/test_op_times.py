@@ -1,17 +1,18 @@
 import contextlib
-import importlib.util
 import io
 import os
+import sys
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "op_times.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def load():
-    spec = importlib.util.spec_from_file_location("op_times", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+    if TOOLS not in sys.path:
+        sys.path.insert(0, TOOLS)
+    import op_times
+
+    return op_times
 
 
 def test_report_names_the_families_around_the_median():
@@ -34,15 +35,14 @@ def test_report_names_the_families_around_the_median():
                           "above the median (nearest 10): b.y 1"]
 
 
-def test_times_the_first_ops_of_a_workload():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert load().main(["--workload", "lib_pointwise", "--seed", "1", "--cycles", "2",
-                            "--limit", "12"]) == 0
-    lines = out.getvalue().splitlines()
-    assert lines[0].startswith("lib_pointwise seed 1, best of 2 cycles, ")
-    assert lines[1].split() == ["family", "ops", "sum_us", "median_us", "below", "above"]
-    rows = [line.split() for line in lines[2:-3]]
+def test_times_the_first_ops_of_a_workload(tmp_path):
+    tool = load()
+    pairs = tool.workload_ops(ROOT, "lib_pointwise", 1, str(tmp_path))[:12]
+    best = tool.best_times(pairs, 2)
+    assert len(best) == 12 and min(best) > 0.0
+    lines = tool.report([op["kind"] for op, _ in pairs], [op["id"] for op, _ in pairs], best)
+    assert lines[0].split() == ["family", "ops", "sum_us", "median_us", "below", "above"]
+    rows = [line.split() for line in lines[1:-3]]
     assert sum(int(row[1]) for row in rows) == 12
     # an even count: the median lies between the two middle ops, so each op is on one side
     assert sum(int(row[4]) + int(row[5]) for row in rows) == 12
@@ -51,3 +51,14 @@ def test_times_the_first_ops_of_a_workload():
     assert lines[-3].startswith("median op ") and lines[-3].count(" lp0") == 2
     assert lines[-2].startswith("below the median (nearest 10): ")
     assert lines[-1].startswith("above the median (nearest 10): ")
+
+
+def test_main_reports_a_whole_workload():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert load().main(["--workload", "lib_pointwise", "--seed", "1", "--cycles", "1"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == f"lib_pointwise seed 1, best of 1 cycles, {ROOT}"
+    assert lines[1].split()[0] == "family" and lines[-3].startswith("median op ")
+    count = int(lines[-3].split(" over ")[1].split()[0])
+    assert sum(int(line.split()[1]) for line in lines[2:-3]) == count > 100

@@ -1,12 +1,13 @@
 """Per-op best times of one benchmark workload, grouped by op family.
 
     python tools/op_times.py --workload lib_pointwise [--seed 1] [--cycles 5]
-                             [--limit N] [--root CHECKOUT]
+                             [--root CHECKOUT]
 
 Builds the ops of one in-process workload and seed with ``bench/gen.py``
 and runs them, in this process, through ``bench/ops.py`` (``prepare``, then
-``run_lib`` or ``run_cli_inprocess``) against the package under
-``CHECKOUT/src``, for ``--cycles`` passes over the op list.  Each op is
+``run_lib`` or ``run_cli_inprocess``; ``output_identity.workload_ops``)
+against the package under ``CHECKOUT/src``, for ``--cycles`` passes over
+the op list.  Each op is
 timed by its fastest execution, as the benchmark's ``op_ms_p50`` times it.
 
 An op's family is its kind less the last dot-separated field, the order
@@ -31,19 +32,21 @@ import tempfile
 import time
 from collections import Counter
 
+from output_identity import workload_ops
+
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark worker runs
 
 WORKLOADS = ("lib_pointwise", "cli_sweep", "oracle_check")  # the in-process ones
 NEAR = 10  # ops named on either side of the median
 
 
-def best_times(ops, run, cycles: int) -> list[float]:
-    """The fastest of ``cycles`` executions of each op, in seconds, the ops
-    taken in turn as the benchmark's closed loop takes them."""
-    best = [float("inf")] * len(ops)
+def best_times(pairs, cycles: int) -> list[float]:
+    """The fastest of ``cycles`` executions of each (op, run) pair, in
+    seconds, the ops taken in turn as the benchmark's closed loop takes them."""
+    best = [float("inf")] * len(pairs)
     clock = time.perf_counter
     for _ in range(cycles):
-        for i, op in enumerate(ops):
+        for i, (op, run) in enumerate(pairs):
             start = clock()
             run(op)
             best[i] = min(best[i], clock() - start)
@@ -83,22 +86,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="(default: 1)")
     parser.add_argument("--cycles", type=int, default=5,
                         help="passes over the op list; each op's fastest counts (default: 5)")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="time only the first N ops of the cycle (default: all)")
     parser.add_argument("--root", default=os.path.dirname(here),
                         help="checkout whose src/ and bench/ are used (default: this one)")
     args = parser.parse_args(argv)
-    if args.cycles < 1 or (args.limit or 1) < 1:
-        parser.error("--cycles and --limit must be positive")
+    if args.cycles < 1:
+        parser.error("--cycles must be positive")
     root = os.path.abspath(args.root)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    import gen
-    import ops as opmod
-
     with tempfile.TemporaryDirectory() as tmp:
-        ops = [opmod.prepare(op) for op in gen.build(args.workload, args.seed, tmp)[:args.limit]]
-        run = opmod.run_lib if ops[0]["call"] == "lib" else opmod.run_cli_inprocess
-        best = best_times(ops, run, args.cycles)
+        pairs = workload_ops(root, args.workload, args.seed, tmp)
+        best = best_times(pairs, args.cycles)
+    ops = [op for op, _ in pairs]
     print(f"{args.workload} seed {args.seed}, best of {args.cycles} cycles, {root}")
     for line in report([op["kind"] for op in ops], [op["id"] for op in ops], best):
         print(line)

@@ -44,6 +44,22 @@ DEFAULT_WORKLOADS = "lib_pointwise,cli_sweep,oracle_check,cli_oneshot"
 NUMBER = re.compile(r"(?<![\w.])-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 
+def workload_ops(root: str, workload: str, seed: int, tmp: str) -> list:
+    """(op, run) for each op of one workload and seed, in cycle order: built
+    by ``CHECKOUT/bench/gen.py`` with its CSV inputs under ``tmp``, prepared
+    by ``bench/ops.py`` and paired with the ``ops`` function that runs it in
+    process (``run_lib`` or ``run_cli_inprocess``), against the package
+    under ``CHECKOUT/src``."""
+    paths = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    if sys.path[:2] != paths:
+        sys.path[:0] = paths
+    import gen
+    import ops
+
+    return [(op, ops.run_lib if op["call"] == "lib" else ops.run_cli_inprocess)
+            for op in map(ops.prepare, gen.build(workload, seed, tmp))]
+
+
 def _seeds(text: str) -> list[int]:
     """'1-5' or '1,3,7'."""
     if "-" in text:
@@ -117,16 +133,10 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     root = os.path.abspath(args.root)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-    import gen
-    import ops as opmod
-
     for workload in args.workloads.split(","):
         for seed in _seeds(args.seeds):
             with tempfile.TemporaryDirectory() as tmp:
-                for op in gen.build(workload, seed, tmp):
-                    op = opmod.prepare(op)
-                    run = opmod.run_lib if op["call"] == "lib" else opmod.run_cli_inprocess
+                for op, run in workload_ops(root, workload, seed, tmp):
                     outcome = repr(run(op)).replace(tmp, "<tmp>")
                     digest = hashlib.sha256(outcome.encode()).hexdigest()
                     print(workload, seed, op["id"], digest, op["kind"],
